@@ -34,13 +34,12 @@ from .schedule import DiffusionSchedule, coefficients
 from .score import (
     LatentParams,
     SymmetricParams,
-    _LowRankCov,
     _batch,
     latent_score,
+    mixture_kernel,
     mixture_log_density,
     symmetric_score,
 )
-from scipy.special import logsumexp
 
 # responsibility products below this are treated as exactly zero overlap
 XI_FLOOR = 1e-300
@@ -127,25 +126,26 @@ def _sym_parts(mu, U, sched, t, X):
     """Shared intermediates for the tied two-mode Jacobian terms."""
     s, _, gamma = coefficients(sched, t)
     p = SymmetricParams(mu=mu, U=U)
-    mu, U = p.mu, p.U
-    cov = _LowRankCov(U, s, gamma)
-    d = cov.d
-    Xb, single = _batch(X, d)
-    rho_p = Xb - s * mu
-    rho_m = Xb + s * mu
-    q_p = cov.solve(rho_p)
-    q_m = cov.solve(rho_m)
-    # responsibilities from the shared-covariance quadratic forms
-    logw = -0.5 * np.stack([np.sum(rho_p * q_p, -1), np.sum(rho_m * q_m, -1)], -1)
-    r = np.exp(logw - logsumexp(logw, axis=-1, keepdims=True))
-    Sinv = cov.solve(np.eye(d))
-    V = cov.solve(U.T).T if U.shape[1] else np.zeros((d, 0))  # Sigma^{-1} U
-    return s, gamma, p, cov, Xb, single, rho_p, rho_m, q_p, q_m, r, Sinv, V
+    kern = mixture_kernel(p, None, sched, t)
+    Xb, _ = _batch(X, p.d)
+    q, r, _ = kern.evaluate(Xb)
+    Sinv = kern.solve(0, np.eye(p.d))
+    V = kern.solve(0, p.U.T).T  # Sigma^{-1} U, (d, r)
+    return s, gamma, p, Xb, q[0], q[1], r, Sinv, V
 
 
 def _sym_gU(s, q, qU, V):
     """d logN / dU for one mode: entries s^2 (q_j (qU)_c - V_{jc}); (n, d, r)."""
     return (s * s) * (q[:, :, None] * qU[:, None, :] - V[None, :, :])
+
+
+def _d_delta(s, g2, Sinv, V, q, qU):
+    """d(delta)_i/dU_jc = -g2 s^2 [Sinv_ij (qU)_c + V_ic q_j] for one
+    component with delta = g2 Sigma^{-1} rho; (n, d, d, r)."""
+    return -(g2 * s * s) * (
+        Sinv[None, :, :, None] * qU[:, None, None, :]
+        + V[None, :, None, :] * q[:, None, :, None]
+    )
 
 
 def _flatten_U_axes(T):
@@ -161,8 +161,7 @@ def symmetric_exact_terms(mu, U, sched: DiffusionSchedule, t: float,
     Term A freezes the responsibilities (self-cluster part); term B carries
     their parameter derivative and is proportional to r_plus * r_minus.
     """
-    s, gamma, p, cov, Xb, single, rho_p, rho_m, q_p, q_m, r, Sinv, V = _sym_parts(
-        mu, U, sched, t, X)
+    s, gamma, p, Xb, q_p, q_m, r, Sinv, V = _sym_parts(mu, U, sched, t, X)
     n, d = Xb.shape
     rr = p.U.shape[1]
     g2 = gamma * gamma
@@ -179,16 +178,9 @@ def symmetric_exact_terms(mu, U, sched: DiffusionSchedule, t: float,
     if rr > 0:
         qpU = q_p @ p.U
         qmU = q_m @ p.U
-        # d eps_i / dU_jc = -g2 s^2 [Sinv_ij (qU)_c + V_ic q_j]
-        def d_resid(q, qU):
-            return -(g2 * s * s) * (
-                Sinv[None, :, :, None] * qU[:, None, None, :]
-                + V[None, :, None, :] * q[:, None, :, None]
-            )
-
         A_U = -(1.0 / g2) * (
-            rp[:, None, None, None] * d_resid(q_p, qpU)
-            + rm[:, None, None, None] * d_resid(q_m, qmU)
+            rp[:, None, None, None] * _d_delta(s, g2, Sinv, V, q_p, qpU)
+            + rm[:, None, None, None] * _d_delta(s, g2, Sinv, V, q_m, qmU)
         )
         A_U = _flatten_U_axes(A_U)
         dg_U = _sym_gU(s, q_p, qpU, V) - _sym_gU(s, q_m, qmU, V)
@@ -228,28 +220,20 @@ def general_jacobian(params: LatentParams, pis, sched: DiffusionSchedule, t: flo
     g_m is the component log-density gradient in theta_m.
     """
     s, _, gamma = coefficients(sched, t)
-    Xb, single = _batch(X, params.d)
+    Xb, _ = _batch(X, params.d)
     n, d = Xb.shape
     g2 = gamma * gamma
-    pis = np.asarray(pis, dtype=float)
     L = len(params.components)
 
-    covs = [_LowRankCov(U, s, gamma) for _, U in params.components]
-    qs = [cov.solve(Xb - s * mu) for (mu, _), cov in zip(params.components, covs)]
-    logj = np.stack(
-        [np.log(pi) + cov.log_density(Xb, s * mu)
-         for (mu, _), pi, cov in zip(params.components, pis, covs)],
-        axis=-1,
-    )
-    r = np.exp(logj - logsumexp(logj, axis=-1, keepdims=True))
-    deltas = [g2 * q for q in qs]
-    delta_bar = sum(r[:, l : l + 1] * deltas[l] for l in range(L))
+    kern = mixture_kernel(params, pis, sched, t)
+    qs, r, _ = kern.evaluate(Xb)
+    deltas = g2 * qs
+    delta_bar = np.einsum("nl,lnd->nd", r, deltas)
 
     mu_blocks, U_blocks = [], []
     for m in range(L):
-        cov = covs[m]
-        Sinv = cov.solve(np.eye(d))
-        V = cov.solve(params.components[m][1].T).T if params.components[m][1].shape[1] else None
+        Sinv = kern.solve(m, np.eye(d))
+        V = kern.solve(m, params.components[m][1].T).T  # Sigma_m^{-1} U_m
         rm = r[:, m]
         dev = deltas[m] - delta_bar  # (n, d)
 
@@ -267,12 +251,8 @@ def general_jacobian(params: LatentParams, pis, sched: DiffusionSchedule, t: flo
         qU = qs[m] @ Um
         g_U = _sym_gU(s, qs[m], qU, V)  # (n, d, r)
         g_U_flat = g_U.transpose(0, 2, 1).reshape(n, rr * d)
-        # self term: -(r_m/g2) d(delta_m)/dU, with
-        # d(delta_m)_i/dU_jc = -g2 s^2 [Sinv_ij (qU)_c + V_ic q_j]
-        d_delta = -(g2 * s * s) * (
-            Sinv[None, :, :, None] * qU[:, None, None, :]
-            + V[None, :, None, :] * qs[m][:, None, :, None]
-        )
+        # self term: -(r_m/g2) d(delta_m)/dU
+        d_delta = _d_delta(s, g2, Sinv, V, qs[m], qU)
         JU = -(rm[:, None, None] / g2) * (
             dev[:, :, None] * g_U_flat[:, None, :] + _flatten_U_axes(d_delta)
         )
@@ -559,24 +539,19 @@ def _self_cluster_jacobian(params: LatentParams, pis, sched, t, X):
     Xb, _ = _batch(X, params.d)
     n, d = Xb.shape
     g2 = gamma * gamma
-    r = _responsibility_matrix(params, pis, sched, t, Xb)
+    kern = mixture_kernel(params, pis, sched, t)
+    qs, r, _ = kern.evaluate(Xb)
     mu_blocks, U_blocks = [], []
-    for m, (mu, Um) in enumerate(params.components):
-        cov = _LowRankCov(Um, s, gamma)
-        Sinv = cov.solve(np.eye(d))
+    for m, (_, Um) in enumerate(params.components):
+        Sinv = kern.solve(m, np.eye(d))
         rm = r[:, m]
         mu_blocks.append(s * rm[:, None, None] * Sinv[None, :, :])
         rr = Um.shape[1]
         if rr == 0:
             U_blocks.append(np.zeros((n, d, 0)))
             continue
-        q = cov.solve(Xb - s * mu)
-        qU = q @ Um
-        V = cov.solve(Um.T).T
-        d_delta = -(g2 * s * s) * (
-            Sinv[None, :, :, None] * qU[:, None, None, :]
-            + V[None, :, None, :] * q[:, None, :, None]
-        )
+        V = kern.solve(m, Um.T).T
+        d_delta = _d_delta(s, g2, Sinv, V, qs[m], qs[m] @ Um)
         U_blocks.append(-(rm[:, None, None] / g2) * _flatten_U_axes(d_delta))
     return np.concatenate(mu_blocks + U_blocks, axis=-1)
 

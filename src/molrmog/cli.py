@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -90,16 +89,6 @@ def apply_override(cfg: dict, assignment: str) -> None:
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def resolve_threads(cfg: dict) -> int:
-    env = os.environ.get("MOLRG_THREADS")
-    if env is not None:
-        return int(env)
-    raw = cfg.get("threads", "auto")
-    if raw == "auto" or raw is None:
-        return os.cpu_count() or 1
-    return int(raw)
 
 
 def fmt(v) -> str:
@@ -438,7 +427,6 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
             "subcommand": subcommand,
             "config_hash": config_hash(cfg),
             "seed": seed,
-            "threads": resolve_threads(cfg),
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,

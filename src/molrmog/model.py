@@ -148,21 +148,26 @@ def build_model(spec: dict) -> MoLRMoGModel:
     """
     try:
         D = int(spec["D"])
-        sub_specs = spec["subspaces"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"model spec missing field: {exc}") from exc
+        sub_specs = list(spec["subspaces"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"model spec missing or malformed field: {exc}") from exc
     subspaces = []
-    for ss in sub_specs:
-        comps = tuple(
-            MoGComponent(pi=float(c["pi"]), mu=np.asarray(c["mu"], dtype=float),
-                         U=np.asarray(c["U"], dtype=float))
-            for c in ss["components"]
-        )
-        if "A" in ss:
-            A = np.asarray(ss["A"], dtype=float)
-        else:
-            d = int(ss["d"])
-            A = random_orthonormal(D, d, int(ss["A_seed"]))
+    for i, ss in enumerate(sub_specs):
+        try:
+            comps = tuple(
+                MoGComponent(pi=float(c["pi"]), mu=np.asarray(c["mu"], dtype=float),
+                             U=np.asarray(c["U"], dtype=float))
+                for c in ss["components"]
+            )
+            if "A" in ss:
+                A = np.asarray(ss["A"], dtype=float)
+            else:
+                A = random_orthonormal(D, int(ss["d"]), int(ss["A_seed"]))
+        except KeyError as exc:
+            raise ValidationError(f"model subspace {i} is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            msg = " ".join(str(exc).split())
+            raise ValidationError(f"model subspace {i} is malformed: {msg}") from exc
         subspaces.append(Subspace(A=A, components=comps))
     return MoLRMoGModel(D=D, subspaces=tuple(subspaces))
 

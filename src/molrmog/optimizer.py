@@ -71,10 +71,15 @@ def _check_data(data) -> np.ndarray:
 
 
 def loss_and_grad(theta, truth, pis, sched: DiffusionSchedule, t: float,
-                  data: np.ndarray) -> tuple[float, np.ndarray]:
-    """Empirical loss and its analytic gradient (2/n) sum J^T residual."""
+                  data: np.ndarray, truth_score=None) -> tuple[float, np.ndarray]:
+    """Empirical loss and its analytic gradient (2/n) sum J^T residual.
+
+    truth_score, the truth's score on data, is computed here when omitted.
+    """
     X = _check_data(data)
-    resid = score_of(theta, pis, sched, t, X) - score_of(truth, pis, sched, t, X)
+    if truth_score is None:
+        truth_score = score_of(truth, pis, sched, t, X)
+    resid = score_of(theta, pis, sched, t, X) - truth_score
     loss = float(np.mean(np.sum(resid ** 2, axis=-1)))
     J = exact_jacobian(theta, pis, sched, t, X)
     grad = 2.0 * np.einsum("nd,ndp->p", resid, J) / X.shape[0]
@@ -118,14 +123,15 @@ def estimate_local_constants(truth, pis, sched: DiffusionSchedule, t: float,
     empirical loss at the truth, built from central differences of the
     analytic gradient."""
     X = _check_data(data)
+    s_true = score_of(truth, pis, sched, t, X)
     vec = truth.flatten()
     p = vec.size
     H = np.empty((p, p))
     for j in range(p):
         e = np.zeros(p)
         e[j] = h
-        gp = grad_empirical(truth.unflatten(vec + e), truth, pis, sched, t, X)
-        gm = grad_empirical(truth.unflatten(vec - e), truth, pis, sched, t, X)
+        gp = loss_and_grad(truth.unflatten(vec + e), truth, pis, sched, t, X, s_true)[1]
+        gm = loss_and_grad(truth.unflatten(vec - e), truth, pis, sched, t, X, s_true)[1]
         H[:, j] = (gp - gm) / (2.0 * h)
     H = 0.5 * (H + H.T)
     evals = np.linalg.eigvalsh(H)
@@ -142,6 +148,7 @@ def gd_train(theta0, truth, pis, sched: DiffusionSchedule, t: float,
     else:
         eta, kappa, rho = cfg.eta, float("nan"), float("nan")
 
+    s_true = score_of(truth, pis, sched, t, X)
     truth_vec = truth.flatten()
     vec = theta0.flatten()
     dist0 = float(np.linalg.norm(vec - truth_vec))
@@ -150,7 +157,7 @@ def gd_train(theta0, truth, pis, sched: DiffusionSchedule, t: float,
     converged = False
     for m in range(cfg.m_max + 1):
         theta = truth.unflatten(vec)
-        loss, grad = loss_and_grad(theta, truth, pis, sched, t, X)
+        loss, grad = loss_and_grad(theta, truth, pis, sched, t, X, s_true)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise NaNDetected(f"non-finite loss or gradient at iteration {m}")
         dist = float(np.linalg.norm(vec - truth_vec))

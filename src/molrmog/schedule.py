@@ -76,18 +76,25 @@ def make_schedule(
     t_max: float = DEFAULT_T_MAX,
 ) -> DiffusionSchedule:
     """Build a schedule preset, validating parameters."""
-    if isinstance(kind, str):
-        try:
-            kind = ScheduleKind(kind)
-        except ValueError:
-            raise InvalidScheduleParams(f"unknown schedule kind {kind!r}")
+    try:
+        kind = ScheduleKind(kind)
+    except (ValueError, TypeError):
+        raise InvalidScheduleParams(f"unknown schedule kind {kind!r}") from None
+    try:
+        rate, t_min, t_max = float(rate), float(t_min), float(t_max)
+    except (ValueError, TypeError):
+        raise InvalidScheduleParams(
+            f"rate, t_min and t_max must be numbers, got {rate!r}, {t_min!r}, {t_max!r}") from None
+    if not all(map(math.isfinite, (rate, t_min, t_max))):
+        raise InvalidScheduleParams(f"schedule parameters must be finite, got "
+                                    f"{rate}, {t_min}, {t_max}")
     if not (rate > 0):
         raise InvalidScheduleParams(f"rate parameter must be positive, got {rate}")
     if not (t_min > 0):
         raise InvalidScheduleParams(f"t_min must be positive, got {t_min}")
     if not (t_min < t_max):
         raise InvalidScheduleParams(f"need t_min < t_max, got {t_min} >= {t_max}")
-    return DiffusionSchedule(kind=kind, rate=float(rate), t_min=float(t_min), t_max=float(t_max))
+    return DiffusionSchedule(kind=kind, rate=rate, t_min=t_min, t_max=t_max)
 
 
 def coefficients(sched: DiffusionSchedule, t: float) -> tuple[float, float, float]:

@@ -1,23 +1,34 @@
 """Exact score functions for noised low-rank Gaussian mixtures.
 
-All densities are evaluated through the low-rank identities for
-Sigma = s^2 U U^T + gamma^2 I:
+Every quantity of a noised mixture sum_l pi_l N(s mu_l, Sigma_l) with
+Sigma_l = s^2 U_l U_l^T + gamma^2 I comes from one kernel, `NoisedMixture`,
+built once per (means, factors, weights, s, gamma).  Per component it caches
+the shifted mean s mu_l, the Woodbury factor
 
-    Sigma^{-1} v  = (1/gamma^2) (v - s^2 U (gamma^2 I_r + s^2 U^T U)^{-1} U^T v)
-    log det Sigma = 2 (d - r) log gamma + log det(gamma^2 I_r + s^2 U^T U)
+    W_l = s chol(gamma^2 I_r + s^2 U_l^T U_l)^{-1} U_l^T        (r x d)
 
-which stay exact for arbitrary U (the orthonormal-columns projection form is
-a special case).  Every function accepts a single point (d,) or a batch
-(n, d) and returns a matching shape.
+so that Sigma_l^{-1} v = (v - W_l^T W_l v) / gamma^2, and the constant
+log pi_l - (d log 2 pi + log det Sigma_l) / 2 with
+
+    log det Sigma_l = 2 (d - r) log gamma + log det(gamma^2 I_r + s^2 U_l^T U_l).
+
+No dense covariance is ever formed, and the identities stay exact for
+arbitrary U (the orthonormal-columns projection form is a special case).  One
+pass over x gives the residuals q_l = Sigma_l^{-1} (x - s mu_l) and the
+log-joints; responsibilities, the score -sum_l r_l q_l and the log density
+follow from them.  The latent, ambient (means A mu, factors A U), tied
+two-mode and single-component functions below are thin wrappers over the
+kernel.  Every function accepts a single point (d,) or a batch (n, d) and
+returns a matching shape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
+from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, SingularNoise
 from .model import MoLRMoGModel, component_weights
@@ -42,43 +53,76 @@ def _batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-class _LowRankCov:
-    """Cached factorization of Sigma = s^2 U U^T + gamma^2 I."""
+class NoisedMixture:
+    """sum_l pi_l N(s mu_l, s^2 U_l U_l^T + gamma^2 I) with every component's
+    solve and log-determinant factored once (see the module docstring)."""
 
-    def __init__(self, U: np.ndarray, s: float, gamma: float):
+    def __init__(self, means, factors, weights, s: float, gamma: float):
         _require_noise(gamma)
-        U = np.asarray(U, dtype=float)
-        if U.ndim == 1:
-            U = U[:, None]
-        self.U = U
-        self.s = float(s)
-        self.gamma = float(gamma)
-        self.d = U.shape[0]
-        self.r = U.shape[1]
-        g2 = gamma * gamma
-        if self.r > 0:
-            core = g2 * np.eye(self.r) + (s * s) * (U.T @ U)
-            self._core_cf = cho_factor(core)
-            self.logdet = 2.0 * (self.d - self.r) * np.log(gamma) + 2.0 * np.sum(
-                np.log(np.diag(self._core_cf[0]))
-            )
-        else:
-            self._core_cf = None
-            self.logdet = 2.0 * self.d * np.log(gamma)
+        self.centers = s * np.array(means, dtype=float)  # (L, d)
+        self.d = d = self.centers.shape[1]
+        self.g2 = gamma * gamma
+        self.W = []  # per component, (r, d)
+        logdet = np.empty(len(self.centers))
+        for l, U in enumerate(_as_factor(U) for U in factors):
+            r = U.shape[1]
+            logdet[l] = 2.0 * (d - r) * math.log(gamma)
+            if r:
+                chol = np.linalg.cholesky(self.g2 * np.eye(r) + (s * s) * (U.T @ U))
+                self.W.append(s * solve_triangular(chol, U.T, lower=True))
+                logdet[l] += 2.0 * np.sum(np.log(np.diag(chol)))
+            else:
+                self.W.append(np.zeros((0, d)))
+        self.const = np.log(np.asarray(weights, dtype=float)) - 0.5 * (d * LOG_2PI + logdet)
 
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} v for v of shape (..., d)."""
-        g2 = self.gamma * self.gamma
-        if self.r == 0:
-            return v / g2
-        proj = cho_solve(self._core_cf, (v @ self.U).T).T
-        return (v - (self.s * self.s) * (proj @ self.U.T)) / g2
+    def solve(self, l: int, v: np.ndarray) -> np.ndarray:
+        """Sigma_l^{-1} v for v of shape (..., d)."""
+        W = self.W[l]
+        return (v - (v @ W.T) @ W) / self.g2
 
-    def log_density(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        """Gaussian log-density N(mean, Sigma) for x of shape (n, d)."""
-        resid = x - mean
-        quad = np.sum(resid * self.solve(resid), axis=-1)
-        return -0.5 * (self.d * LOG_2PI + self.logdet + quad)
+    def _pass(self, x: np.ndarray):
+        """Residuals (L, d, n), normalized weights (L, n) and log density (n,);
+        points run along the last axis so numpy's inner loops are long."""
+        xt = np.ascontiguousarray(x.T)
+        q = np.empty((len(self.W),) + xt.shape)
+        logj = np.empty((len(self.W), xt.shape[1]))
+        for l, (c, W) in enumerate(zip(self.centers, self.W)):
+            rho = xt - c[:, None]
+            q[l] = (rho - W.T @ (W @ rho)) / self.g2
+            logj[l] = self.const[l] - 0.5 * np.sum(rho * q[l], axis=0)
+        top = logj.max(axis=0)
+        w = np.exp(logj - top)
+        total = w.sum(axis=0)
+        w /= total
+        return q, w, top + np.log(total)
+
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One pass over x of shape (n, d): residuals q (L, n, d),
+        responsibilities r (n, L) and the mixture log density (n,)."""
+        q, w, logp = self._pass(x)
+        return q.transpose(0, 2, 1), w.T, logp
+
+    def score(self, x: np.ndarray) -> np.ndarray:
+        """-sum_l r_l(x) Sigma_l^{-1} (x - s mu_l)."""
+        xb, single = _batch(x, self.d)
+        q, w, _ = self._pass(xb)
+        out = q[0] * w[0]
+        for ql, wl in zip(q[1:], w[1:]):
+            out += ql * wl
+        out = -out.T
+        return out[0] if single else out
+
+    def responsibilities(self, x: np.ndarray) -> np.ndarray:
+        """Posterior component probabilities, max-shifted before exp."""
+        xb, single = _batch(x, self.d)
+        r = self.evaluate(xb)[1]
+        return r[0] if single else r
+
+    def log_density(self, x: np.ndarray) -> np.ndarray | float:
+        """log of the mixture density, max-shifted log-sum-exp of the log-joints."""
+        xb, single = _batch(x, self.d)
+        out = self.evaluate(xb)[2]
+        return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -90,23 +134,20 @@ class NoisedComponentView:
     mu: np.ndarray
     U: np.ndarray
 
-    def cov(self) -> _LowRankCov:
-        return _LowRankCov(self.U, self.s, self.gamma)
+    def kernel(self) -> NoisedMixture:
+        return NoisedMixture([self.mu], [self.U], [1.0], self.s, self.gamma)
 
 
 def log_density(view: NoisedComponentView, x: np.ndarray) -> np.ndarray | float:
     """log N(x; s mu, s^2 U U^T + gamma^2 I) via the low-rank route."""
-    cov = view.cov()
-    xb, single = _batch(x, cov.d)
-    out = cov.log_density(xb, view.s * np.asarray(view.mu, dtype=float))
-    return float(out[0]) if single else out
+    return view.kernel().log_density(x)
 
 
 def delta_vec(view: NoisedComponentView, x: np.ndarray) -> np.ndarray:
     """Whitened residual gamma^2 Sigma^{-1} (x - s mu)."""
-    cov = view.cov()
-    xb, single = _batch(x, cov.d)
-    out = (cov.gamma ** 2) * cov.solve(xb - view.s * np.asarray(view.mu, dtype=float))
+    kern = view.kernel()
+    xb, single = _batch(x, kern.d)
+    out = kern.g2 * kern.solve(0, xb - kern.centers[0])
     return out[0] if single else out
 
 
@@ -207,50 +248,32 @@ def from_model_subspace(sub) -> tuple[LatentParams, np.ndarray]:
     return params, sub.weights
 
 
-def _component_logjoint(params: LatentParams, pis, s: float, gamma: float,
-                        x: np.ndarray) -> tuple[np.ndarray, list[_LowRankCov]]:
-    """log(pi_l N_l(x)) for each component; x is (n, d)."""
-    pis = np.asarray(pis, dtype=float)
-    covs = [_LowRankCov(U, s, gamma) for _, U in params.components]
-    cols = []
-    for (mu, _), pi, cov in zip(params.components, pis, covs):
-        cols.append(np.log(pi) + cov.log_density(x, s * mu))
-    return np.stack(cols, axis=-1), covs
+def mixture_kernel(params, pis, sched: DiffusionSchedule, t: float) -> NoisedMixture:
+    """Kernel of the noised latent mixture; the tied form expands to its
+    explicit two-component equivalent."""
+    if isinstance(params, SymmetricParams):
+        params, pis = params.as_latent()
+    s, _, gamma = coefficients(sched, t)
+    return NoisedMixture([mu for mu, _ in params.components],
+                         [U for _, U in params.components], pis, s, gamma)
 
 
 def responsibilities(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
                      x: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities r_l(x), log-sum-exp stabilized."""
-    s, _, gamma = coefficients(sched, t)
-    xb, single = _batch(x, params.d)
-    logj, _ = _component_logjoint(params, pis, s, gamma, xb)
-    logr = logj - logsumexp(logj, axis=-1, keepdims=True)
-    r = np.exp(logr)
-    return r[0] if single else r
+    """Posterior component probabilities r_l(x), max-shifted before exp."""
+    return mixture_kernel(params, pis, sched, t).responsibilities(x)
 
 
 def mixture_log_density(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
                         x: np.ndarray) -> np.ndarray | float:
     """log p_t(x) of the noised latent mixture (brute-force oracle hook)."""
-    s, _, gamma = coefficients(sched, t)
-    xb, single = _batch(x, params.d)
-    logj, _ = _component_logjoint(params, pis, s, gamma, xb)
-    out = logsumexp(logj, axis=-1)
-    return float(out[0]) if single else out
+    return mixture_kernel(params, pis, sched, t).log_density(x)
 
 
 def latent_score(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
                  x: np.ndarray) -> np.ndarray:
     """Score of the noised latent mixture: -(1/gamma^2) sum_l r_l delta_l."""
-    s, _, gamma = coefficients(sched, t)
-    xb, single = _batch(x, params.d)
-    logj, covs = _component_logjoint(params, pis, s, gamma, xb)
-    logr = logj - logsumexp(logj, axis=-1, keepdims=True)
-    r = np.exp(logr)
-    out = np.zeros_like(xb)
-    for l, ((mu, _), cov) in enumerate(zip(params.components, covs)):
-        out -= r[:, l : l + 1] * cov.solve(xb - s * mu)
-    return out[0] if single else out
+    return mixture_kernel(params, pis, sched, t).score(x)
 
 
 def symmetric_responsibilities(mu, U, sched: DiffusionSchedule, t: float,
@@ -268,60 +291,32 @@ def symmetric_score(mu, U, sched: DiffusionSchedule, t: float, x: np.ndarray) ->
     return latent_score(params, pis, sched, t, x)
 
 
-def _ambient_flat(model: MoLRMoGModel):
-    """Flat (weight, ambient mean direction A mu, ambient factor A U) list."""
-    out = []
-    for k, l, w in component_weights(model):
-        sub = model.subspaces[k]
-        comp = sub.components[l]
-        out.append((w, sub.A @ comp.mu, sub.A @ comp.U))
-    return out
+def ambient_kernel(model: MoLRMoGModel, sched: DiffusionSchedule, t: float) -> NoisedMixture:
+    """Kernel of the full ambient mixture over the flat (k, l) components:
+    weights pi_l / K, mean directions A mu, low-rank factors A U."""
+    s, _, gamma = coefficients(sched, t)
+    flat = component_weights(model)
+    comps = [(model.subspaces[k].A, model.subspaces[k].components[l]) for k, l, _ in flat]
+    return NoisedMixture([A @ c.mu for A, c in comps], [A @ c.U for A, c in comps],
+                         [w for _, _, w in flat], s, gamma)
 
 
 def ambient_log_density(model: MoLRMoGModel, sched: DiffusionSchedule, t: float,
                         x: np.ndarray) -> np.ndarray | float:
     """log p_t(x) of the full ambient mixture, via low-rank factors A U."""
-    s, _, gamma = coefficients(sched, t)
-    xb, single = _batch(x, model.D)
-    cols = []
-    for w, amu, aU in _ambient_flat(model):
-        cov = _LowRankCov(aU, s, gamma)
-        cols.append(np.log(w) + cov.log_density(xb, s * amu))
-    out = logsumexp(np.stack(cols, axis=-1), axis=-1)
-    return float(out[0]) if single else out
+    return ambient_kernel(model, sched, t).log_density(x)
 
 
 def ambient_responsibilities(model: MoLRMoGModel, sched: DiffusionSchedule, t: float,
                              x: np.ndarray) -> np.ndarray:
     """Posterior over flat (k, l) components for ambient points."""
-    s, _, gamma = coefficients(sched, t)
-    xb, single = _batch(x, model.D)
-    cols = []
-    for w, amu, aU in _ambient_flat(model):
-        cov = _LowRankCov(aU, s, gamma)
-        cols.append(np.log(w) + cov.log_density(xb, s * amu))
-    logj = np.stack(cols, axis=-1)
-    r = np.exp(logj - logsumexp(logj, axis=-1, keepdims=True))
-    return r[0] if single else r
+    return ambient_kernel(model, sched, t).responsibilities(x)
 
 
 def ambient_score(model: MoLRMoGModel, sched: DiffusionSchedule, t: float,
                   x: np.ndarray) -> np.ndarray:
     """Score of the ambient mixture sum_{k,l} (1/K) pi_l N(s A mu, s^2 (AU)(AU)^T + gamma^2 I)."""
-    s, _, gamma = coefficients(sched, t)
-    xb, single = _batch(x, model.D)
-    flat = _ambient_flat(model)
-    cols, covs = [], []
-    for w, amu, aU in flat:
-        cov = _LowRankCov(aU, s, gamma)
-        covs.append(cov)
-        cols.append(np.log(w) + cov.log_density(xb, s * amu))
-    logj = np.stack(cols, axis=-1)
-    r = np.exp(logj - logsumexp(logj, axis=-1, keepdims=True))
-    out = np.zeros_like(xb)
-    for i, ((_, amu, _), cov) in enumerate(zip(flat, covs)):
-        out -= r[:, i : i + 1] * cov.solve(xb - s * amu)
-    return out[0] if single else out
+    return ambient_kernel(model, sched, t).score(x)
 
 
 def conditional_score(x_t: np.ndarray, x0: np.ndarray, sched: DiffusionSchedule,

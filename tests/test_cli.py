@@ -9,7 +9,6 @@ from molrmog.cli import (
     config_hash,
     load_config,
     main,
-    resolve_threads,
     run,
     write_csv,
 )
@@ -80,12 +79,12 @@ def test_config_hash_stable_under_key_order():
     assert config_hash({"a": 1}) != config_hash({"a": 2})
 
 
-def test_resolve_threads_env_wins(monkeypatch):
-    monkeypatch.setenv("MOLRG_THREADS", "3")
-    assert resolve_threads({"threads": 8}) == 3
-    monkeypatch.delenv("MOLRG_THREADS")
-    assert resolve_threads({"threads": 8}) == 8
-    assert resolve_threads({}) >= 1
+def test_manifest_has_no_threads_key_and_ignores_env(cfg_path, tmp_path, monkeypatch):
+    monkeypatch.setenv("MOLRG_THREADS", "abc")
+    out = tmp_path / "out"
+    assert run("gen", cfg_path, out_dir=str(out)) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert "threads" not in man
 
 
 def test_write_csv_format(tmp_path):
@@ -189,3 +188,40 @@ def test_main_entry_point(cfg_path, tmp_path):
     assert main(["gen", "--config", cfg_path, "--out", str(out), "--seed", "5"]) == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == 5
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("components",), None),
+    (("A_seed",), None),
+    (("d",), "two"),
+    (("components", 0, "pi"), "half"),
+    (("components", 0, "pi"), None),
+    (("components", 0, "mu"), ["a", 0.0]),
+    (("components", 1, "U"), [[0.2], [0.4, 1.0]]),
+])
+def test_malformed_model_subspace_exits_2(tmp_path, capsys, path, value):
+    cfg = json.loads(json.dumps(MINI_CFG))
+    node = cfg["model"]["subspaces"][0]
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run("gen", str(p), out_dir=str(tmp_path / "out")) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
+    for field in ("t_max", "t_min", "g0"):
+        assert run("hessian", cfg_path, overrides=[f'schedule.{field}="a"'],
+                   out_dir=str(tmp_path)) == 2
+        _assert_one_line_error(capsys)

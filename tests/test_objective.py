@@ -14,6 +14,7 @@ from molrmog.objective import (
     make_theta_grid,
     sm_pointwise,
     estimation_gap_bound,
+    stacked_errors,
     unflatten_theta_set,
 )
 from molrmog.score import LatentParams, SymmetricParams, from_model_subspace, latent_score
@@ -183,3 +184,36 @@ def test_gap_bound_monotone_in_n():
     assert vals[0] > vals[1] > vals[2]
     # quadrupling n halves both terms
     assert vals[1] == pytest.approx(vals[0] / 2, rel=1e-12)
+
+
+def test_estimation_gaps_match_direct_stacked_errors(unit_sched):
+    """The experiment's population moments and per-n gaps equal a direct
+    per-grid-point stacked_errors evaluation on the same draws."""
+    model = build_model({"D": 4, "subspaces": [
+        {"d": 2, "A_seed": 7, "components": [
+            {"pi": 0.4, "mu": [2.0, 0.0], "U": [[0.6], [0.1]]},
+            {"pi": 0.6, "mu": [-2.0, 0.5], "U": [[0.2], [0.5]]}]},
+        {"d": 2, "A_seed": 8, "components": [
+            {"pi": 1.0, "mu": [0.0, 1.0], "U": [[0.3, 0.0], [0.1, 0.4]]}]},
+    ]})
+    truth_set = tuple(from_model_subspace(sub)[0] for sub in model.subspaces)
+    pis_list = [sub.weights for sub in model.subspaces]
+    grid = make_theta_grid(truth_set, half_width=0.25, count=8, seed=3)
+    t, n_mc, n_schedule, trials = 0.25, 3000, [64, 256], 2
+    rep = estimation_gap_experiment(model, grid, n_schedule, trials, unit_sched, t,
+                                    rng=5, n_mc=n_mc)
+
+    rng = np.random.default_rng(5)
+
+    def mean_var(n):
+        X = forward_noise(sample_data(model, n, rng).x, unit_sched, t, rng)
+        ell = np.stack([stacked_errors(th, truth_set, pis_list, model, unit_sched, t, X)
+                        for th in grid])
+        return ell.mean(axis=1), ell.var(axis=1)
+
+    pop_mean, pop_var = mean_var(n_mc)
+    assert rep.sigma2 == pytest.approx(np.max(pop_var), rel=1e-12)
+    assert rep.pop_stderr_max == pytest.approx(np.max(np.sqrt(pop_var / n_mc)), rel=1e-12)
+    gaps = np.array([[np.max(np.abs(pop_mean - mean_var(n)[0])) for n in n_schedule]
+                     for _ in range(trials)])
+    assert [g for _, g, _ in rep.rows] == pytest.approx(gaps.mean(axis=0), rel=1e-12)

@@ -80,3 +80,15 @@ def test_kind_accepts_enum_and_string():
     a = make_schedule(ScheduleKind.VARIANCE_PRESERVING, 2.0)
     b = make_schedule("vp", 2.0)
     assert a == b
+
+
+def test_non_numeric_params_rejected_and_numeric_strings_coerced():
+    for args in [(1.0, "a", 1.0), (1.0, 0.01, "a"), ("x", 0.01, 1.0), (None, 0.01, 1.0),
+                 ([1.0], 0.01, 1.0), (1.0, 0.01, float("inf")), (1.0, 0.01, float("nan"))]:
+        with pytest.raises(InvalidScheduleParams):
+            make_schedule("vp", *args)
+    with pytest.raises(InvalidScheduleParams):
+        make_schedule(5, 1.0)
+    sched = make_schedule("vp", "2", "0.01", 1)
+    assert sched == make_schedule("vp", 2.0, 0.01, 1.0)
+    assert isinstance(sched.t_max, float)

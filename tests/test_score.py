@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import dense_gaussian_logpdf, fd_gradient
 from molrmog.errors import DimensionMismatch, SingularNoise
@@ -7,6 +8,7 @@ from molrmog.model import MoGComponent, Subspace, random_orthonormal, MoLRMoGMod
 from molrmog.score import (
     LatentParams,
     NoisedComponentView,
+    NoisedMixture,
     SymmetricParams,
     ambient_log_density,
     ambient_responsibilities,
@@ -16,6 +18,7 @@ from molrmog.score import (
     from_model_subspace,
     latent_score,
     log_density,
+    mixture_kernel,
     mixture_log_density,
     responsibilities,
     symmetric_responsibilities,
@@ -192,3 +195,75 @@ def test_batch_and_single_shapes_agree(unit_sched):
     assert batch == pytest.approx(rows, rel=1e-12, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         latent_score(params, pis, unit_sched, 0.3, np.zeros(5))
+
+
+def dense_mixture(weights, means, factors, s, gamma, X):
+    """(score, responsibilities, log density) by dense covariances and Cholesky."""
+    d = X.shape[1]
+    logj, grads = [], []
+    for w, mu, U in zip(weights, means, factors):
+        cov = s * s * U @ U.T + gamma * gamma * np.eye(d)
+        logj.append(np.log(w) + dense_gaussian_logpdf(X, s * mu, cov))
+        grads.append(-np.linalg.solve(cov, (X - s * mu).T).T)
+    logj = np.stack(logj, axis=1)
+    logp = logsumexp(logj, axis=1)
+    r = np.exp(logj - logp[:, None])
+    return sum(r[:, l:l + 1] * g for l, g in enumerate(grads)), r, logp
+
+
+def test_kernel_matches_dense_cholesky_across_ranks_and_schedules(unit_sched, vp_sched):
+    d = 3
+    rng = np.random.default_rng(12)
+    factors = [np.zeros((d, 0)), rng.standard_normal((d, 1)), rng.standard_normal((d, d))]
+    means = [2.0 * rng.standard_normal(d) for _ in factors]
+    pis = np.array([0.2, 0.3, 0.5])
+    params = LatentParams(tuple(zip(means, factors)))
+    for sched in (unit_sched, vp_sched):
+        for t in (sched.t_min, sched.t_max):
+            s, gamma = sched.s(t), sched.gamma(t)
+            near = np.concatenate([s * mu + gamma * rng.standard_normal((4, d)) for mu in means])
+            X = np.vstack([near, 2.0 * rng.standard_normal((6, d))])
+            want_score, want_r, want_logp = dense_mixture(pis, means, factors, s, gamma, X)
+            kern = NoisedMixture(means, factors, pis, s, gamma)
+            for got_score, got_r, got_logp in (
+                (kern.score(X), kern.responsibilities(X), kern.log_density(X)),
+                (latent_score(params, pis, sched, t, X), responsibilities(params, pis, sched, t, X),
+                 mixture_log_density(params, pis, sched, t, X)),
+            ):
+                assert got_score.shape == X.shape and got_r.shape == (len(X), 3)
+                assert got_score == pytest.approx(want_score, rel=1e-9)
+                assert got_r == pytest.approx(want_r, rel=1e-9)
+                assert got_logp == pytest.approx(want_logp, rel=1e-9)
+            for i in (0, len(X) - 1):
+                assert kern.score(X[i]).shape == (d,)
+                assert kern.score(X[i]) == pytest.approx(want_score[i], rel=1e-9)
+                assert kern.responsibilities(X[i]) == pytest.approx(want_r[i], rel=1e-9)
+                assert isinstance(kern.log_density(X[i]), float)
+                assert kern.log_density(X[i]) == pytest.approx(want_logp[i], rel=1e-9)
+            q, r, logp = mixture_kernel(params, pis, sched, t).evaluate(X)
+            assert q.shape == (3, len(X), d)
+            for l, (mu, U) in enumerate(zip(means, factors)):
+                cov = s * s * U @ U.T + gamma * gamma * np.eye(d)
+                assert q[l] == pytest.approx(np.linalg.solve(cov, (X - s * mu).T).T, rel=1e-9)
+
+
+def test_ambient_kernel_matches_dense_cholesky(vp_sched):
+    comps_a = (MoGComponent(pi=0.3, mu=[2.0, 0.0], U=[[0.6], [0.1]]),
+               MoGComponent(pi=0.7, mu=[-2.0, 0.5], U=np.zeros((2, 0))))
+    comps_b = (MoGComponent(pi=1.0, mu=[0.0, 1.5, -1.0], U=0.4 * np.eye(3)),)
+    model = MoLRMoGModel(D=5, subspaces=(
+        Subspace(A=random_orthonormal(5, 2, 3), components=comps_a),
+        Subspace(A=random_orthonormal(5, 3, 4), components=comps_b)))
+    flat = [(sub, c) for sub in model.subspaces for c in sub.components]
+    weights = [c.pi / 2 for _, c in flat]
+    means = [sub.A @ c.mu for sub, c in flat]
+    factors = [sub.A @ c.U for sub, c in flat]
+    X = 2.0 * np.random.default_rng(13).standard_normal((9, 5))
+    for t in (vp_sched.t_min, vp_sched.t_max):
+        want_score, want_r, want_logp = dense_mixture(
+            weights, means, factors, vp_sched.s(t), vp_sched.gamma(t), X)
+        assert ambient_score(model, vp_sched, t, X) == pytest.approx(want_score, rel=1e-9)
+        assert ambient_responsibilities(model, vp_sched, t, X) == pytest.approx(want_r, rel=1e-9)
+        assert ambient_log_density(model, vp_sched, t, X) == pytest.approx(want_logp, rel=1e-9)
+        assert ambient_log_density(model, vp_sched, t, X[2]) == pytest.approx(want_logp[2],
+                                                                              rel=1e-9)
