@@ -2,24 +2,33 @@
 
 Conventions fixed here and used everywhere:
 
-  * Flatten order of theta follows LatentParams / SymmetricParams: all means
-    first, then all covariance factors, component-major, U column-major.
+  * Flatten order of theta is the one `LatentParams` and `SymmetricParams`
+    share: the means of every block first, then every covariance factor,
+    block-major, U column-major.  A free mixture has one block per
+    component; the tied two-mode form has the single block (mu, U).
   * A Jacobian J(x) is d x p: row i is the derivative of score coordinate i
     with respect to the flattened theta.  Batched forms are (n, d, p).
   * H = E[J^T J] over x from the noised mixture at theta (p x p, PSD).  The
     Hessian of the squared-error loss at theta* is 2H; the factor is carried
     as a flag on reports, never folded in silently.
 
-The exact Jacobian splits into a "self-cluster" part (term A: component
-responsibilities frozen) and a responsibility-derivative part (term B,
-proportional to the pairwise overlap r_i r_j and exponentially suppressed as
-the modes separate).  Term A alone is the simplified Jacobian; A + B matches
-finite differences to first-principles accuracy.
+There is one derivative code path, `jacobian_terms`.  It works on the free
+mixture the parameters define and makes one kernel pass over x, which yields
+the score, the responsibilities and the Jacobian split into a "self-cluster"
+part (term A: component responsibilities frozen) and a responsibility-
+derivative part (term B, proportional to the pairwise overlaps r_i r_j and
+exponentially suppressed as the modes separate).  Term A alone is the
+simplified Jacobian; A + B matches finite differences to first-principles
+accuracy.  The tied two-mode form is the free mixture (mu, -mu, U, U) with
+weights (1/2, 1/2); its terms are the free ones pulled back through that
+linear tie, J_mu = J_mu+ - J_mu- and J_U = J_U+ + J_U-, applied as block
+sums while the terms are assembled (`SymmetricParams.tie`), so it has no
+derivative code of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +47,6 @@ from .score import (
     latent_score,
     mixture_kernel,
     mixture_log_density,
-    symmetric_score,
 )
 
 # responsibility products below this are treated as exactly zero overlap
@@ -51,17 +59,14 @@ XI_FLOOR = 1e-300
 
 def score_of(params, pis, sched: DiffusionSchedule, t: float, x: np.ndarray) -> np.ndarray:
     """Evaluate the score under either parameterization."""
-    if isinstance(params, SymmetricParams):
-        return symmetric_score(params.mu, params.U, sched, t, x)
-    return latent_score(params, pis, sched, t, x)
+    return latent_score(*params.mixture(pis), sched, t, x)
 
 
 def sample_noised(params, pis, sched: DiffusionSchedule, t: float, n: int, rng) -> np.ndarray:
     """Draw n latent points from the noised mixture defined by params."""
     rng = np.random.default_rng(rng)
     s, _, gamma = coefficients(sched, t)
-    if isinstance(params, SymmetricParams):
-        params, pis = params.as_latent()
+    params, pis = params.mixture(pis)
     pis = np.asarray(pis, dtype=float)
     labels = rng.choice(len(pis), size=n, p=pis)
     d = params.d
@@ -80,7 +85,7 @@ def sample_noised(params, pis, sched: DiffusionSchedule, t: float, n: int, rng) 
 
 @dataclass(frozen=True)
 class JacobianPair:
-    """Per-component derivative blocks of the score at one point."""
+    """Per-block derivative blocks of the score at one point."""
 
     J_mu: tuple[np.ndarray, ...]  # each (d, d)
     J_U: tuple[np.ndarray, ...]  # each (d, d * r), columns U-column-major
@@ -91,15 +96,11 @@ class JacobianPair:
 
 
 def _pair_from_full(full: np.ndarray, params) -> JacobianPair:
-    if isinstance(params, SymmetricParams):
-        comps = [(params.mu, params.U)]
-    else:
-        comps = list(params.components)
     j_mu, j_u, pos = [], [], 0
-    for mu, _ in comps:
+    for mu, _ in params.blocks:
         j_mu.append(full[:, pos : pos + mu.size])
         pos += mu.size
-    for _, U in comps:
+    for _, U in params.blocks:
         j_u.append(full[:, pos : pos + U.size])
         pos += U.size
     return JacobianPair(J_mu=tuple(j_mu), J_U=tuple(j_u))
@@ -122,83 +123,83 @@ def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
     return _pair_from_full(np.stack(cols, axis=-1), theta)
 
 
-def _sym_parts(mu, U, sched, t, X):
-    """Shared intermediates for the tied two-mode Jacobian terms."""
-    s, _, gamma = coefficients(sched, t)
-    p = SymmetricParams(mu=mu, U=U)
-    kern = mixture_kernel(p, None, sched, t)
-    Xb, _ = _batch(X, p.d)
-    q, r, _ = kern.evaluate(Xb)
-    Sinv = kern.solve(0, np.eye(p.d))
-    V = kern.solve(0, p.U.T).T  # Sigma^{-1} U, (d, r)
-    return s, gamma, p, Xb, q[0], q[1], r, Sinv, V
+def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
+    """One kernel pass over X: (score, r, termA, termB).
+
+    score is (n, d) and r the (n, L) responsibilities of the free mixture.
+    For its component m with q_m = Sigma_m^{-1} (x - s mu_m) the theta_m
+    columns of the Jacobian are the self term A = r_m d(-q_m)/d(theta_m) and
+    the cross term B = -r_m (q_m + score) g_m^T, g_m the gradient of
+    log N_m in theta_m.  Both are (n, d, p) in params' own parameterization:
+    each component's columns are added into the block it is tied to, with
+    the mean columns signed.  They are built with the points on the last
+    axis, so numpy's inner loops are long, and returned as transposed views.
+    """
+    free, weights = params.mixture(pis)
+    s, _, _ = coefficients(sched, t)
+    Xb, _ = _batch(X, free.d)
+    n, d = Xb.shape
+    kern = mixture_kernel(free, weights, sched, t)
+    qs, r, _ = kern.evaluate(Xb)
+    qs, w = qs.transpose(0, 2, 1), r.T  # (L, d, n) and (L, n)
+    score = qs[0] * w[0]
+    for q, wl in zip(qs[1:], w[1:]):
+        score += q * wl
+
+    mu_end = np.cumsum([mu.size for mu, _ in params.blocks])
+    U_end = mu_end[-1] + np.cumsum([U.size for _, U in params.blocks])
+    A = np.zeros((d, params.dim, n))
+    B = np.zeros_like(A)
+    for m, ((_, U), (b, sign)) in enumerate(zip(free.components, params.tie)):
+        q, rm = qs[m], w[m]
+        Sinv = kern.solve(m, np.eye(d))
+        # q_m + score summed pairwise as sum_l r_l (q_m - q_l): it keeps its
+        # relative accuracy where r_m r_l is far below 1
+        dev = np.zeros_like(q)
+        for l, ql in enumerate(qs):
+            if l != m:
+                dev += w[l] * (q - ql)
+        c = (-rm) * dev
+        cols = slice(mu_end[b] - d, mu_end[b])
+        A[:, cols] += Sinv[:, :, None] * ((sign * s) * rm)
+        B[:, cols] += c[:, None, :] * ((sign * s) * q)
+        k = U.size
+        if k:
+            V = kern.solve(m, U.T).T  # Sigma_m^{-1} U_m, (d, r)
+            qU = U.T @ q
+            # axes (i, c, j) flatten to column c d + j of the column-major U block
+            dq = (Sinv[:, None, :, None] * qU[None, :, None, :]
+                  + V[:, :, None, None] * q[None, None, :, :])
+            cols = slice(U_end[b] - k, U_end[b])
+            A[:, cols] += (dq * ((s * s) * rm)).reshape(d, k, n)
+            g_U = (s * s) * (qU[:, None, :] * q[None, :, :] - V.T[:, :, None])
+            B[:, cols] += c[:, None, :] * g_U.reshape(k, n)
+    return -score.T, r, A.transpose(2, 0, 1), B.transpose(2, 0, 1)
 
 
-def _sym_gU(s, q, qU, V):
-    """d logN / dU for one mode: entries s^2 (q_j (qU)_c - V_{jc}); (n, d, r)."""
-    return (s * s) * (q[:, :, None] * qU[:, None, :] - V[None, :, :])
+def exact_jacobian(params, pis, sched: DiffusionSchedule, t: float,
+                   X: np.ndarray) -> np.ndarray:
+    """Batched (n, d, p) exact Jacobian A + B under either parameterization."""
+    _, _, J, B = jacobian_terms(params, pis, sched, t, X)
+    J += B
+    return J
 
 
-def _d_delta(s, g2, Sinv, V, q, qU):
-    """d(delta)_i/dU_jc = -g2 s^2 [Sinv_ij (qU)_c + V_ic q_j] for one
-    component with delta = g2 Sigma^{-1} rho; (n, d, d, r)."""
-    return -(g2 * s * s) * (
-        Sinv[None, :, :, None] * qU[:, None, None, :]
-        + V[None, :, None, :] * q[:, None, :, None]
-    )
-
-
-def _flatten_U_axes(T):
-    """(n, d, j, c) -> (n, d, r*d) with column index c*d + j (column-major U)."""
-    n, d, dj, r = T.shape
-    return T.transpose(0, 1, 3, 2).reshape(n, d, r * dj)
+# the free-mixture name; one code path serves both parameterizations
+general_jacobian = exact_jacobian
 
 
 def symmetric_exact_terms(mu, U, sched: DiffusionSchedule, t: float,
                           X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (termA, termB) for the tied two-mode score, each (n, d, p).
-
-    Term A freezes the responsibilities (self-cluster part); term B carries
-    their parameter derivative and is proportional to r_plus * r_minus.
-    """
-    s, gamma, p, Xb, q_p, q_m, r, Sinv, V = _sym_parts(mu, U, sched, t, X)
-    n, d = Xb.shape
-    rr = p.U.shape[1]
-    g2 = gamma * gamma
-    rp = r[:, 0]
-    rm = r[:, 1]
-
-    # term A, mean block: s (r+ - r-) Sigma^{-1}
-    A_mu = s * (rp - rm)[:, None, None] * Sinv[None, :, :]
-    # term B, mean block: -(r+ r-/g2) (eps - delta') (g+ - g-)^T
-    w = -2.0 * s * g2 * (Sinv @ p.mu)  # eps - delta', independent of x
-    dg_mu = s * (q_p + q_m)  # g+_mu - g-_mu
-    B_mu = -(rp * rm)[:, None, None] / g2 * w[None, :, None] * dg_mu[:, None, :]
-
-    if rr > 0:
-        qpU = q_p @ p.U
-        qmU = q_m @ p.U
-        A_U = -(1.0 / g2) * (
-            rp[:, None, None, None] * _d_delta(s, g2, Sinv, V, q_p, qpU)
-            + rm[:, None, None, None] * _d_delta(s, g2, Sinv, V, q_m, qmU)
-        )
-        A_U = _flatten_U_axes(A_U)
-        dg_U = _sym_gU(s, q_p, qpU, V) - _sym_gU(s, q_m, qmU, V)
-        dg_U_flat = dg_U.transpose(0, 2, 1).reshape(n, rr * d)
-        B_U = -(rp * rm)[:, None, None] / g2 * w[None, :, None] * dg_U_flat[:, None, :]
-    else:
-        A_U = np.zeros((n, d, 0))
-        B_U = np.zeros((n, d, 0))
-
-    termA = np.concatenate([A_mu, A_U], axis=-1)
-    termB = np.concatenate([B_mu, B_U], axis=-1)
+    """Batched (termA, termB) for the tied two-mode score, each (n, d, p)."""
+    _, _, termA, termB = jacobian_terms(SymmetricParams(mu=mu, U=U), None, sched, t, X)
     return termA, termB
 
 
 def jacobian_exact_terms(mu, U, sched: DiffusionSchedule, t: float,
                          x: np.ndarray) -> tuple[JacobianPair, JacobianPair]:
     """Exact tied two-mode Jacobian split at one point; A + B matches FD."""
-    termA, termB = symmetric_exact_terms(mu, U, sched, t, np.asarray(x, dtype=float))
+    termA, termB = symmetric_exact_terms(mu, U, sched, t, x)
     p = SymmetricParams(mu=mu, U=U)
     return _pair_from_full(termA[0], p), _pair_from_full(termB[0], p)
 
@@ -206,69 +207,7 @@ def jacobian_exact_terms(mu, U, sched: DiffusionSchedule, t: float,
 def jacobian_simplified_sym(mu, U, sched: DiffusionSchedule, t: float,
                             x: np.ndarray) -> JacobianPair:
     """Self-cluster (responsibilities-frozen) Jacobian of the tied score."""
-    termA, _ = symmetric_exact_terms(mu, U, sched, t, np.asarray(x, dtype=float))
-    return _pair_from_full(termA[0], SymmetricParams(mu=mu, U=U))
-
-
-def general_jacobian(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
-                     X: np.ndarray) -> np.ndarray:
-    """Exact batched Jacobian (n, d, p) of latent_score for a free mixture.
-
-    For component m with residual rho_m = x - s mu_m and q_m = Sigma_m^{-1} rho_m:
-    the theta_m derivative is the self term r_m d(delta_m)/d(theta_m) plus the
-    responsibility-derivative cross term r_m (delta_m - delta_bar) g_m^T where
-    g_m is the component log-density gradient in theta_m.
-    """
-    s, _, gamma = coefficients(sched, t)
-    Xb, _ = _batch(X, params.d)
-    n, d = Xb.shape
-    g2 = gamma * gamma
-    L = len(params.components)
-
-    kern = mixture_kernel(params, pis, sched, t)
-    qs, r, _ = kern.evaluate(Xb)
-    deltas = g2 * qs
-    delta_bar = np.einsum("nl,lnd->nd", r, deltas)
-
-    mu_blocks, U_blocks = [], []
-    for m in range(L):
-        Sinv = kern.solve(m, np.eye(d))
-        V = kern.solve(m, params.components[m][1].T).T  # Sigma_m^{-1} U_m
-        rm = r[:, m]
-        dev = deltas[m] - delta_bar  # (n, d)
-
-        # mean block: cross term + self term s r_m Sigma^{-1}
-        g_mu = s * qs[m]
-        Jmu = -(rm[:, None, None] / g2) * dev[:, :, None] * g_mu[:, None, :]
-        Jmu += s * rm[:, None, None] * Sinv[None, :, :]
-        mu_blocks.append(Jmu)
-
-        Um = params.components[m][1]
-        rr = Um.shape[1]
-        if rr == 0:
-            U_blocks.append(np.zeros((n, d, 0)))
-            continue
-        qU = qs[m] @ Um
-        g_U = _sym_gU(s, qs[m], qU, V)  # (n, d, r)
-        g_U_flat = g_U.transpose(0, 2, 1).reshape(n, rr * d)
-        # self term: -(r_m/g2) d(delta_m)/dU
-        d_delta = _d_delta(s, g2, Sinv, V, qs[m], qU)
-        JU = -(rm[:, None, None] / g2) * (
-            dev[:, :, None] * g_U_flat[:, None, :] + _flatten_U_axes(d_delta)
-        )
-        U_blocks.append(JU)
-
-    J = np.concatenate(mu_blocks + U_blocks, axis=-1)
-    return J
-
-
-def exact_jacobian(params, pis, sched: DiffusionSchedule, t: float,
-                   X: np.ndarray) -> np.ndarray:
-    """Batched (n, d, p) exact Jacobian under either parameterization."""
-    if isinstance(params, SymmetricParams):
-        termA, termB = symmetric_exact_terms(params.mu, params.U, sched, t, X)
-        return termA + termB
-    return general_jacobian(params, pis, sched, t, X)
+    return jacobian_exact_terms(mu, U, sched, t, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +242,7 @@ class HessianReport:
 
 
 def _mu_U_slices(params) -> tuple[slice, slice]:
-    if isinstance(params, SymmetricParams):
-        return slice(0, params.mu.size), slice(params.mu.size, params.dim)
-    n_mu = sum(mu.size for mu, _ in params.components)
+    n_mu = sum(mu.size for mu, _ in params.blocks)
     return slice(0, n_mu), slice(n_mu, params.dim)
 
 
@@ -337,10 +274,7 @@ def _jacobian_by_mode(params, pis, sched, t, X, jac_mode):
     if jac_mode == "exact":
         return exact_jacobian(params, pis, sched, t, X)
     if jac_mode == "simplified":
-        if not isinstance(params, SymmetricParams):
-            raise RankNotOne("simplified Jacobian is defined for the tied two-mode form")
-        termA, _ = symmetric_exact_terms(params.mu, params.U, sched, t, X)
-        return termA
+        return jacobian_terms(params, pis, sched, t, X)[2]
     if jac_mode == "fd":
         rows = [jacobian_fd(params, pis, sched, t, x).full for x in np.atleast_2d(X)]
         return np.stack(rows, axis=0)
@@ -496,64 +430,18 @@ class OverlapReport:
     hessian: HessianReport
 
 
-def _responsibility_matrix(params, pis, sched, t, X):
-    from .score import responsibilities
-
-    if isinstance(params, SymmetricParams):
-        lat, lpis = params.as_latent()
-        return responsibilities(lat, lpis, sched, t, X)
-    return responsibilities(params, pis, sched, t, X)
-
-
 def _cross_term_norms(params, pis, sched, t, X):
     """Per-sample norms of the responsibility-derivative Jacobian part,
     split into mean and factor columns, plus the pairwise overlap weight."""
-    if isinstance(params, SymmetricParams):
-        termA, termB = symmetric_exact_terms(params.mu, params.U, sched, t, X)
-        r = _responsibility_matrix(params, pis, sched, t, X)
-        xi = r[:, 0] * r[:, 1]
-        mu_sl, U_sl = _mu_U_slices(params)
-        nB_mu = np.linalg.norm(termB[:, :, mu_sl], axis=(1, 2))
-        nB_U = np.linalg.norm(termB[:, :, U_sl], axis=(1, 2))
-        return nB_mu, nB_U, xi
-    # free mixture: cross term = exact minus self-cluster-only Jacobian
-    J = general_jacobian(params, pis, sched, t, X)
-    J_self = _self_cluster_jacobian(params, pis, sched, t, X)
-    diff = J - J_self
-    r = _responsibility_matrix(params, pis, sched, t, X)
-    L = r.shape[1]
+    _, r, _, termB = jacobian_terms(params, pis, sched, t, X)
     xi = np.zeros(r.shape[0])
-    for i in range(L):
-        for j in range(i + 1, L):
+    for i in range(r.shape[1]):
+        for j in range(i + 1, r.shape[1]):
             xi += r[:, i] * r[:, j]
     mu_sl, U_sl = _mu_U_slices(params)
-    nB_mu = np.linalg.norm(diff[:, :, mu_sl], axis=(1, 2))
-    nB_U = np.linalg.norm(diff[:, :, U_sl], axis=(1, 2))
+    nB_mu = np.linalg.norm(termB[:, :, mu_sl], axis=(1, 2))
+    nB_U = np.linalg.norm(termB[:, :, U_sl], axis=(1, 2))
     return nB_mu, nB_U, xi
-
-
-def _self_cluster_jacobian(params: LatentParams, pis, sched, t, X):
-    """Responsibility-frozen Jacobian of a free mixture: drop the
-    (delta_m - delta_bar) g_m^T cross term, keep r_m d(delta_m)/d(theta_m)."""
-    s, _, gamma = coefficients(sched, t)
-    Xb, _ = _batch(X, params.d)
-    n, d = Xb.shape
-    g2 = gamma * gamma
-    kern = mixture_kernel(params, pis, sched, t)
-    qs, r, _ = kern.evaluate(Xb)
-    mu_blocks, U_blocks = [], []
-    for m, (_, Um) in enumerate(params.components):
-        Sinv = kern.solve(m, np.eye(d))
-        rm = r[:, m]
-        mu_blocks.append(s * rm[:, None, None] * Sinv[None, :, :])
-        rr = Um.shape[1]
-        if rr == 0:
-            U_blocks.append(np.zeros((n, d, 0)))
-            continue
-        V = kern.solve(m, Um.T).T
-        d_delta = _d_delta(s, g2, Sinv, V, qs[m], qs[m] @ Um)
-        U_blocks.append(-(rm[:, None, None] / g2) * _flatten_U_axes(d_delta))
-    return np.concatenate(mu_blocks + U_blocks, axis=-1)
 
 
 def constants_CprimeCtilde(params, pis, sched: DiffusionSchedule, t: float,
@@ -579,22 +467,13 @@ def constants_CprimeCtilde(params, pis, sched: DiffusionSchedule, t: float,
 
 def _component_block_slices(params) -> list[np.ndarray]:
     """Index groups whose cross blocks are zeroed to form H_diag."""
+    mu_sl, U_sl = _mu_U_slices(params)
     if isinstance(params, SymmetricParams):
-        mu_sl, U_sl = _mu_U_slices(params)
         return [np.arange(mu_sl.start, mu_sl.stop), np.arange(U_sl.start, U_sl.stop)]
-    groups = []
-    pos = 0
-    mu_starts = []
-    for mu, _ in params.components:
-        mu_starts.append((pos, pos + mu.size))
-        pos += mu.size
-    U_starts = []
-    for _, U in params.components:
-        U_starts.append((pos, pos + U.size))
-        pos += U.size
-    for (ms, me), (us, ue) in zip(mu_starts, U_starts):
-        groups.append(np.concatenate([np.arange(ms, me), np.arange(us, ue)]))
-    return groups
+    mu_end = np.cumsum([mu.size for mu, _ in params.components])
+    U_end = mu_sl.stop + np.cumsum([U.size for _, U in params.components])
+    return [np.r_[me - mu.size : me, ue - U.size : ue]
+            for (mu, U), me, ue in zip(params.components, mu_end, U_end)]
 
 
 def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
@@ -613,7 +492,7 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
         raise EmptyDataset("overlap analysis needs samples")
     if mode not in ("two_mode_sup", "multi_mode_expect"):
         raise DimensionMismatch(f"unknown overlap mode {mode!r}")
-    r = _responsibility_matrix(params, pis, sched, t, Xb)
+    r = mixture_kernel(params, pis, sched, t).responsibilities(Xb)
     L = r.shape[1]
     xi_pair_max = 0.0
     for i in range(L):

@@ -123,14 +123,29 @@ def _model_from(cfg: dict):
     return build_model(cfg["model"])
 
 
+def _num(block: dict, key: str, default, kind=float):
+    """block[key] (default when absent) as a number of the given kind, or as
+    a list of them when the default is a list."""
+    value = block.get(key, default)
+    try:
+        return [kind(v) for v in value] if isinstance(default, list) else kind(value)
+    except (TypeError, ValueError):
+        raise ConfigParseError(f"{key} must be numeric, got {value!r}") from None
+
+
 def _params_from(cfg_block: dict, model):
     """Trainable parameters: a tied two-mode block or a model subspace."""
     if "symmetric" in cfg_block:
         sym = cfg_block["symmetric"]
-        return SymmetricParams(mu=np.asarray(sym["mu"], float),
-                               U=np.asarray(sym["U"], float)), None
-    sub = model.subspaces[int(cfg_block.get("subspace", 0))]
-    return from_model_subspace(sub)
+        try:
+            return SymmetricParams(mu=np.asarray(sym["mu"], float),
+                                   U=np.asarray(sym["U"], float)), None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigParseError(f"symmetric block needs numeric mu and U: {exc!r}") from None
+    k = _num(cfg_block, "subspace", 0, int)
+    if not 0 <= k < len(model.subspaces):
+        raise ConfigParseError(f"subspace {k} out of range for {len(model.subspaces)} subspaces")
+    return from_model_subspace(model.subspaces[k])
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +154,7 @@ def _params_from(cfg_block: dict, model):
 
 def cmd_gen(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
-    n = int(cfg.get("gen", {}).get("n", 1000))
+    n = _num(cfg.get("gen", {}), "n", 1000, int)
     data = sample_data(model, n, np.random.default_rng(seed))
     header = ["k", "l"] + [f"x_{i}" for i in range(model.D)]
     rows = ([int(k), int(l)] + list(x) for k, l, x in zip(data.k, data.l, data.x))
@@ -164,14 +179,13 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = cfg.get("score_check", {})
-    n_points = int(block.get("n_points", 40))
-    h = float(block.get("h", 1e-5))
-    times = block.get("times", [sched.t_min, 0.5 * (sched.t_min + sched.t_max), sched.t_max])
+    n_points = _num(block, "n_points", 40, int)
+    h = _num(block, "h", 1e-5)
+    times = _num(block, "times", [sched.t_min, 0.5 * (sched.t_min + sched.t_max), sched.t_max])
     rng = np.random.default_rng(seed)
     rows = []
     max_err = 0.0
     for t in times:
-        t = float(t)
         clean = sample_data(model, n_points, rng)
         X = forward_noise(clean.x, sched, t, rng)
         errs = _fd_score_err(
@@ -201,15 +215,16 @@ def cmd_estimation(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = cfg.get("estimation", {})
-    t = float(block.get("t", 0.5))
+    t = _num(block, "t", 0.5)
+    trials = _num(block, "trials", 20, int)
+    n_mc = _num(block, "n_mc", 1_000_000, int)
     truth_set = tuple(from_model_subspace(sub)[0] for sub in model.subspaces)
-    grid = make_theta_grid(truth_set, float(block.get("half_width", 0.25)),
-                           int(block.get("grid", 64)), seed)
+    grid = make_theta_grid(truth_set, _num(block, "half_width", 0.25),
+                           _num(block, "grid", 64, int), seed)
     report = estimation_gap_experiment(
         model, grid,
-        block.get("n_schedule", [128, 256, 512, 1024, 2048, 4096, 8192]),
-        int(block.get("trials", 20)), sched, t,
-        np.random.default_rng(seed), n_mc=int(block.get("n_mc", 1_000_000)))
+        _num(block, "n_schedule", [128, 256, 512, 1024, 2048, 4096, 8192], int),
+        trials, sched, t, np.random.default_rng(seed), n_mc=n_mc)
     write_csv(out / "estimation.csv", ["n", "sup_gap", "stderr"], report.rows)
     write_json(out / "estimation_summary.json", {
         "slope": report.slope, "C1": report.C1, "sigma2": report.sigma2,
@@ -221,9 +236,9 @@ def cmd_hessian(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = cfg.get("hessian", {})
-    t = float(block.get("t", 0.5))
+    t = _num(block, "t", 0.5)
     params, pis = _params_from(block, model)
-    rep = hessian_empirical(params, pis, sched, t, int(block.get("n_mc", 20000)),
+    rep = hessian_empirical(params, pis, sched, t, _num(block, "n_mc", 20000, int),
                             np.random.default_rng(seed),
                             jac_mode=block.get("jac_mode", "exact"))
     evals = np.linalg.eigvalsh(rep.H)
@@ -248,15 +263,10 @@ def cmd_overlap(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = cfg.get("overlap", {})
-    t = float(block.get("t", 0.5))
+    t = _num(block, "t", 0.5)
     params, pis = _params_from(block, model)
-    if pis is None:
-        lat, lpis = params.as_latent()
-        X = sample_noised(lat, lpis, sched, t, int(block.get("n_mc", 20000)),
-                          np.random.default_rng(seed))
-    else:
-        X = sample_noised(params, pis, sched, t, int(block.get("n_mc", 20000)),
-                          np.random.default_rng(seed))
+    X = sample_noised(params, pis, sched, t, _num(block, "n_mc", 20000, int),
+                      np.random.default_rng(seed))
     rep = overlap_analysis(params, pis, sched, t, X,
                            mode=block.get("mode", "two_mode_sup"))
     write_json(out / "overlap_summary.json", {
@@ -273,22 +283,20 @@ def cmd_train(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = cfg.get("train", {})
-    t = float(block.get("t", 0.5))
+    t = _num(block, "t", 0.5)
     truth, pis = _params_from(block, model)
     rng = np.random.default_rng(seed)
-    if pis is None:
-        lat, lpis = truth.as_latent()
-        X = sample_noised(lat, lpis, sched, t, int(block.get("n", 10000)), rng)
-    else:
-        X = sample_noised(truth, pis, sched, t, int(block.get("n", 10000)), rng)
-    theta0 = init_near(truth, float(block.get("init_radius", 0.1)), rng)
-    gd = GDConfig(eta=block.get("eta"), m_max=int(block.get("m_max", 500)),
-                  tol=float(block.get("tol", 1e-10)))
+    X = sample_noised(truth, pis, sched, t, _num(block, "n", 10000, int), rng)
+    theta0 = init_near(truth, _num(block, "init_radius", 0.1), rng)
+    eta = block.get("eta")
+    gd = GDConfig(eta=None if eta is None else _num(block, "eta", None),
+                  m_max=_num(block, "m_max", 500, int), tol=_num(block, "tol", 1e-10))
+    dist_floor = _num(block, "dist_floor", 0.0)
     trace = gd_train(theta0, truth, pis, sched, t, X, gd)
     write_csv(out / "trace.csv", ["m", "loss", "grad_norm", "dist", "ratio"],
               [(r.m, r.loss, r.grad_norm, r.dist, r.ratio) for r in trace.rows])
     check = contraction_check(trace, trace.rho_bound, slack=0.05,
-                              dist_floor=float(block.get("dist_floor", 0.0)))
+                              dist_floor=dist_floor)
     write_json(out / "train_summary.json", {
         "eta": trace.eta, "kappa": trace.kappa, "rho_bound": trace.rho_bound,
         "converged": trace.converged, "iterations": trace.rows[-1].m,
@@ -324,8 +332,8 @@ def cmd_sample(cfg, seed, out: Path) -> list[str]:
     # a variance-preserving horizon makes the Gaussian prior exact; allow the
     # sampler to use its own schedule when the global one keeps mass bimodal at T
     sched = _schedule_from(block if "schedule" in block else cfg)
-    scfg = SamplerConfig(steps=int(block.get("steps", 500)),
-                         n=int(block.get("n", 10000)), seed=seed)
+    scfg = SamplerConfig(steps=_num(block, "steps", 500, int),
+                         n=_num(block, "n", 10000, int), seed=seed)
     rng = np.random.default_rng(seed + 1)
     init = _ambient_moment_init(model, sched, scfg.n, rng)
     samples = reverse_sample(model_score_fn(model, sched), sched, scfg, init=init)
@@ -420,7 +428,7 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
         for assignment in overrides:
             apply_override(cfg, assignment)
         if seed is None:
-            seed = int(cfg.get("seed", 0))
+            seed = _num(cfg, "seed", 0, int)
         out = Path(out_dir if out_dir is not None else cfg.get("out_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
         manifest = {

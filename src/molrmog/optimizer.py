@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import exact_jacobian, score_of
+from .calculus import jacobian_terms, score_of
 from .errors import (
     DivergenceDetected,
     EmptyDataset,
@@ -74,14 +74,16 @@ def loss_and_grad(theta, truth, pis, sched: DiffusionSchedule, t: float,
                   data: np.ndarray, truth_score=None) -> tuple[float, np.ndarray]:
     """Empirical loss and its analytic gradient (2/n) sum J^T residual.
 
+    The score at theta and its Jacobian come from one kernel pass.
     truth_score, the truth's score on data, is computed here when omitted.
     """
     X = _check_data(data)
     if truth_score is None:
         truth_score = score_of(truth, pis, sched, t, X)
-    resid = score_of(theta, pis, sched, t, X) - truth_score
+    score, _, J, cross = jacobian_terms(theta, pis, sched, t, X)
+    resid = score - truth_score
     loss = float(np.mean(np.sum(resid ** 2, axis=-1)))
-    J = exact_jacobian(theta, pis, sched, t, X)
+    J += cross
     grad = 2.0 * np.einsum("nd,ndp->p", resid, J) / X.shape[0]
     return loss, grad
 

@@ -151,13 +151,40 @@ def delta_vec(view: NoisedComponentView, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-@dataclass(frozen=True)
-class LatentParams:
-    """Trainable parameters (mu_l, U_l) of one subspace's mixture.
+class _FlatParams:
+    """Flatten order shared by both parameterizations: the means of every
+    block first, then every factor, block-major, each U raveled column-major."""
 
-    Fixes the global flatten order: all means first, then all covariance
-    factors, component-major, each U raveled column-major.
-    """
+    @property
+    def d(self) -> int:
+        return self.blocks[0][0].shape[0]
+
+    @property
+    def dim(self) -> int:
+        return sum(mu.size + U.size for mu, U in self.blocks)
+
+    def flatten(self) -> np.ndarray:
+        mus = [mu for mu, _ in self.blocks]
+        us = [U.ravel(order="F") for _, U in self.blocks]
+        return np.concatenate(mus + us)
+
+    def _split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.dim,):
+            raise DimensionMismatch(f"expected flat vector of length {self.dim}")
+        mus, us, pos = [], [], 0
+        for mu, _ in self.blocks:
+            mus.append(vec[pos : pos + mu.size])
+            pos += mu.size
+        for _, U in self.blocks:
+            us.append(vec[pos : pos + U.size].reshape(U.shape, order="F"))
+            pos += U.size
+        return list(zip(mus, us))
+
+
+@dataclass(frozen=True)
+class LatentParams(_FlatParams):
+    """Trainable parameters (mu_l, U_l) of one subspace's free mixture."""
 
     components: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -172,35 +199,30 @@ class LatentParams:
                 raise DimensionMismatch("inconsistent component dimensions")
 
     @property
-    def d(self) -> int:
-        return self.components[0][0].shape[0]
-
-    @property
-    def dim(self) -> int:
-        return sum(mu.size + U.size for mu, U in self.components)
-
-    def flatten(self) -> np.ndarray:
-        mus = [mu for mu, _ in self.components]
-        us = [U.ravel(order="F") for _, U in self.components]
-        return np.concatenate(mus + us)
+    def blocks(self):
+        return self.components
 
     def unflatten(self, vec: np.ndarray) -> "LatentParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatch(f"expected flat vector of length {self.dim}")
-        mus, us, pos = [], [], 0
-        for mu, _ in self.components:
-            mus.append(vec[pos : pos + mu.size])
-            pos += mu.size
-        for _, U in self.components:
-            us.append(vec[pos : pos + U.size].reshape(U.shape, order="F"))
-            pos += U.size
-        return LatentParams(tuple(zip(mus, us)))
+        return LatentParams(tuple(self._split(vec)))
+
+    def mixture(self, pis) -> tuple["LatentParams", np.ndarray]:
+        """The free mixture these parameters define, with its weights."""
+        return self, pis
+
+    @property
+    def tie(self) -> tuple[tuple[int, float], ...]:
+        """(block, mean sign) each free-mixture component comes from."""
+        return tuple((m, 1.0) for m in range(len(self.components)))
 
 
 @dataclass(frozen=True)
-class SymmetricParams:
-    """Tied two-mode parameterization: means at +/- s mu, shared factor U."""
+class SymmetricParams(_FlatParams):
+    """Tied two-mode parameterization: means at +/- s mu, shared factor U.
+
+    It is the free mixture (mu, -mu, U, U) with weights (1/2, 1/2); the tie
+    theta_free = T (mu, U) is linear, so derivatives pull back as J T:
+    J_mu = J_mu+ - J_mu-, J_U = J_U+ + J_U-.
+    """
 
     mu: np.ndarray
     U: np.ndarray
@@ -212,27 +234,27 @@ class SymmetricParams:
             raise DimensionMismatch("U rows differ from mu length")
 
     @property
-    def d(self) -> int:
-        return self.mu.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mu.size + self.U.size
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.mu, self.U.ravel(order="F")])
+    def blocks(self):
+        return ((self.mu, self.U),)
 
     def unflatten(self, vec: np.ndarray) -> "SymmetricParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatch(f"expected flat vector of length {self.dim}")
-        d = self.mu.size
-        return SymmetricParams(mu=vec[:d], U=vec[d:].reshape(self.U.shape, order="F"))
+        (mu, U), = self._split(vec)
+        return SymmetricParams(mu=mu, U=U)
 
     def as_latent(self) -> tuple[LatentParams, np.ndarray]:
         """Explicit two-component equivalent: weights (1/2, 1/2), means +/- mu."""
         params = LatentParams(((self.mu, self.U), (-self.mu, self.U)))
         return params, np.array([0.5, 0.5])
+
+    def mixture(self, pis) -> tuple[LatentParams, np.ndarray]:
+        """The free mixture these parameters define; pis is ignored."""
+        return self.as_latent()
+
+    @property
+    def tie(self) -> tuple[tuple[int, float], ...]:
+        """(block, mean sign) each free-mixture component comes from: both
+        modes share the one block, the minus mode with its mean negated."""
+        return ((0, 1.0), (0, -1.0))
 
 
 def _as_factor(U: np.ndarray) -> np.ndarray:
@@ -249,10 +271,9 @@ def from_model_subspace(sub) -> tuple[LatentParams, np.ndarray]:
 
 
 def mixture_kernel(params, pis, sched: DiffusionSchedule, t: float) -> NoisedMixture:
-    """Kernel of the noised latent mixture; the tied form expands to its
-    explicit two-component equivalent."""
-    if isinstance(params, SymmetricParams):
-        params, pis = params.as_latent()
+    """Kernel of the noised mixture params define (the tied form expands to
+    its two-component equivalent)."""
+    params, pis = params.mixture(pis)
     s, _, gamma = coefficients(sched, t)
     return NoisedMixture([mu for mu, _ in params.components],
                          [U for _, U in params.components], pis, s, gamma)
@@ -279,16 +300,12 @@ def latent_score(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
 def symmetric_responsibilities(mu, U, sched: DiffusionSchedule, t: float,
                                x: np.ndarray) -> np.ndarray:
     """(r_plus, r_minus) for the tied two-mode mixture; shape (n, 2) or (2,)."""
-    p = SymmetricParams(mu=mu, U=U)
-    params, pis = p.as_latent()
-    return responsibilities(params, pis, sched, t, x)
+    return responsibilities(*SymmetricParams(mu=mu, U=U).as_latent(), sched, t, x)
 
 
 def symmetric_score(mu, U, sched: DiffusionSchedule, t: float, x: np.ndarray) -> np.ndarray:
     """Score of the tied two-mode mixture with modes at +/- s mu, shared Sigma."""
-    p = SymmetricParams(mu=mu, U=U)
-    params, pis = p.as_latent()
-    return latent_score(params, pis, sched, t, x)
+    return latent_score(*SymmetricParams(mu=mu, U=U).as_latent(), sched, t, x)
 
 
 def ambient_kernel(model: MoLRMoGModel, sched: DiffusionSchedule, t: float) -> NoisedMixture:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense_gaussian_logpdf
 
 from molrmog.calculus import (
     alpha_asymmetric,
@@ -13,6 +14,7 @@ from molrmog.calculus import (
     jacobian_exact_terms,
     jacobian_fd,
     jacobian_simplified_sym,
+    jacobian_terms,
     mmtop_eigs,
     overlap_analysis,
     sample_noised,
@@ -26,6 +28,7 @@ from molrmog.errors import (
     SingleComponent,
 )
 from molrmog.model import MoGComponent, Subspace, random_orthonormal
+from molrmog.schedule import coefficients
 from molrmog.score import LatentParams, SymmetricParams, symmetric_responsibilities
 
 
@@ -284,3 +287,72 @@ def test_score_of_dispatch(unit_sched):
     x = np.array([0.3, -0.2])
     assert score_of(p, None, unit_sched, 1.0, x) == pytest.approx(
         score_of(lat, pis, unit_sched, 1.0, x), abs=1e-14)
+
+
+def _dense_frozen_score(params, pis, sched, t, x, r0):
+    """sum_m r0_m (-Sigma_m^{-1} (x - s mu_m)) with the tied form expanded by
+    hand and every Sigma_m dense."""
+    s, _, gamma = coefficients(sched, t)
+    if isinstance(params, SymmetricParams):
+        comps = [(params.mu, params.U), (-params.mu, params.U)]
+    else:
+        comps = list(params.components)
+    out = np.zeros_like(x)
+    for rm, (mu, U) in zip(r0, comps):
+        cov = s * s * U @ U.T + gamma * gamma * np.eye(x.size)
+        out -= rm * np.linalg.solve(cov, x - s * mu)
+    return out
+
+
+def _dense_responsibilities(params, pis, sched, t, x):
+    s, _, gamma = coefficients(sched, t)
+    if isinstance(params, SymmetricParams):
+        comps, pis = [(params.mu, params.U), (-params.mu, params.U)], [0.5, 0.5]
+    else:
+        comps = list(params.components)
+    logj = np.array([np.log(w) + dense_gaussian_logpdf(
+        x, s * mu, s * s * U @ U.T + gamma * gamma * np.eye(x.size))
+        for w, (mu, U) in zip(pis, comps)])
+    w = np.exp(logj - logj.max())
+    return w / w.sum()
+
+
+def test_self_cluster_term_matches_frozen_responsibility_fd(unit_sched, vp_sched):
+    """Term A is the theta-derivative of the score with responsibilities
+    frozen at theta_0: checked by central FD of a dense-covariance oracle for
+    both parameterizations, factor ranks 0 and d, and both schedules."""
+    rng = np.random.default_rng(5)
+    h = 1e-5
+    d = 3
+    cases = [
+        (SymmetricParams(mu=rng.standard_normal(d), U=np.zeros((d, 0))), None),
+        (SymmetricParams(mu=rng.standard_normal(d), U=rng.standard_normal((d, d))), None),
+        (LatentParams(((rng.standard_normal(d), np.zeros((d, 0))),
+                       (rng.standard_normal(d), rng.standard_normal((d, d))),
+                       (rng.standard_normal(d), rng.standard_normal((d, 1))))),
+         np.array([0.3, 0.5, 0.2])),
+    ]
+    for sched in (unit_sched, vp_sched):
+        for t in (0.3, 1.0):
+            for params, pis in cases:
+                x = rng.standard_normal(d)
+                r0 = _dense_responsibilities(params, pis, sched, t, x)
+                vec = params.flatten()
+                cols = []
+                for j in range(vec.size):
+                    e = np.zeros_like(vec)
+                    e[j] = h
+                    sp = _dense_frozen_score(params.unflatten(vec + e), pis, sched, t, x, r0)
+                    sm = _dense_frozen_score(params.unflatten(vec - e), pis, sched, t, x, r0)
+                    cols.append((sp - sm) / (2.0 * h))
+                fd = np.stack(cols, axis=-1)
+                got = jacobian_terms(params, pis, sched, t, x)[2][0]
+                assert got == pytest.approx(fd, abs=5e-7)
+
+    # the simplified Hessian is the mean of A^T A for a free mixture too
+    params, pis = cases[2]
+    X = sample_noised(params, pis, unit_sched, 1.0, 300, 31)
+    A = jacobian_terms(params, pis, unit_sched, 1.0, X)[2]
+    H = np.einsum("ndp,ndq->pq", A, A) / X.shape[0]
+    rep = hessian_from_samples(params, pis, unit_sched, 1.0, X, jac_mode="simplified")
+    assert rep.H == pytest.approx(0.5 * (H + H.T), abs=1e-12)

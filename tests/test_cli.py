@@ -225,3 +225,36 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
         assert run("hessian", cfg_path, overrides=[f'schedule.{field}="a"'],
                    out_dir=str(tmp_path)) == 2
         _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("sub, override", [
+    ("train", 'train.symmetric={"mu":[4.0,0.0]}'),
+    ("hessian", 'hessian.symmetric={"U":[[1.0],[0.0]]}'),
+    ("overlap", 'overlap.symmetric={"mu":["a",0.0],"U":[[1.0],[0.0]]}'),
+    ("hessian", 'hessian.t="a"'),
+    ("gen", 'gen.n="many"'),
+    ("hessian", 'hessian.n_mc="a"'),
+    ("sample", 'sampler.steps="x"'),
+    ("train", 'train.m_max="a"'),
+    ("train", 'train.tol="a"'),
+    ("train", 'train.init_radius="a"'),
+    ("train", 'train.dist_floor="a"'),
+    ("estimation", 'estimation.grid="a"'),
+    ("estimation", 'estimation.trials="a"'),
+    ("estimation", 'estimation.n_schedule=["a",128]'),
+    ("score-check", "score_check.times=3"),
+    ("gen", 'seed="x"'),
+])
+def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
+    assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("subspace", [5, "first"])
+def test_bad_subspace_index_exits_2(tmp_path, capsys, subspace):
+    cfg = json.loads(json.dumps(MINI_CFG))
+    cfg["hessian"] = {"t": 1.0, "n_mc": 200, "subspace": subspace}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run("hessian", str(p), out_dir=str(tmp_path / "out")) == 2
+    _assert_one_line_error(capsys)
