@@ -9,8 +9,10 @@ Conventions fixed here and used everywhere:
   * A Jacobian J(x) is d x p: row i is the derivative of score coordinate i
     with respect to the flattened theta.  Batched forms are (n, d, p).
   * H = E[J^T J] over x from the noised mixture at theta (p x p, PSD).  The
-    Hessian of the squared-error loss at theta* is 2H; the factor is carried
-    as a flag on reports, never folded in silently.
+    loss is zero at every point when theta = theta*, so its Hessian there is
+    exactly 2H; the factor is carried as a flag on reports, never folded in
+    silently.  `_gram_moments` is the one reduction that builds H, for the
+    Hessian report, the overlap analysis and the GD step size alike.
 
 There is one derivative code path, `jacobian_terms`.  It works on the free
 mixture the parameters define and makes one kernel pass over x, which yields
@@ -43,6 +45,7 @@ from .schedule import DiffusionSchedule, coefficients
 from .score import (
     LatentParams,
     SymmetricParams,
+    _as_factor,
     _batch,
     latent_score,
     mixture_kernel,
@@ -246,28 +249,47 @@ def _mu_U_slices(params) -> tuple[slice, slice]:
     return slice(0, n_mu), slice(n_mu, params.dim)
 
 
+# numbers per temporary of the Hessian reduction, a row block of Jacobians
+# (rows d p) or of per-sample products (rows p^2): memory is bounded in n and p
+BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(X: np.ndarray, width: int):
+    step = max(1, BLOCK_ELEMENTS // width)
+    return (X[i : i + step] for i in range(0, X.shape[0], step))
+
+
+def _gram_moments(J_blocks, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H, stderr) of the per-sample products J_n^T J_n over (rows, d, p) blocks.
+
+    A block's mean is one GEMM on its (rows d, p) reshape; squared deviations
+    are summed about it a few rows at a time and merged across blocks by the
+    pairwise update of Chan, Golub & LeVeque, so the variance never cancels.
+    """
+    n, H, M2 = 0, np.zeros((p, p)), np.zeros((p, p))
+    for J in J_blocks:
+        k = J.shape[0]
+        flat = J.reshape(-1, p)
+        mean = flat.T @ flat / k
+        for Jr in _row_blocks(J, p * p):
+            dev = np.matmul(Jr.transpose(0, 2, 1), Jr) - mean
+            M2 += np.einsum("npq,npq->pq", dev, dev)
+        delta = mean - H
+        H += delta * (k / (n + k))
+        M2 += delta * delta * (n * k / (n + k))
+        n += k
+    return 0.5 * (H + H.T), np.sqrt(M2) / n
+
+
 def hessian_from_samples(params, pis, sched: DiffusionSchedule, t: float,
-                         X: np.ndarray, jac_mode: str = "exact",
-                         chunk: int = 8192) -> HessianReport:
+                         X: np.ndarray, jac_mode: str = "exact") -> HessianReport:
     """Assemble H = mean_x J(x)^T J(x) over the given sample set."""
     Xb, _ = _batch(X, params.d)
-    n = Xb.shape[0]
-    if n == 0:
+    if Xb.shape[0] == 0:
         raise EmptyDataset("no samples for Hessian assembly")
-    p = params.dim
-    S1 = np.zeros((p, p))
-    S2 = np.zeros((p, p))
-    for start in range(0, n, chunk):
-        batch = Xb[start : start + chunk]
-        J = _jacobian_by_mode(params, pis, sched, t, batch, jac_mode)
-        M = np.einsum("ndp,ndq->npq", J, J)
-        S1 += M.sum(axis=0)
-        S2 += (M * M).sum(axis=0)
-    H = S1 / n
-    var = np.maximum(S2 / n - H * H, 0.0)
-    stderr = np.sqrt(var / n)
-    H = 0.5 * (H + H.T)
-    return _finish_report(params, pis, sched, t, H, stderr)
+    blocks = (_jacobian_by_mode(params, pis, sched, t, rows, jac_mode)
+              for rows in _row_blocks(Xb, params.d * params.dim))
+    return _finish_report(params, pis, sched, t, *_gram_moments(blocks, params.dim))
 
 
 def _jacobian_by_mode(params, pis, sched, t, X, jac_mode):
@@ -293,7 +315,6 @@ def _finish_report(params, pis, sched, t, H, stderr) -> HessianReport:
     corr_r = 0.0
     if Hcross.size and lam_mu > 0 and lam_uu > 0:
         corr_r = cross / np.sqrt(lam_mu * lam_uu)
-    alpha = None
     try:
         if isinstance(params, SymmetricParams):
             alpha = alpha_symmetric(params.mu, params.U, sched, t)
@@ -365,40 +386,33 @@ def mmtop_eigs(a: np.ndarray, b: np.ndarray) -> MMTopEigs:
 # strong-convexity constants
 
 
+def _rank_one_floor(mu, U, s: float, gamma: float) -> float:
+    """min(s^2/(s^2 + gamma^2)^2, lambda_min(M M^T)) for a rank-one factor U:
+    the closed-form curvature floor of one mode's mean and factor blocks."""
+    U = _as_factor(U)
+    if U.shape[1] != 1:
+        raise RankNotOne(f"closed-form curvature needs a rank-1 factor, got rank {U.shape[1]}")
+    return min(s * s / (s * s + gamma * gamma) ** 2, mmtop_eigs(U.ravel(), mu).lambda_min)
+
+
 def alpha_symmetric(mu, U, sched: DiffusionSchedule, t: float) -> float:
     """Curvature lower bound for the tied two-mode model (rank-one U)."""
-    mu = np.asarray(mu, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 1:
-        U = U[:, None]
-    if U.shape[1] != 1:
-        raise RankNotOne(f"tied two-mode analysis needs a rank-1 factor, got rank {U.shape[1]}")
     s, _, gamma = coefficients(sched, t)
-    first = s * s / (s * s + gamma * gamma) ** 2
-    second = mmtop_eigs(U.ravel(), mu).lambda_min
-    return float(min(first, second))
+    return float(_rank_one_floor(mu, U, s, gamma))
 
 
 def alpha_asymmetric(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
                      r2_weights=None) -> float:
     """Curvature lower bound for a free mixture of rank-one components.
 
-    Per-component mean curvature c_l gamma^4/(s^2+gamma^2)^2 with
-    c_l = w_l s^2/gamma^4, and factor curvature w_l times the closed-form
-    minimum eigenvalue; w_l defaults to pi_l, or the exact E[r_l^2] when
-    supplied.
+    Per-component mean curvature w_l s^2/(s^2+gamma^2)^2 and factor
+    curvature w_l times the closed-form minimum eigenvalue; w_l defaults to
+    pi_l, or the exact E[r_l^2] when supplied.
     """
     s, _, gamma = coefficients(sched, t)
     weights = np.asarray(r2_weights if r2_weights is not None else pis, dtype=float)
-    lam1 = np.inf
-    lam2 = np.inf
-    for w, (mu, U) in zip(weights, params.components):
-        if U.shape[1] != 1:
-            raise RankNotOne(f"analysis needs rank-1 factors, got rank {U.shape[1]}")
-        c = w * s * s / gamma ** 4
-        lam1 = min(lam1, c * gamma ** 4 / (s * s + gamma * gamma) ** 2)
-        lam2 = min(lam2, w * mmtop_eigs(U.ravel(), mu).lambda_min)
-    return float(min(lam1, lam2))
+    return float(min(w * _rank_one_floor(mu, U, s, gamma)
+                     for w, (mu, U) in zip(weights, params.components)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,39 +444,43 @@ class OverlapReport:
     hessian: HessianReport
 
 
-def _cross_term_norms(params, pis, sched, t, X):
-    """Per-sample norms of the responsibility-derivative Jacobian part,
-    split into mean and factor columns, plus the pairwise overlap weight."""
-    _, r, _, termB = jacobian_terms(params, pis, sched, t, X)
-    xi = np.zeros(r.shape[0])
-    for i in range(r.shape[1]):
-        for j in range(i + 1, r.shape[1]):
-            xi += r[:, i] * r[:, j]
-    mu_sl, U_sl = _mu_U_slices(params)
-    nB_mu = np.linalg.norm(termB[:, :, mu_sl], axis=(1, 2))
-    nB_U = np.linalg.norm(termB[:, :, U_sl], axis=(1, 2))
-    return nB_mu, nB_U, xi
+def _overlap_blocks(params, pis, sched, t, Xb):
+    """One jacobian_terms pass over row blocks of Xb.  Each block yields its
+    exact Jacobian A + B, its largest pair product r_i r_j (i < j), the
+    per-pair sums of r_i r_j, and its largest |B_mu|_F / xi and |B_U|_F / xi
+    over samples whose overlap xi = sum_{i<j} r_i r_j is above XI_FLOOR."""
+    first, second = np.triu_indices(len(params.tie), 1)
+    for rows in _row_blocks(Xb, params.d * params.dim):
+        _, r, A, B = jacobian_terms(params, pis, sched, t, rows)
+        pairs = r[:, first] * r[:, second]
+        xi = pairs.sum(axis=1)
+        mask = xi > XI_FLOOR
+        ratios = [np.max(np.linalg.norm(B[:, :, sl], axis=(1, 2))[mask] / xi[mask], initial=0.0)
+                  for sl in _mu_U_slices(params)]
+        A += B
+        yield A, np.max(pairs, initial=0.0), pairs.sum(axis=0), ratios
+
+
+def _overlap_constants(params, sched, t, R, ratios) -> OverlapConstants:
+    s, _, gamma = coefficients(sched, t)
+    S_mu = s / gamma ** 2
+    S_U = s * R * R / gamma ** 2
+    C1p, C2p = map(float, ratios)
+    if isinstance(params, SymmetricParams):
+        C = 2.0 * (S_mu + S_U) * (C1p + C2p)
+    else:
+        C = 2.0 * (S_mu * C1p + S_U * C2p)
+    return OverlapConstants(S_mu=float(S_mu), S_U=float(S_U), C1p=C1p, C2p=C2p, C=float(C))
 
 
 def constants_CprimeCtilde(params, pis, sched: DiffusionSchedule, t: float,
                            R: float, samples: np.ndarray) -> OverlapConstants:
     """Perturbation constants: sensitivity scales S_mu, S_U and the measured
     cross-term-to-overlap ratios C1', C2' combined per the composite bound."""
-    s, _, gamma = coefficients(sched, t)
-    S_mu = s / gamma ** 2
-    S_U = s * R * R / gamma ** 2
-    nB_mu, nB_U, xi = _cross_term_norms(params, pis, sched, t, samples)
-    mask = xi > XI_FLOOR
-    if not np.any(mask):
-        C1p = C2p = 0.0
-    else:
-        C1p = float(np.max(nB_mu[mask] / xi[mask]))
-        C2p = float(np.max(nB_U[mask] / xi[mask]))
-    if isinstance(params, SymmetricParams):
-        C = 2.0 * (S_mu + S_U) * (C1p + C2p)
-    else:
-        C = 2.0 * (S_mu * C1p + S_U * C2p)
-    return OverlapConstants(S_mu=float(S_mu), S_U=float(S_U), C1p=C1p, C2p=C2p, C=float(C))
+    ratios = np.zeros(2)
+    for *_, block_ratios in _overlap_blocks(params, pis, sched, t, _batch(samples, params.d)[0]):
+        ratios = np.maximum(ratios, block_ratios)
+    return _overlap_constants(params, sched, t, R, ratios)
 
 
 def _component_block_slices(params) -> list[np.ndarray]:
@@ -492,36 +510,40 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
         raise EmptyDataset("overlap analysis needs samples")
     if mode not in ("two_mode_sup", "multi_mode_expect"):
         raise DimensionMismatch(f"unknown overlap mode {mode!r}")
-    r = mixture_kernel(params, pis, sched, t).responsibilities(Xb)
-    L = r.shape[1]
-    xi_pair_max = 0.0
-    for i in range(L):
-        for j in range(i + 1, L):
-            xi_pair_max = max(xi_pair_max, float(np.max(r[:, i] * r[:, j])))
+    L = len(params.tie)
+    if mode == "two_mode_sup" and L != 2:
+        raise DimensionMismatch("two_mode_sup needs exactly two components")
+
+    stats = []  # per block: largest pair product, pair sums, cross-term ratios
+
+    def exact_jacobians():
+        for J, *block_stats in _overlap_blocks(params, pis, sched, t, Xb):
+            stats.append(block_stats)
+            yield J
+
+    hess = _finish_report(params, pis, sched, t, *_gram_moments(exact_jacobians(), params.dim))
+    maxima, sums, ratios = zip(*stats)
+    xi_pair_max = float(max(maxima))
     eps_total = None
     if mode == "two_mode_sup":
-        if L != 2:
-            raise DimensionMismatch("two_mode_sup needs exactly two components")
         eps_overlap = xi_pair_max
     else:
-        eps_total = np.zeros(L)
-        for l in range(L):
-            for j in range(L):
-                if j != l:
-                    eps_total[l] += float(np.mean(r[:, j] * r[:, l]))
+        # eps_total[l] = sum_{j != l} E[r_j r_l]
+        E = np.zeros((L, L))
+        E[np.triu_indices(L, 1)] = sum(sums) / Xb.shape[0]
+        eps_total = (E + E.T).sum(axis=1)
         eps_overlap = float(np.max(eps_total))
 
-    hess = hessian_from_samples(params, pis, sched, t, Xb, jac_mode="exact")
     H = hess.H
     groups = _component_block_slices(params)
-    H_diag = np.zeros_like(H)
+    # H_diag keeps the diagonal blocks, so its spectrum is theirs joined
+    lam_groups = [float(np.linalg.eigvalsh(H[np.ix_(g, g)])[0]) for g in groups]
+    lam_diag = min(lam_groups)
+    delta = H.copy()
     for g in groups:
-        H_diag[np.ix_(g, g)] = H[np.ix_(g, g)]
-    delta = H - H_diag
+        delta[np.ix_(g, g)] = 0.0
     delta_norm = float(np.linalg.norm(delta, 2)) if delta.size else 0.0
-    lam_H = float(np.linalg.eigvalsh(H)[0])
-    lam_diag = float(np.linalg.eigvalsh(H_diag)[0])
-    weyl_gap = lam_H - (lam_diag - delta_norm)
+    weyl_gap = hess.lambda_min - (lam_diag - delta_norm)
 
     # curvature floor before overlap degradation
     s, _, gamma = coefficients(sched, t)
@@ -531,18 +553,16 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
         pis_arr = np.asarray(pis, dtype=float)
         lambda_base = np.inf
         for l, (mu, U) in enumerate(params.components):
-            if U.shape[1] == 1:
-                unit = min(s * s / (s * s + gamma * gamma) ** 2,
-                           mmtop_eigs(U.ravel(), mu).lambda_min)
-            else:
-                g = groups[l]
-                unit = float(np.linalg.eigvalsh(H[np.ix_(g, g)])[0]) / pis_arr[l]
+            try:
+                unit = _rank_one_floor(mu, U, s, gamma)
+            except RankNotOne:
+                unit = lam_groups[l] / pis_arr[l]
             lambda_base = min(lambda_base, (pis_arr[l] - eps_total[l]) * unit)
         lambda_base = float(lambda_base)
 
     if R is None:
         R = float(np.max(np.linalg.norm(Xb, axis=1)))
-    consts = constants_CprimeCtilde(params, pis, sched, t, R, Xb)
+    consts = _overlap_constants(params, sched, t, R, np.max(ratios, axis=0))
     alpha_eff = float(lambda_base - consts.C * eps_overlap)
     return OverlapReport(
         mode=mode,
@@ -552,7 +572,7 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
         lambda_base=float(lambda_base),
         constants=consts,
         alpha_eff=alpha_eff,
-        lambda_min_H=lam_H,
+        lambda_min_H=hess.lambda_min,
         lambda_min_Hdiag=lam_diag,
         delta_norm=delta_norm,
         weyl_gap=float(weyl_gap),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -33,7 +34,7 @@ from .errors import (
     UnknownSubcommand,
     ValidationError,
 )
-from .model import build_model, forward_noise, sample_data
+from .model import build_model, component_weights, forward_noise, mixture_moments, sample_data
 from .objective import (
     estimation_gap_experiment,
     make_theta_grid,
@@ -124,13 +125,16 @@ def _model_from(cfg: dict):
 
 
 def _num(block: dict, key: str, default, kind=float):
-    """block[key] (default when absent) as a number of the given kind, or as
-    a list of them when the default is a list."""
+    """block[key] (default when absent) as a finite number of the given kind,
+    or as a list of them when the default is a list."""
     value = block.get(key, default)
     try:
-        return [kind(v) for v in value] if isinstance(default, list) else kind(value)
-    except (TypeError, ValueError):
-        raise ConfigParseError(f"{key} must be numeric, got {value!r}") from None
+        out = [kind(v) for v in value] if isinstance(default, list) else kind(value)
+        if not all(map(math.isfinite, out if isinstance(out, list) else [out])):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigParseError(f"{key} must be a finite number, got {value!r}") from None
+    return out
 
 
 def _params_from(cfg_block: dict, model):
@@ -181,6 +185,8 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
     block = cfg.get("score_check", {})
     n_points = _num(block, "n_points", 40, int)
     h = _num(block, "h", 1e-5)
+    if not h > 0:
+        raise ConfigParseError(f"score_check.h must be positive, got {h!r}")
     times = _num(block, "times", [sched.t_min, 0.5 * (sched.t_min + sched.t_max), sched.t_max])
     rng = np.random.default_rng(seed)
     rows = []
@@ -194,7 +200,7 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
             X, h)
         for i, e in enumerate(errs):
             rows.append(["ambient", t, i, float(e)])
-        max_err = max(max_err, float(np.max(errs)))
+        max_err = float(np.maximum(max_err, np.max(errs)))
         for k, sub in enumerate(model.subspaces):
             params, pis = from_model_subspace(sub)
             Z = sample_noised(params, pis, sched, t, n_points, rng)
@@ -205,7 +211,7 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
                 Z, h)
             for i, e in enumerate(errs):
                 rows.append([f"latent_k{k}", t, i, float(e)])
-            max_err = max(max_err, float(np.max(errs)))
+            max_err = float(np.maximum(max_err, np.max(errs)))
     write_csv(out / "score_fd_errors.csv", ["kind", "t", "index", "rel_err"], rows)
     write_json(out / "score_check_summary.json", {"max_rel_err": max_err, "h": h})
     return ["score_fd_errors.csv", "score_check_summary.json"]
@@ -308,22 +314,12 @@ def cmd_train(cfg, seed, out: Path) -> list[str]:
 
 def _ambient_moment_init(model, sched, n, rng):
     """Draws from the Gaussian matching the ambient mixture at t_max."""
-    s = sched.s(sched.t_max)
-    gamma = sched.gamma(sched.t_max)
-    from .model import component_weights
-
-    mean = np.zeros(model.D)
-    cov = np.zeros((model.D, model.D))
-    for k, l, w in component_weights(model):
-        sub = model.subspaces[k]
-        comp = sub.components[l]
-        m = s * (sub.A @ comp.mu)
-        W = sub.A @ comp.U
-        mean += w * m
-        cov += w * ((s * s) * W @ W.T + (gamma * gamma) * np.eye(model.D) + np.outer(m, m))
-    cov -= np.outer(mean, mean)
-    cf = np.linalg.cholesky(cov + 1e-12 * np.eye(model.D))
-    return mean + rng.standard_normal((n, model.D)) @ cf.T
+    flat = component_weights(model)
+    comps = [(model.subspaces[k].A, model.subspaces[k].components[l]) for k, l, _ in flat]
+    eq = mixture_moments([A @ c.mu for A, c in comps], [A @ c.U for A, c in comps],
+                         [w for _, _, w in flat], sched.s(sched.t_max), sched.gamma(sched.t_max))
+    cf = np.linalg.cholesky(eq.sigma_bar + 1e-12 * np.eye(model.D))
+    return eq.mu_bar + rng.standard_normal((n, model.D)) @ cf.T
 
 
 def cmd_sample(cfg, seed, out: Path) -> list[str]:

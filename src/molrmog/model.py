@@ -231,20 +231,26 @@ def decode(sub: Subspace, z: np.ndarray) -> np.ndarray:
     return z @ sub.A.T
 
 
+def mixture_moments(means, factors, weights, s: float, gamma: float) -> EquivalentGaussian:
+    """First two moments of the noised mixture sum_l w_l N(s m_l, s^2 W_l W_l^T
+    + gamma^2 I), in whichever coordinates the means m_l and factors W_l are."""
+    D = len(means[0])
+    mean = np.zeros(D)
+    cov = np.zeros((D, D))
+    for m, W, w in zip(means, factors, weights):
+        m = s * m
+        mean += w * m
+        cov += w * ((s * s) * W @ W.T + (gamma * gamma) * np.eye(D) + np.outer(m, m))
+    cov -= np.outer(mean, mean)
+    return EquivalentGaussian(mu_bar=mean, sigma_bar=cov)
+
+
 def moment_match(sub: Subspace, sched: DiffusionSchedule, t: float) -> EquivalentGaussian:
     """First two latent moments of the noised mixture on one subspace."""
     s, _, gamma = coefficients(sched, t)
-    d = sub.d
-    mu_bar = np.zeros(d)
-    for comp in sub.components:
-        mu_bar += comp.pi * s * comp.mu
-    sigma_bar = np.zeros((d, d))
-    for comp in sub.components:
-        cov_l = s * s * comp.U @ comp.U.T + gamma * gamma * np.eye(d)
-        mean_l = s * comp.mu
-        sigma_bar += comp.pi * (cov_l + np.outer(mean_l, mean_l))
-    sigma_bar -= np.outer(mu_bar, mu_bar)
-    return EquivalentGaussian(mu_bar=mu_bar, sigma_bar=sigma_bar)
+    comps = sub.components
+    return mixture_moments([c.mu for c in comps], [c.U for c in comps],
+                           [c.pi for c in comps], s, gamma)
 
 
 def support_radius(model: MoLRMoGModel, mass: float) -> float:

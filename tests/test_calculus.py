@@ -3,6 +3,7 @@ import pytest
 from conftest import dense_gaussian_logpdf
 
 from molrmog.calculus import (
+    BLOCK_ELEMENTS,
     alpha_asymmetric,
     alpha_symmetric,
     constants_CprimeCtilde,
@@ -29,7 +30,12 @@ from molrmog.errors import (
 )
 from molrmog.model import MoGComponent, Subspace, random_orthonormal
 from molrmog.schedule import coefficients
-from molrmog.score import LatentParams, SymmetricParams, symmetric_responsibilities
+from molrmog.score import (
+    LatentParams,
+    SymmetricParams,
+    responsibilities,
+    symmetric_responsibilities,
+)
 
 
 def test_jacobian_fd_richardson_consistency(unit_sched):
@@ -199,6 +205,61 @@ def test_hessian_report_structure_and_oracle(unit_sched):
         hessian_from_samples(p, None, unit_sched, 1.0, np.zeros((0, 2)))
 
 
+def _free_rank_one(d, L):
+    """Means 4 e_l with rank-one factors 0.5 (e_l + e_{l + d/2}), equal weights."""
+    eye = np.eye(d)
+    params = LatentParams(tuple(
+        (4.0 * eye[l], 0.5 * (eye[l] + eye[(l + d // 2) % d])[:, None]) for l in range(L)))
+    return params, np.full(L, 1.0 / L)
+
+
+def test_hessian_stderr_matches_centered_per_sample_oracle(unit_sched):
+    """H and its stderr against a two-pass centered sum over every sample's
+    J^T J, with n spanning several row blocks and a multiple of none."""
+    tied = SymmetricParams(mu=[2.0, 0.5], U=[[0.8], [0.1]])
+    for (params, pis), n in (((tied, None), 10007), (_free_rank_one(3, 2), 2001)):
+        d, p = params.d, params.dim
+        assert n > BLOCK_ELEMENTS // (d * p)
+        assert n % (BLOCK_ELEMENTS // (d * p)) and n % (BLOCK_ELEMENTS // (p * p))
+        X = sample_noised(params, pis, unit_sched, 1.0, n, 37)
+        rep = hessian_from_samples(params, pis, unit_sched, 1.0, X)
+        J = exact_jacobian(params, pis, unit_sched, 1.0, X)
+        M = np.einsum("ndp,ndq->npq", J, J)
+        H = M.mean(axis=0)
+        se = np.sqrt(np.mean((M - H) ** 2, axis=0) / n)
+        np.testing.assert_allclose(rep.stderr, se, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(rep.H, 0.5 * (H + H.T), rtol=1e-10, atol=0)
+
+
+def test_hessian_mean_block_stderr_vanishes_for_one_component(unit_sched):
+    """With one component J_mu = s Sigma^{-1} at every x, so every per-sample
+    mean-block product is the same and its standard error is zero up to
+    rounding; a variance taken as S2/n - H^2 leaves cancellation noise."""
+    params = LatentParams((([1.0, -0.5], [[0.7], [0.2]]),))
+    X = sample_noised(params, [1.0], unit_sched, 1.0, 20000, 3)
+    rep = hessian_from_samples(params, [1.0], unit_sched, 1.0, X)
+    mm = rep.stderr[rep.mu_slice, rep.mu_slice]
+    assert np.max(mm) <= 1e-14 * np.max(np.abs(rep.H))
+
+
+def test_hessian_memory_bounded(unit_sched):
+    """No per-sample (n, p, p) stack: the traced peak stays far below the
+    n p^2 doubles such a stack would take."""
+    import tracemalloc
+
+    tied = SymmetricParams(mu=[4.0, 0.0], U=[[1.0], [0.0]])
+    for (params, pis), n, bound_mb in (
+            (_free_rank_one(8, 4), 4096, 32), ((tied, None), 100_000, 8)):
+        X = sample_noised(params, pis, unit_sched, 1.0, n, 5)
+        tracemalloc.start()
+        try:
+            hessian_from_samples(params, pis, unit_sched, 1.0, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2 ** 20, (params.dim, n, peak)
+
+
 def test_hessian_fd_mode_agrees_with_exact(unit_sched):
     p = SymmetricParams(mu=[2.0, 0.5], U=[[0.8], [0.1]])
     X = sample_noised(p, None, unit_sched, 1.0, 40, 13)
@@ -250,6 +311,31 @@ def test_overlap_analysis_multi_mode_and_errors(unit_sched):
         overlap_analysis(params, pis, unit_sched, 1.0, X, mode="bogus")
     with pytest.raises(EmptyDataset):
         overlap_analysis(params, pis, unit_sched, 1.0, np.zeros((0, 2)))
+
+
+def test_overlap_analysis_matches_separate_reductions(unit_sched):
+    """The one-pass overlap analysis gives the Hessian, the perturbation
+    constants and the expected overlaps of the separate computations."""
+    free = LatentParams((
+        ([3.0, 0.0], [[1.0], [0.0]]),
+        ([-3.0, 0.0], [[1.0], [0.0]]),
+        ([0.0, 3.0], [[0.0], [1.0]]),
+    ))
+    cases = ((SymmetricParams(mu=[2.0, 0.0], U=[[1.0], [0.0]]), None, "two_mode_sup", 9000),
+             (free, np.array([0.4, 0.4, 0.2]), "multi_mode_expect", 6000))
+    for params, pis, mode, n in cases:
+        X = sample_noised(params, pis, unit_sched, 1.0, n, 43)
+        rep = overlap_analysis(params, pis, unit_sched, 1.0, X, mode=mode)
+        hess = hessian_from_samples(params, pis, unit_sched, 1.0, X)
+        np.testing.assert_allclose(rep.hessian.H, hess.H, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.hessian.stderr, hess.stderr, rtol=1e-12, atol=0)
+        R = float(np.max(np.linalg.norm(X, axis=1)))
+        c = constants_CprimeCtilde(params, pis, unit_sched, 1.0, R, X)
+        for field in ("S_mu", "S_U", "C1p", "C2p", "C"):
+            assert getattr(rep.constants, field) == pytest.approx(getattr(c, field), rel=1e-12)
+    r = responsibilities(free, pis, unit_sched, 1.0, X)
+    eps = [sum(np.mean(r[:, j] * r[:, l]) for j in range(3) if j != l) for l in range(3)]
+    np.testing.assert_allclose(rep.eps_total, eps, rtol=1e-12, atol=0)
 
 
 def test_perturbation_constants_scales(unit_sched):

@@ -244,6 +244,11 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("estimation", 'estimation.n_schedule=["a",128]'),
     ("score-check", "score_check.times=3"),
     ("gen", 'seed="x"'),
+    ("score-check", "score_check.h=0"),
+    ("score-check", "score_check.h=-1e-5"),
+    ("score-check", "score_check.h=NaN"),
+    ("train", "train.tol=NaN"),
+    ("hessian", "hessian.n_mc=Infinity"),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2

@@ -1,4 +1,4 @@
-"""The tied-form demos run end to end: scores, Jacobians and GD training."""
+"""Every demo runs end to end: scores, Jacobians, GD training and sampling."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_scores_and_jacobians.py", "02_training_convergence.py"])
+@pytest.mark.parametrize("demo", ["01_scores_and_jacobians.py", "02_training_convergence.py",
+                                  "03_reverse_sampling.py"])
 def test_demo_exits_0(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -21,7 +21,7 @@ from molrmog.optimizer import (
     loss_and_grad,
     theoretical_step,
 )
-from molrmog.score import SymmetricParams
+from molrmog.score import LatentParams, SymmetricParams
 
 
 TRUTH = SymmetricParams(mu=[4.0, 0.0], U=[[1.0], [0.0]])
@@ -83,6 +83,31 @@ def test_estimated_constants_bracket_loss_curvature(unit_sched):
     # the loss Hessian is 2 E[J^T J]; with the closed-form curvature 1/4 at
     # s = gamma = 1, alpha_hat should land near 2 * 0.25
     assert alpha_hat == pytest.approx(0.5, rel=0.15)
+
+
+def _fd_loss_hessian_evals(truth, pis, sched, t, X, h=1e-4):
+    """Eigenvalues of the loss Hessian at the truth from central differences
+    of the analytic gradient."""
+    vec = truth.flatten()
+    cols = []
+    for j in range(vec.size):
+        e = np.zeros(vec.size)
+        e[j] = h
+        gp = loss_and_grad(truth.unflatten(vec + e), truth, pis, sched, t, X)[1]
+        gm = loss_and_grad(truth.unflatten(vec - e), truth, pis, sched, t, X)[1]
+        cols.append((gp - gm) / (2.0 * h))
+    H = np.stack(cols, axis=1)
+    return np.linalg.eigvalsh(0.5 * (H + H.T))
+
+
+def test_local_constants_match_fd_loss_hessian(unit_sched):
+    free = LatentParams((([2.0, 0.0], [[0.5], [0.2]]), ([-1.0, 1.5], [[0.1], [0.6]])))
+    for truth, pis in ((TRUTH, None), (free, np.array([0.6, 0.4]))):
+        X = sample_noised(truth, pis, unit_sched, 1.0, 2000, 47)
+        alpha_hat, L_hat = estimate_local_constants(truth, pis, unit_sched, 1.0, X)
+        evals = _fd_loss_hessian_evals(truth, pis, unit_sched, 1.0, X)
+        assert alpha_hat == pytest.approx(evals[0], rel=1e-6)
+        assert L_hat == pytest.approx(evals[-1], rel=1e-6)
 
 
 def test_gd_contracts_to_truth(unit_sched):
@@ -149,8 +174,6 @@ def test_gd_divergence_detected(unit_sched):
 def test_gd_config_validation():
     with pytest.raises(ValidationError):
         GDConfig(eta=-0.1)
-    with pytest.raises(ValidationError):
-        GDConfig(init_radius=-1.0)
 
 
 def test_contraction_check_counts():
