@@ -513,6 +513,8 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
     L = len(params.tie)
     if mode == "two_mode_sup" and L != 2:
         raise DimensionMismatch("two_mode_sup needs exactly two components")
+    if mode == "multi_mode_expect" and isinstance(params, SymmetricParams):
+        raise DimensionMismatch("multi_mode_expect needs a free mixture, not the tied two-mode form")
 
     stats = []  # per block: largest pair product, pair sums, cross-term ratios
 

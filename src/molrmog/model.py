@@ -12,10 +12,9 @@ forward process at t > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     DimensionMismatch,
@@ -258,7 +257,11 @@ def support_radius(model: MoLRMoGModel, mass: float) -> float:
 
     Per component: |A mu| plus an integer-sigma inflation of the largest
     covariance-factor singular value, z = ceil(sqrt(chi2 quantile at rank)).
+    The chi2 quantile is 2 * gammaincinv(df / 2, mass), the expression
+    scipy.stats.chi2.ppf evaluates, without importing scipy.stats.
     """
+    from scipy.special import gammaincinv
+
     if not (0 < mass < 1):
         raise ValidationError(f"mass must be in (0,1), got {mass}")
     R = 0.0
@@ -270,6 +273,6 @@ def support_radius(model: MoLRMoGModel, mass: float) -> float:
                 R = max(R, center)
                 continue
             df = max(comp.U.shape[1], 1)
-            z = math.ceil(math.sqrt(stats.chi2.ppf(mass, df)))
+            z = math.ceil(math.sqrt(2.0 * gammaincinv(df / 2, mass)))
             R = max(R, center + z * smax)
     return R

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .calculus import score_of
 from .errors import EmptyDataset, GridEmpty, TimeOutOfRange, ValidationError
@@ -170,6 +169,8 @@ def make_theta_grid(truth_set, half_width: float, count: int, seed: int):
     reported domain diameter C1 is measured from the realized points."""
     if count < 1:
         raise GridEmpty("grid needs at least one point")
+    from scipy.stats import qmc
+
     center = flatten_theta_set(truth_set)
     p = center.size
     sob = qmc.Sobol(d=p, scramble=True, seed=seed)

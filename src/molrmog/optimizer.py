@@ -12,7 +12,7 @@ extreme eigenvalues of the loss Hessian at the truth, exactly 2 E_n[J^T J].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

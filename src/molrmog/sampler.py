@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NaNDetected, ValidationError
-from .model import MoLRMoGModel
+from .model import MoLRMoGModel, component_weights
 from .schedule import DiffusionSchedule
-from .score import ambient_responsibilities
-from .model import component_weights
+from .score import ambient_responsibilities, ambient_score
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,6 @@ def sample_quality(samples: np.ndarray, model: MoLRMoGModel,
 
 def model_score_fn(model: MoLRMoGModel, sched: DiffusionSchedule):
     """Wrap the exact ambient mixture score as a sampler callback."""
-    from .score import ambient_score
 
     def fn(x, t):
         return ambient_score(model, sched, t, x)

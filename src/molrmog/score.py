@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, SingularNoise
 from .model import MoLRMoGModel, component_weights
@@ -58,6 +57,8 @@ class NoisedMixture:
     solve and log-determinant factored once (see the module docstring)."""
 
     def __init__(self, means, factors, weights, s: float, gamma: float):
+        from scipy.linalg import solve_triangular
+
         _require_noise(gamma)
         self.centers = s * np.array(means, dtype=float)  # (L, d)
         self.d = d = self.centers.shape[1]

@@ -311,6 +311,9 @@ def test_overlap_analysis_multi_mode_and_errors(unit_sched):
         overlap_analysis(params, pis, unit_sched, 1.0, X, mode="bogus")
     with pytest.raises(EmptyDataset):
         overlap_analysis(params, pis, unit_sched, 1.0, np.zeros((0, 2)))
+    tied = SymmetricParams(mu=[2.0, 0.0], U=[[1.0], [0.0]])
+    with pytest.raises(DimensionMismatch, match="free mixture"):
+        overlap_analysis(tied, None, unit_sched, 1.0, X, mode="multi_mode_expect")
 
 
 def test_overlap_analysis_matches_separate_reductions(unit_sched):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +159,30 @@ def test_hessian_overlap_train_sample_report(cfg_path, tmp_path):
     assert "PASS" in report
 
 
+def test_hessian_blocks_csv_lambda_min(cfg_path, tmp_path):
+    out = tmp_path / "out"
+    assert run("hessian", cfg_path, out_dir=str(out)) == 0
+    hs = json.loads((out / "hessian_summary.json").read_text())
+    rows = [line.split(",") for line in (out / "blocks.csv").read_text().splitlines()[1:]]
+    lam = {name: float(value) for name, _, value in rows}
+    assert lam["mumu"] == hs["lambda_min_mumu"]
+    assert lam["UU"] == hs["lambda_min_UU"]
+    assert np.isnan(lam["muU"])
+
+
+def test_import_loads_no_scipy_submodules():
+    """Start-up loads scipy's top level only; each submodule is imported by
+    the function that uses it."""
+    code = ("import sys, molrmog, molrmog.cli; "
+            "print(','.join(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
+            "if m in sys.modules))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert res.stdout.strip() == ""
+
+
 def test_override_changes_behavior(cfg_path, tmp_path):
     out = tmp_path / "out"
     code = run("gen", cfg_path, overrides=["gen.n=7"], out_dir=str(out))
@@ -249,6 +275,7 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("score-check", "score_check.h=NaN"),
     ("train", "train.tol=NaN"),
     ("hessian", "hessian.n_mc=Infinity"),
+    ("overlap", 'overlap.mode="multi_mode_expect"'),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2
