@@ -111,6 +111,8 @@ def write_json(path: Path, obj) -> None:
 
 def _schedule_from(cfg: dict):
     block = cfg.get("schedule", {})
+    if not isinstance(block, dict):
+        raise ConfigParseError(f"schedule must be an object, got {block!r}")
     kind = block.get("kind", "constant_drift")
     rate = block.get("g0") if kind == "constant_drift" else block.get("beta")
     if rate is None:

@@ -205,7 +205,11 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
     """
     if not theta_grid:
         raise GridEmpty("theta grid is empty")
+    if trials < 1:
+        raise ValidationError(f"need at least one trial, got {trials}")
     n_schedule = sorted(int(n) for n in n_schedule)
+    if len(set(n_schedule)) < 2:
+        raise ValidationError(f"the rate fit needs two distinct n, got {n_schedule}")
     rng = np.random.default_rng(rng)
     subs = model.subspaces
     truth_set = tuple(from_model_subspace(sub)[0] for sub in subs)

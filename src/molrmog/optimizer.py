@@ -37,6 +37,8 @@ class GDConfig:
     def __post_init__(self):
         if self.eta is not None and not (self.eta > 0):
             raise ValidationError(f"explicit step size must be positive, got {self.eta}")
+        if self.m_max < 0:
+            raise ValidationError(f"m_max must be non-negative, got {self.m_max}")
 
 
 @dataclass

@@ -4,6 +4,14 @@ The reverse process dy = [f(t) y - g(t)^2 score(y, t)] dt + g(t) dB-bar is
 integrated backward on a uniform grid from t_max to t_min.  Any callable
 score works: the exact mixture score, a trained parameter set wrapped into a
 score, or a deliberately wrong one for stress tests.
+
+Each step does the plain Euler-Maruyama arithmetic in the same order, in two
+buffers the sampler owns (drift and noise), and writes its result into one
+fresh state array.  `reverse_sample` therefore never modifies the array it
+hands to score_fn, nor the array score_fn returns: a callback may cache
+either or return a view of its input.  The exact score it usually calls
+(`score.NoisedMixture.score`) works in place in a scratch array reused
+across components and forms the rank-one Woodbury product as a broadcast.
 """
 
 from __future__ import annotations
@@ -51,12 +59,23 @@ def reverse_sample(score_fn, sched: DiffusionSchedule, cfg: SamplerConfig,
         return y
     times = np.linspace(sched.t_max, sched.t_min, cfg.steps + 1)
     dt = (sched.t_max - sched.t_min) / cfg.steps
+    sqrt_dt = np.sqrt(dt)
+    drift = np.empty(y.shape)
+    noise = np.empty(y.shape)
     for i in range(cfg.steps):
         t = float(times[i])
         f = sched.f(t)
         g = sched.g(t)
-        drift = f * y - (g * g) * score_fn(y, t)
-        y = y - dt * drift + g * np.sqrt(dt) * rng.standard_normal(y.shape)
+        # y - dt (f y - g^2 score) + g sqrt(dt) xi in the out-of-place
+        # loop's operation order, into a fresh state (module docstring)
+        np.multiply(f, y, out=drift)
+        np.multiply(g * g, score_fn(y, t), out=noise)
+        drift -= noise
+        drift *= dt
+        y = y - drift
+        rng.standard_normal(out=noise)
+        noise *= g * sqrt_dt
+        y += noise
         if not np.all(np.isfinite(y)):
             raise NaNDetected(f"non-finite state at reverse step {i}")
     return y

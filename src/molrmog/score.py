@@ -16,10 +16,13 @@ No dense covariance is ever formed, and the identities stay exact for
 arbitrary U (the orthonormal-columns projection form is a special case).  One
 pass over x gives the residuals q_l = Sigma_l^{-1} (x - s mu_l) and the
 log-joints; responsibilities, the score -sum_l r_l q_l and the log density
-follow from them.  The latent, ambient (means A mu, factors A U), tied
-two-mode and single-component functions below are thin wrappers over the
-kernel.  Every function accepts a single point (d,) or a batch (n, d) and
-returns a matching shape.
+follow from them.  The pass works in place in one (d, n) scratch array
+shared by all components and in the residual array it returns, and for
+rank-one factors it forms W_l^T (W_l rho) as a broadcast product, which is
+exact, instead of a k = 1 matrix product.  The latent, ambient (means A mu,
+factors A U), tied two-mode and single-component functions below are thin
+wrappers over the kernel.  Every function accepts a single point (d,) or a
+batch (n, d) and returns a matching shape.
 """
 
 from __future__ import annotations
@@ -57,8 +60,6 @@ class NoisedMixture:
     solve and log-determinant factored once (see the module docstring)."""
 
     def __init__(self, means, factors, weights, s: float, gamma: float):
-        from scipy.linalg import solve_triangular
-
         _require_noise(gamma)
         self.centers = s * np.array(means, dtype=float)  # (L, d)
         self.d = d = self.centers.shape[1]
@@ -70,7 +71,7 @@ class NoisedMixture:
             logdet[l] = 2.0 * (d - r) * math.log(gamma)
             if r:
                 chol = np.linalg.cholesky(self.g2 * np.eye(r) + (s * s) * (U.T @ U))
-                self.W.append(s * solve_triangular(chol, U.T, lower=True))
+                self.W.append(s * _lower_solve(chol, U.T))
                 logdet[l] += 2.0 * np.sum(np.log(np.diag(chol)))
             else:
                 self.W.append(np.zeros((0, d)))
@@ -83,16 +84,34 @@ class NoisedMixture:
 
     def _pass(self, x: np.ndarray):
         """Residuals (L, d, n), normalized weights (L, n) and log density (n,);
-        points run along the last axis so numpy's inner loops are long."""
-        xt = np.ascontiguousarray(x.T)
-        q = np.empty((len(self.W),) + xt.shape)
-        logj = np.empty((len(self.W), xt.shape[1]))
-        for l, (c, W) in enumerate(zip(self.centers, self.W)):
-            rho = xt - c[:, None]
-            q[l] = (rho - W.T @ (W @ rho)) / self.g2
-            logj[l] = self.const[l] - 0.5 * np.sum(rho * q[l], axis=0)
+        points run along the last axis so numpy's inner loops are long.
+
+        Every component works in place in one (d, n) scratch array, rho, and
+        its own residual slot, which first holds W^T W rho; x^T waits in the
+        last slot, which the last component overwrites only after reading it.
+        A pass allocates q, the log-joints and rho, and no other (d, n) array."""
+        q = np.empty((len(self.W), self.d, len(x)))
+        logj = np.empty((len(self.W), len(x)))
+        xt = q[-1]
+        np.copyto(xt, x.T)
+        rho = np.empty_like(xt)
+        for l, (c, W, ql) in enumerate(zip(self.centers, self.W, q)):
+            np.subtract(xt, c[:, None], out=rho)
+            if len(W) == 1:
+                # W^T (W rho) for r = 1: one exact product per entry, as the
+                # k = 1 GEMM gives, without its overhead
+                np.multiply(W.T, W @ rho, out=ql)
+            else:
+                np.matmul(W.T, W @ rho, out=ql)
+            np.subtract(rho, ql, out=ql)
+            ql /= self.g2
+            rho *= ql
+            np.sum(rho, axis=0, out=logj[l])
+            logj[l] *= 0.5
+            np.subtract(self.const[l], logj[l], out=logj[l])
         top = logj.max(axis=0)
-        w = np.exp(logj - top)
+        logj -= top
+        w = np.exp(logj, out=logj)
         total = w.sum(axis=0)
         w /= total
         return q, w, top + np.log(total)
@@ -104,13 +123,16 @@ class NoisedMixture:
         return q.transpose(0, 2, 1), w.T, logp
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        """-sum_l r_l(x) Sigma_l^{-1} (x - s mu_l)."""
+        """-sum_l r_l(x) Sigma_l^{-1} (x - s mu_l), summed in place on the
+        pass's residuals; the result is a fresh array."""
         xb, single = _batch(x, self.d)
         q, w, _ = self._pass(xb)
-        out = q[0] * w[0]
+        out = q[0]
+        out *= w[0]
         for ql, wl in zip(q[1:], w[1:]):
-            out += ql * wl
-        out = -out.T
+            ql *= wl
+            out += ql
+        out = np.negative(out).T
         return out[0] if single else out
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
@@ -256,6 +278,18 @@ class SymmetricParams(_FlatParams):
         """(block, mean sign) each free-mixture component comes from: both
         modes share the one block, the minus mode with its mean negated."""
         return ((0, 1.0), (0, -1.0))
+
+
+def _lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """chol^{-1} b for a C-ordered lower Cholesky factor: the LAPACK call
+    `scipy.linalg.solve_triangular(chol, b, lower=True)` makes, as the upper
+    transposed system of the Fortran-ordered chol.T, without its validation."""
+    from scipy.linalg.lapack import dtrtrs
+
+    x, info = dtrtrs(chol.T, b, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed, LAPACK info {info}")
+    return x
 
 
 def _as_factor(U: np.ndarray) -> np.ndarray:

@@ -276,6 +276,12 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("train", "train.tol=NaN"),
     ("hessian", "hessian.n_mc=Infinity"),
     ("overlap", 'overlap.mode="multi_mode_expect"'),
+    ("sample", "sampler.schedule=3"),
+    ("hessian", "schedule=3"),
+    ("train", "train.m_max=-1"),
+    ("estimation", "estimation.n_schedule=[]"),
+    ("estimation", "estimation.trials=0"),
+    ("estimation", "estimation.n_schedule=[64]"),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2

@@ -174,6 +174,8 @@ def test_gd_divergence_detected(unit_sched):
 def test_gd_config_validation():
     with pytest.raises(ValidationError):
         GDConfig(eta=-0.1)
+    with pytest.raises(ValidationError):
+        GDConfig(m_max=-1)
 
 
 def test_contraction_check_counts():

@@ -136,3 +136,63 @@ def test_quality_on_direct_forward_samples(unit_sched):
     rep = sample_quality(xt, model, unit_sched, unit_sched.t_min)
     assert rep.max_weight_err < 0.01
     assert rep.max_mean_err < 0.01
+
+
+TWO_SUBSPACES = {
+    "D": 5,
+    "subspaces": [
+        {"d": 2, "A_seed": 1, "components": [
+            {"pi": 0.5, "mu": [2.0, 0.0], "U": [[0.5], [0.1]]},
+            {"pi": 0.5, "mu": [-2.0, 0.4], "U": [[0.3, 0.1], [0.4, -0.2]]}]},
+        {"d": 2, "A_seed": 2, "components": [
+            {"pi": 0.3, "mu": [0.0, 2.0], "U": [[0.2], [0.5]]},
+            {"pi": 0.7, "mu": [0.5, -2.0], "U": [[0.4], [0.2]]}]},
+    ],
+}
+
+
+def out_of_place_reverse_sample(score_fn, sched, cfg, init):
+    """The plain Euler-Maruyama loop, one fresh array per operation."""
+    rng = np.random.default_rng(cfg.seed)
+    y = np.array(init, dtype=float, copy=True)
+    times = np.linspace(sched.t_max, sched.t_min, cfg.steps + 1)
+    dt = (sched.t_max - sched.t_min) / cfg.steps
+    for i in range(cfg.steps):
+        t = float(times[i])
+        f = sched.f(t)
+        g = sched.g(t)
+        drift = f * y - (g * g) * score_fn(y, t)
+        y = y - dt * drift + g * np.sqrt(dt) * rng.standard_normal(y.shape)
+    return y
+
+
+@pytest.mark.parametrize("kind", ["exact", "view_of_input", "cached"])
+def test_reverse_sample_bit_identical_to_out_of_place_loop(kind):
+    """The in-place step reproduces the out-of-place loop bit for bit, and
+    never writes into an array it handed to, or got from, score_fn."""
+    model = build_model(TWO_SUBSPACES)
+    sched = make_schedule("vp", 8.0, 0.01, 1.0)
+    cfg = SamplerConfig(steps=30, n=300, seed=5)
+    init = np.random.default_rng(6).standard_normal((cfg.n, model.D))
+    cached = np.random.default_rng(7).standard_normal((cfg.n, model.D))
+    fn = {"exact": model_score_fn(model, sched),
+          "view_of_input": lambda x, t: x[:, ::-1],
+          "cached": lambda x, t: cached}[kind]
+    want = out_of_place_reverse_sample(fn, sched, cfg, init)
+
+    calls = []
+
+    def spy(x, t):
+        out = fn(x, t)
+        calls.append((x, x.copy(), out, out.copy()))
+        return out
+
+    init_before = init.copy()
+    got = reverse_sample(spy, sched, cfg, init=init)
+    assert np.all(np.isfinite(want))
+    assert np.array_equal(got, want)
+    assert np.array_equal(init, init_before)
+    assert len(calls) == cfg.steps
+    for x, x_then, out, out_then in calls:
+        assert np.array_equal(x, x_then)
+        assert np.array_equal(out, out_then)

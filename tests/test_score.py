@@ -267,3 +267,33 @@ def test_ambient_kernel_matches_dense_cholesky(vp_sched):
         assert ambient_log_density(model, vp_sched, t, X) == pytest.approx(want_logp, rel=1e-9)
         assert ambient_log_density(model, vp_sched, t, X[2]) == pytest.approx(want_logp[2],
                                                                               rel=1e-9)
+
+
+def test_rank_one_residual_equals_matmul_exactly(vp_sched):
+    """The broadcast outer product gives W^T (W rho) bit for bit."""
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 5):
+        params, pis = random_params(d, 3, 1, seed=d)
+        kern = mixture_kernel(params, pis, vp_sched, 0.4)
+        X = rng.standard_normal((50, d)) * 3.0
+        q = kern.evaluate(X)[0]
+        for l, (c, W) in enumerate(zip(kern.centers, kern.W)):
+            rho = np.ascontiguousarray(X.T) - c[:, None]
+            want = (rho - W.T @ (W @ rho)) / kern.g2
+            assert np.array_equal(q[l], want.T)
+
+
+def test_successive_passes_return_independent_arrays(vp_sched):
+    """A second score/evaluate call on another batch of the same size leaves
+    the first call's results untouched."""
+    rng = np.random.default_rng(22)
+    for rank in (1, 2):
+        params, pis = random_params(3, 2, rank, seed=rank)
+        kern = mixture_kernel(params, pis, vp_sched, 0.6)
+        X1, X2 = rng.standard_normal((2, 40, 3))
+        first = [kern.score(X1), *kern.evaluate(X1)]
+        kept = [a.copy() for a in first]
+        second = [kern.score(X2), *kern.evaluate(X2)]
+        for a, b, c in zip(first, kept, second):
+            assert np.array_equal(a, b)
+            assert not np.array_equal(a, c)
