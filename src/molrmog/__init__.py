@@ -62,7 +62,6 @@ from .optimizer import (
     TrainTrace,
     contraction_check,
     gd_train,
-    grad_empirical,
     init_near,
     theoretical_step,
 )

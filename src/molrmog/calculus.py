@@ -14,9 +14,10 @@ Conventions fixed here and used everywhere:
     silently.  `_gram_moments` is the one reduction that builds H, for the
     Hessian report, the overlap analysis and the GD step size alike.
 
-There is one derivative code path, `jacobian_terms`.  It works on the free
+There is one derivative code path, `_derivative_pass`.  It works on the free
 mixture the parameters define and makes one kernel pass over x, which yields
-the score, the responsibilities and the Jacobian split into a "self-cluster"
+the score, the responsibilities and each component's pieces of the Jacobian.
+`jacobian_terms` assembles those into the Jacobian split into a "self-cluster"
 part (term A: component responsibilities frozen) and a responsibility-
 derivative part (term B, proportional to the pairwise overlaps r_i r_j and
 exponentially suppressed as the modes separate).  Term A alone is the
@@ -25,7 +26,9 @@ accuracy.  The tied two-mode form is the free mixture (mu, -mu, U, U) with
 weights (1/2, 1/2); its terms are the free ones pulled back through that
 linear tie, J_mu = J_mu+ - J_mu- and J_U = J_U+ + J_U-, applied as block
 sums while the terms are assembled (`SymmetricParams.tie`), so it has no
-derivative code of its own.
+derivative code of its own.  The GD gradient sum_n J_n^T (residual)_n is the
+residual contraction of the same pieces (`residual_contraction`): it costs
+O(n d (d + r)) per component and never forms the (n, d, p) terms.
 """
 
 from __future__ import annotations
@@ -126,6 +129,47 @@ def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
     return _pair_from_full(np.stack(cols, axis=-1), theta)
 
 
+def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
+    """One kernel pass over X: (s, score, r, pieces).
+
+    score is the (d, n) sum of r_l q_l, the negated score with the points on
+    the last axis, and r the (n, L) responsibilities of the free mixture.
+    pieces yields, per component, (sign, mu_cols, U_cols, q, rm, Sinv, c, V,
+    qU): the mean sign and the column slices of the block it is tied to;
+    q = Sigma^{-1} (x - s mu) and c = -r (q + score), both (d, n); its (n,)
+    responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1} U and qU = U^T q,
+    both None for a rank-0 factor.
+    """
+    free, weights = params.mixture(pis)
+    s, _, _ = coefficients(sched, t)
+    Xb, _ = _batch(X, free.d)
+    d = free.d
+    kern = mixture_kernel(free, weights, sched, t)
+    qs, r, _ = kern.evaluate(Xb)
+    qs, w = qs.transpose(0, 2, 1), r.T  # (L, d, n) and (L, n)
+    score = qs[0] * w[0]
+    for q, wl in zip(qs[1:], w[1:]):
+        score += q * wl
+    mu_end = np.cumsum([mu.size for mu, _ in params.blocks])
+    U_end = mu_end[-1] + np.cumsum([U.size for _, U in params.blocks])
+
+    def pieces():
+        for m, ((_, U), (b, sign)) in enumerate(zip(free.components, params.tie)):
+            q, rm = qs[m], w[m]
+            # q_m + score summed pairwise as sum_l r_l (q_m - q_l): it keeps
+            # its relative accuracy where r_m r_l is far below 1
+            dev = np.zeros_like(q)
+            for l, ql in enumerate(qs):
+                if l != m:
+                    dev += w[l] * (q - ql)
+            V = kern.solve(m, U.T).T if U.size else None  # Sigma_m^{-1} U_m, (d, r)
+            yield (sign, slice(mu_end[b] - d, mu_end[b]), slice(U_end[b] - U.size, U_end[b]),
+                   q, rm, kern.solve(m, np.eye(d)), (-rm) * dev, V,
+                   None if V is None else U.T @ q)
+
+    return s, score, r, pieces()
+
+
 def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
     """One kernel pass over X: (score, r, termA, termB).
 
@@ -138,46 +182,48 @@ def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarra
     the mean columns signed.  They are built with the points on the last
     axis, so numpy's inner loops are long, and returned as transposed views.
     """
-    free, weights = params.mixture(pis)
-    s, _, _ = coefficients(sched, t)
-    Xb, _ = _batch(X, free.d)
-    n, d = Xb.shape
-    kern = mixture_kernel(free, weights, sched, t)
-    qs, r, _ = kern.evaluate(Xb)
-    qs, w = qs.transpose(0, 2, 1), r.T  # (L, d, n) and (L, n)
-    score = qs[0] * w[0]
-    for q, wl in zip(qs[1:], w[1:]):
-        score += q * wl
-
-    mu_end = np.cumsum([mu.size for mu, _ in params.blocks])
-    U_end = mu_end[-1] + np.cumsum([U.size for _, U in params.blocks])
+    s, score, r, pieces = _derivative_pass(params, pis, sched, t, X)
+    d, n = score.shape
     A = np.zeros((d, params.dim, n))
     B = np.zeros_like(A)
-    for m, ((_, U), (b, sign)) in enumerate(zip(free.components, params.tie)):
-        q, rm = qs[m], w[m]
-        Sinv = kern.solve(m, np.eye(d))
-        # q_m + score summed pairwise as sum_l r_l (q_m - q_l): it keeps its
-        # relative accuracy where r_m r_l is far below 1
-        dev = np.zeros_like(q)
-        for l, ql in enumerate(qs):
-            if l != m:
-                dev += w[l] * (q - ql)
-        c = (-rm) * dev
-        cols = slice(mu_end[b] - d, mu_end[b])
-        A[:, cols] += Sinv[:, :, None] * ((sign * s) * rm)
-        B[:, cols] += c[:, None, :] * ((sign * s) * q)
-        k = U.size
-        if k:
-            V = kern.solve(m, U.T).T  # Sigma_m^{-1} U_m, (d, r)
-            qU = U.T @ q
+    for sign, mu_cols, U_cols, q, rm, Sinv, c, V, qU in pieces:
+        A[:, mu_cols] += Sinv[:, :, None] * ((sign * s) * rm)
+        B[:, mu_cols] += c[:, None, :] * ((sign * s) * q)
+        if V is not None:
+            k = V.size
             # axes (i, c, j) flatten to column c d + j of the column-major U block
             dq = (Sinv[:, None, :, None] * qU[None, :, None, :]
                   + V[:, :, None, None] * q[None, None, :, :])
-            cols = slice(U_end[b] - k, U_end[b])
-            A[:, cols] += (dq * ((s * s) * rm)).reshape(d, k, n)
+            A[:, U_cols] += (dq * ((s * s) * rm)).reshape(d, k, n)
             g_U = (s * s) * (qU[:, None, :] * q[None, :, :] - V.T[:, :, None])
-            B[:, cols] += c[:, None, :] * g_U.reshape(k, n)
+            B[:, U_cols] += c[:, None, :] * g_U.reshape(k, n)
     return -score.T, r, A.transpose(2, 0, 1), B.transpose(2, 0, 1)
+
+
+def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
+                         X: np.ndarray, target: np.ndarray):
+    """One kernel pass over X: (resid, g) with resid = score - target, (n, d),
+    and g = sum_n J_n^T resid_n for the exact Jacobian J = A + B.
+
+    The contraction runs on the same per-component pieces as
+    `jacobian_terms` and forms nothing of shape (n, d, p).  With R the (d, n)
+    residual, R_m its columns weighted by r_m and e = sum_i R * c, component m adds
+    sign s (Sigma^{-1} sum_n R_m + q e) to its mean columns and
+    s^2 (qU (Sigma^{-1} R_m)^T + (V^T R_m + qU e) q^T - V^T sum_n e) to its
+    factor columns, c-major like A's U block: O(n d (d + r)) per component.
+    """
+    s, score, _, pieces = _derivative_pass(params, pis, sched, t, X)
+    resid = -score.T - target
+    R = resid.T
+    g = np.zeros(params.dim)
+    for sign, mu_cols, U_cols, q, rm, Sinv, c, V, qU in pieces:
+        Rm = R * rm
+        e = np.einsum("in,in->n", R, c)
+        g[mu_cols] += (sign * s) * (Sinv.T @ Rm.sum(axis=1) + q @ e)
+        if V is not None:
+            G = qU @ (Sinv.T @ Rm).T + (V.T @ Rm + qU * e) @ q.T - V.T * e.sum()
+            g[U_cols] += (s * s) * G.ravel()
+    return resid, g
 
 
 def exact_jacobian(params, pis, sched: DiffusionSchedule, t: float,
@@ -186,10 +232,6 @@ def exact_jacobian(params, pis, sched: DiffusionSchedule, t: float,
     _, _, J, B = jacobian_terms(params, pis, sched, t, X)
     J += B
     return J
-
-
-# the free-mixture name; one code path serves both parameterizations
-general_jacobian = exact_jacobian
 
 
 def symmetric_exact_terms(mu, U, sched: DiffusionSchedule, t: float,

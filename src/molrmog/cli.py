@@ -109,10 +109,14 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _block(cfg: dict, key: str) -> dict:
+    if not isinstance(block := cfg.get(key, {}), dict):
+        raise ConfigParseError(f"{key} must be an object, got {block!r}")
+    return block
+
+
 def _schedule_from(cfg: dict):
-    block = cfg.get("schedule", {})
-    if not isinstance(block, dict):
-        raise ConfigParseError(f"schedule must be an object, got {block!r}")
+    block = _block(cfg, "schedule")
     kind = block.get("kind", "constant_drift")
     rate = block.get("g0") if kind == "constant_drift" else block.get("beta")
     if rate is None:
@@ -128,15 +132,16 @@ def _model_from(cfg: dict):
 
 def _num(block: dict, key: str, default, kind=float):
     """block[key] (default when absent) as a finite number of the given kind,
-    or as a list of them when the default is a list."""
+    or as a list of them when the default is a list; an int takes no fraction."""
     value = block.get(key, default)
+    raw = value if isinstance(default, list) else [value]
     try:
-        out = [kind(v) for v in value] if isinstance(default, list) else kind(value)
-        if not all(map(math.isfinite, out if isinstance(out, list) else [out])):
+        out = [kind(v) for v in raw]
+        if not all(math.isfinite(o) and (o == v or type(v) is not float) for o, v in zip(out, raw)):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise ConfigParseError(f"{key} must be a finite number, got {value!r}") from None
-    return out
+        raise ConfigParseError(f"{key} must be a finite {kind.__name__}, got {value!r}") from None
+    return out if isinstance(default, list) else out[0]
 
 
 def _params_from(cfg_block: dict, model):
@@ -160,7 +165,7 @@ def _params_from(cfg_block: dict, model):
 
 def cmd_gen(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
-    n = _num(cfg.get("gen", {}), "n", 1000, int)
+    n = _num(_block(cfg, "gen"), "n", 1000, int)
     data = sample_data(model, n, np.random.default_rng(seed))
     header = ["k", "l"] + [f"x_{i}" for i in range(model.D)]
     rows = ([int(k), int(l)] + list(x) for k, l, x in zip(data.k, data.l, data.x))
@@ -184,7 +189,7 @@ def _fd_score_err(score_vals, logdens_fn, X, h):
 def cmd_score_check(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
-    block = cfg.get("score_check", {})
+    block = _block(cfg, "score_check")
     n_points = _num(block, "n_points", 40, int)
     h = _num(block, "h", 1e-5)
     if not h > 0:
@@ -222,7 +227,7 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
 def cmd_estimation(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
-    block = cfg.get("estimation", {})
+    block = _block(cfg, "estimation")
     t = _num(block, "t", 0.5)
     trials = _num(block, "trials", 20, int)
     n_mc = _num(block, "n_mc", 1_000_000, int)
@@ -243,7 +248,7 @@ def cmd_estimation(cfg, seed, out: Path) -> list[str]:
 def cmd_hessian(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
-    block = cfg.get("hessian", {})
+    block = _block(cfg, "hessian")
     t = _num(block, "t", 0.5)
     params, pis = _params_from(block, model)
     rep = hessian_empirical(params, pis, sched, t, _num(block, "n_mc", 20000, int),
@@ -269,7 +274,7 @@ def cmd_hessian(cfg, seed, out: Path) -> list[str]:
 def cmd_overlap(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
-    block = cfg.get("overlap", {})
+    block = _block(cfg, "overlap")
     t = _num(block, "t", 0.5)
     params, pis = _params_from(block, model)
     X = sample_noised(params, pis, sched, t, _num(block, "n_mc", 20000, int),
@@ -289,7 +294,7 @@ def cmd_overlap(cfg, seed, out: Path) -> list[str]:
 def cmd_train(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
-    block = cfg.get("train", {})
+    block = _block(cfg, "train")
     t = _num(block, "t", 0.5)
     truth, pis = _params_from(block, model)
     rng = np.random.default_rng(seed)
@@ -325,7 +330,7 @@ def _ambient_moment_init(model, sched, n, rng):
 
 def cmd_sample(cfg, seed, out: Path) -> list[str]:
     model = _model_from(cfg)
-    block = cfg.get("sampler", {})
+    block = _block(cfg, "sampler")
     # a variance-preserving horizon makes the Gaussian prior exact; allow the
     # sampler to use its own schedule when the global one keeps mass bimodal at T
     sched = _schedule_from(block if "schedule" in block else cfg)

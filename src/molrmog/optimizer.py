@@ -7,6 +7,9 @@ theoretical step 2/(alpha + L') yields the contraction factor
 rho = (kappa - 1)/(kappa + 1) with kappa = L'/alpha; traces record the
 per-iteration distance ratios against that bound.  alpha and L' are the
 extreme eigenvalues of the loss Hessian at the truth, exactly 2 E_n[J^T J].
+The gradient (2/n) sum_n J_n^T (residual)_n is the residual contraction of
+the one derivative path (`calculus.residual_contraction`), so a GD step never
+forms the (n, d, p) Jacobian terms.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import hessian_from_samples, jacobian_terms, score_of
+from .calculus import hessian_from_samples, residual_contraction, score_of
 from .errors import (
     DivergenceDetected,
     EmptyDataset,
@@ -39,6 +42,8 @@ class GDConfig:
             raise ValidationError(f"explicit step size must be positive, got {self.eta}")
         if self.m_max < 0:
             raise ValidationError(f"m_max must be non-negative, got {self.m_max}")
+        if not (self.tol >= 0):
+            raise ValidationError(f"tol must be non-negative, got {self.tol}")
 
 
 @dataclass
@@ -74,24 +79,16 @@ def loss_and_grad(theta, truth, pis, sched: DiffusionSchedule, t: float,
                   data: np.ndarray, truth_score=None) -> tuple[float, np.ndarray]:
     """Empirical loss and its analytic gradient (2/n) sum J^T residual.
 
-    The score at theta and its Jacobian come from one kernel pass.
-    truth_score, the truth's score on data, is computed here when omitted.
+    The residual and its contraction with the Jacobian come from one kernel
+    pass, without forming the (n, d, p) Jacobian.  truth_score, the truth's
+    score on data, is computed here when omitted.
     """
     X = _check_data(data)
     if truth_score is None:
         truth_score = score_of(truth, pis, sched, t, X)
-    score, _, J, cross = jacobian_terms(theta, pis, sched, t, X)
-    resid = score - truth_score
+    resid, g = residual_contraction(theta, pis, sched, t, X, truth_score)
     loss = float(np.mean(np.sum(resid ** 2, axis=-1)))
-    J += cross
-    grad = 2.0 * np.einsum("nd,ndp->p", resid, J) / X.shape[0]
-    return loss, grad
-
-
-def grad_empirical(theta, truth, pis, sched: DiffusionSchedule, t: float,
-                   data: np.ndarray) -> np.ndarray:
-    """Gradient of the empirical loss over the flattened parameters."""
-    return loss_and_grad(theta, truth, pis, sched, t, data)[1]
+    return loss, 2.0 * g / X.shape[0]
 
 
 def init_near(truth, radius: float, rng):

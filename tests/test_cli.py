@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from molrmog.cli import (
+    _num,
     apply_override,
     config_hash,
     load_config,
@@ -74,6 +75,15 @@ def test_apply_override_types():
     assert cfg["new"]["leaf"] is True
     with pytest.raises(ConfigParseError):
         apply_override(cfg, "no_equals")
+
+
+def test_int_field_takes_integral_float_only():
+    assert _num({"n": 2000.0}, "n", 1, int) == 2000
+    assert _num({"n": [64, 128.0]}, "n", [1], int) == [64, 128]
+    with pytest.raises(ConfigParseError):
+        _num({"n": 2.5}, "n", 1, int)
+    with pytest.raises(ConfigParseError):
+        _num({"n": [64, 0.5]}, "n", [1], int)
 
 
 def test_config_hash_stable_under_key_order():
@@ -282,6 +292,16 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("estimation", "estimation.n_schedule=[]"),
     ("estimation", "estimation.trials=0"),
     ("estimation", "estimation.n_schedule=[64]"),
+    ("train", "train=3"),
+    ("train", "train=[]"),
+    ("sample", "sampler=3"),
+    ("estimation", "estimation=3"),
+    ("hessian", "hessian=3"),
+    ("overlap", "overlap=[]"),
+    ("score-check", "score_check=3"),
+    ("gen", "gen=3"),
+    ("train", "train.m_max=2.5"),
+    ("train", "train.tol=-1"),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient
-from molrmog.calculus import sample_noised
+from molrmog.calculus import exact_jacobian, sample_noised, score_of
 from molrmog.errors import (
     DivergenceDetected,
     EmptyDataset,
@@ -16,7 +16,6 @@ from molrmog.optimizer import (
     contraction_check,
     estimate_local_constants,
     gd_train,
-    grad_empirical,
     init_near,
     loss_and_grad,
     theoretical_step,
@@ -49,10 +48,57 @@ def test_analytic_gradient_matches_fd(unit_sched):
 
 def test_gradient_zero_at_truth(unit_sched):
     X = training_data(500, 3, unit_sched)
-    g = grad_empirical(TRUTH, TRUTH, None, unit_sched, 1.0, X)
+    g = loss_and_grad(TRUTH, TRUTH, None, unit_sched, 1.0, X)[1]
     assert np.max(np.abs(g)) < 1e-14
     with pytest.raises(EmptyDataset):
-        grad_empirical(TRUTH, TRUTH, None, unit_sched, 1.0, np.zeros((0, 2)))
+        loss_and_grad(TRUTH, TRUTH, None, unit_sched, 1.0, np.zeros((0, 2)))[1]
+
+
+def _contraction_cases(rng):
+    """The tied form and free mixtures whose factors have rank 0 and rank d."""
+    yield TRUTH, None
+    d, L = 3, 3
+    pis = np.array([0.2, 0.3, 0.5])
+    for r in (0, d):
+        yield LatentParams(tuple((2.0 * rng.standard_normal(d), 0.5 * rng.standard_normal((d, r)))
+                                 for _ in range(L))), pis
+
+
+def test_gradient_equals_jacobian_contraction(unit_sched):
+    """The residual contraction against the one formed from the full (n, d, p)
+    exact Jacobian."""
+    rng = np.random.default_rng(53)
+    for truth, pis in _contraction_cases(rng):
+        X = sample_noised(truth, pis, unit_sched, 1.0, 400, 59)
+        theta = truth.unflatten(truth.flatten() + 0.3 * rng.standard_normal(truth.dim))
+        resid = score_of(theta, pis, unit_sched, 1.0, X) - score_of(truth, pis, unit_sched, 1.0, X)
+        J = exact_jacobian(theta, pis, unit_sched, 1.0, X)
+        want = 2.0 * np.einsum("nd,ndp->p", resid, J) / X.shape[0]
+        loss, grad = loss_and_grad(theta, truth, pis, unit_sched, 1.0, X)
+        assert loss == float(np.mean(np.sum(resid ** 2, axis=-1)))
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want)), truth.dim
+
+
+def test_gradient_memory_bounded(unit_sched):
+    """No (n, d, p) Jacobian: one call's traced peak stays below 64 n (d + 1) L
+    bytes, about a fifth of the two (n, d, p) terms at p = 64."""
+    import tracemalloc
+
+    d, L, n = 8, 4, 5000
+    eye = np.eye(d)
+    truth = LatentParams(tuple(
+        (4.0 * eye[l], 0.5 * (eye[l] + eye[(l + d // 2) % d])[:, None]) for l in range(L)))
+    pis = np.full(L, 1.0 / L)
+    X = sample_noised(truth, pis, unit_sched, 1.0, n, 61)
+    theta = truth.unflatten(truth.flatten() + 0.05)
+    assert truth.dim == 64
+    tracemalloc.start()
+    try:
+        loss_and_grad(theta, truth, pis, unit_sched, 1.0, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n * (d + 1) * L, peak
 
 
 def test_init_near_radius_and_determinism():
@@ -176,6 +222,8 @@ def test_gd_config_validation():
         GDConfig(eta=-0.1)
     with pytest.raises(ValidationError):
         GDConfig(m_max=-1)
+    with pytest.raises(ValidationError):
+        GDConfig(tol=-1)
 
 
 def test_contraction_check_counts():
