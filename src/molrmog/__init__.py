@@ -40,7 +40,6 @@ from .objective import (
     estimation_gap_experiment,
     lipschitz_constants,
     make_theta_grid,
-    sm_pointwise,
 )
 from .calculus import (
     HessianReport,
@@ -53,7 +52,6 @@ from .calculus import (
     hessian_empirical,
     jacobian_exact_terms,
     jacobian_fd,
-    jacobian_simplified_sym,
     mmtop_eigs,
     overlap_analysis,
 )

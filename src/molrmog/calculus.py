@@ -14,9 +14,10 @@ Conventions fixed here and used everywhere:
     silently.  `_gram_moments` is the one reduction that builds H, for the
     Hessian report, the overlap analysis and the GD step size alike.
 
-There is one derivative code path, `_derivative_pass`.  It works on the free
-mixture the parameters define and makes one kernel pass over x, which yields
-the score, the responsibilities and each component's pieces of the Jacobian.
+There is one derivative code path, `_derivative_pass`.  It factors the kernel
+of the free mixture the parameters define once and makes one kernel pass over
+each row block of x, which yields the score, the responsibilities and each
+component's pieces of the Jacobian.
 `jacobian_terms` assembles those into the Jacobian split into a "self-cluster"
 part (term A: component responsibilities frozen) and a responsibility-
 derivative part (term B, proportional to the pairwise overlaps r_i r_j and
@@ -28,7 +29,8 @@ linear tie, J_mu = J_mu+ - J_mu- and J_U = J_U+ + J_U-, applied as block
 sums while the terms are assembled (`SymmetricParams.tie`), so it has no
 derivative code of its own.  The GD gradient sum_n J_n^T (residual)_n is the
 residual contraction of the same pieces (`residual_contraction`): it costs
-O(n d (d + r)) per component and never forms the (n, d, p) terms.
+O(n d (d + r)) per component, runs over row blocks so its temporaries stay
+bounded in n, and never forms the (n, d, p) terms.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from .score import (
     SymmetricParams,
     _as_factor,
     _batch,
+    _lower_solve,
+    from_model_subspace,
     latent_score,
     mixture_kernel,
     mixture_log_density,
@@ -57,6 +61,16 @@ from .score import (
 
 # responsibility products below this are treated as exactly zero overlap
 XI_FLOOR = 1e-300
+
+# numbers per temporary of a row-blocked reduction: a block of Jacobians
+# (rows d p), of per-sample products (rows p^2) or of what one kernel pass
+# allocates (rows (d L + d + L)), so memory is bounded in n and p
+BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(X: np.ndarray, width: int):
+    step = max(1, BLOCK_ELEMENTS // width)
+    return (X[i : i + step] for i in range(0, X.shape[0], step))
 
 
 # ---------------------------------------------------------------------------
@@ -129,32 +143,34 @@ def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
     return _pair_from_full(np.stack(cols, axis=-1), theta)
 
 
-def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
-    """One kernel pass over X: (s, score, r, pieces).
+def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, blocks):
+    """Kernel passes over row blocks (rows, d) of points, with the kernel of
+    the free mixture params define factored once for all of them: yields
+    (s, score, r, pieces) per block.
 
-    score is the (d, n) sum of r_l q_l, the negated score with the points on
-    the last axis, and r the (n, L) responsibilities of the free mixture.
-    pieces yields, per component, (sign, mu_cols, U_cols, q, rm, Sinv, c, V,
-    qU): the mean sign and the column slices of the block it is tied to;
-    q = Sigma^{-1} (x - s mu) and c = -r (q + score), both (d, n); its (n,)
-    responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1} U and qU = U^T q,
-    both None for a rank-0 factor.
+    score is the (d, rows) sum of r_l q_l, the negated score with the points
+    on the last axis, and r the (rows, L) responsibilities of the free
+    mixture.  pieces yields, per component, (sign, mu_cols, U_cols, q, rm,
+    Sinv, c, V, qU): the mean sign and the column slices of the block it is
+    tied to; q = Sigma^{-1} (x - s mu) and c = -r (q + score), both (d, rows);
+    its (rows,) responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1} U and
+    qU = U^T q, both None for a rank-0 factor.
     """
     free, weights = params.mixture(pis)
     s, _, _ = coefficients(sched, t)
-    Xb, _ = _batch(X, free.d)
     d = free.d
     kern = mixture_kernel(free, weights, sched, t)
-    qs, r, _ = kern.evaluate(Xb)
-    qs, w = qs.transpose(0, 2, 1), r.T  # (L, d, n) and (L, n)
-    score = qs[0] * w[0]
-    for q, wl in zip(qs[1:], w[1:]):
-        score += q * wl
     mu_end = np.cumsum([mu.size for mu, _ in params.blocks])
     U_end = mu_end[-1] + np.cumsum([U.size for _, U in params.blocks])
+    # per component, what no point changes: tie, column slices, Sinv, V and U
+    fixed = []
+    for m, ((_, U), (b, sign)) in enumerate(zip(free.components, params.tie)):
+        V = kern.solve(m, U.T).T if U.size else None  # Sigma_m^{-1} U_m, (d, r)
+        fixed.append((sign, slice(mu_end[b] - d, mu_end[b]),
+                      slice(U_end[b] - U.size, U_end[b]), kern.solve(m, np.eye(d)), V, U))
 
-    def pieces():
-        for m, ((_, U), (b, sign)) in enumerate(zip(free.components, params.tie)):
+    def pieces(qs, w):
+        for m, (sign, mu_cols, U_cols, Sinv, V, U) in enumerate(fixed):
             q, rm = qs[m], w[m]
             # q_m + score summed pairwise as sum_l r_l (q_m - q_l): it keeps
             # its relative accuracy where r_m r_l is far below 1
@@ -162,12 +178,16 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
             for l, ql in enumerate(qs):
                 if l != m:
                     dev += w[l] * (q - ql)
-            V = kern.solve(m, U.T).T if U.size else None  # Sigma_m^{-1} U_m, (d, r)
-            yield (sign, slice(mu_end[b] - d, mu_end[b]), slice(U_end[b] - U.size, U_end[b]),
-                   q, rm, kern.solve(m, np.eye(d)), (-rm) * dev, V,
+            yield (sign, mu_cols, U_cols, q, rm, Sinv, (-rm) * dev, V,
                    None if V is None else U.T @ q)
 
-    return s, score, r, pieces()
+    for Xb in blocks:
+        qs, r, _ = kern.evaluate(Xb)
+        qs, w = qs.transpose(0, 2, 1), r.T  # (L, d, rows) and (L, rows)
+        score = qs[0] * w[0]
+        for q, wl in zip(qs[1:], w[1:]):
+            score += q * wl
+        yield s, score, r, pieces(qs, w)
 
 
 def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
@@ -182,7 +202,7 @@ def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarra
     the mean columns signed.  They are built with the points on the last
     axis, so numpy's inner loops are long, and returned as transposed views.
     """
-    s, score, r, pieces = _derivative_pass(params, pis, sched, t, X)
+    (s, score, r, pieces), = _derivative_pass(params, pis, sched, t, [_batch(X, params.d)[0]])
     d, n = score.shape
     A = np.zeros((d, params.dim, n))
     B = np.zeros_like(A)
@@ -202,8 +222,9 @@ def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarra
 
 def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
                          X: np.ndarray, target: np.ndarray):
-    """One kernel pass over X: (resid, g) with resid = score - target, (n, d),
-    and g = sum_n J_n^T resid_n for the exact Jacobian J = A + B.
+    """Kernel passes over row blocks of X: (sq, g) with sq = sum_n |resid_n|^2,
+    resid = score - target, and g = sum_n J_n^T resid_n for the exact
+    Jacobian J = A + B.
 
     The contraction runs on the same per-component pieces as
     `jacobian_terms` and forms nothing of shape (n, d, p).  With R the (d, n)
@@ -211,19 +232,28 @@ def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
     sign s (Sigma^{-1} sum_n R_m + q e) to its mean columns and
     s^2 (qU (Sigma^{-1} R_m)^T + (V^T R_m + qU e) q^T - V^T sum_n e) to its
     factor columns, c-major like A's U block: O(n d (d + r)) per component.
+    Both sums run over row blocks sized by `BLOCK_ELEMENTS`, with one kernel
+    factored for all of them, so a call's temporaries stay that small
+    whatever n is; the sums are the single-block ones up to rounding.
     """
-    s, score, _, pieces = _derivative_pass(params, pis, sched, t, X)
-    resid = -score.T - target
-    R = resid.T
-    g = np.zeros(params.dim)
-    for sign, mu_cols, U_cols, q, rm, Sinv, c, V, qU in pieces:
-        Rm = R * rm
-        e = np.einsum("in,in->n", R, c)
-        g[mu_cols] += (sign * s) * (Sinv.T @ Rm.sum(axis=1) + q @ e)
-        if V is not None:
-            G = qU @ (Sinv.T @ Rm).T + (V.T @ Rm + qU * e) @ q.T - V.T * e.sum()
-            g[U_cols] += (s * s) * G.ravel()
-    return resid, g
+    Xb, _ = _batch(X, params.d)
+    # per point, one kernel pass allocates L residuals, rho and L log-joints
+    d, L = params.d, len(params.tie)
+    width = d * L + d + L
+    passes = _derivative_pass(params, pis, sched, t, _row_blocks(Xb, width))
+    sq, g = 0.0, np.zeros(params.dim)
+    for (s, score, _, pieces), T in zip(passes, _row_blocks(target, width)):
+        resid = -score.T - T
+        sq += np.sum(np.sum(resid ** 2, axis=-1))
+        R = resid.T
+        for sign, mu_cols, U_cols, q, rm, Sinv, c, V, qU in pieces:
+            Rm = R * rm
+            e = np.einsum("in,in->n", R, c)
+            g[mu_cols] += (sign * s) * (Sinv.T @ Rm.sum(axis=1) + q @ e)
+            if V is not None:
+                G = qU @ (Sinv.T @ Rm).T + (V.T @ Rm + qU * e) @ q.T - V.T * e.sum()
+                g[U_cols] += (s * s) * G.ravel()
+    return float(sq), g
 
 
 def exact_jacobian(params, pis, sched: DiffusionSchedule, t: float,
@@ -247,12 +277,6 @@ def jacobian_exact_terms(mu, U, sched: DiffusionSchedule, t: float,
     termA, termB = symmetric_exact_terms(mu, U, sched, t, x)
     p = SymmetricParams(mu=mu, U=U)
     return _pair_from_full(termA[0], p), _pair_from_full(termB[0], p)
-
-
-def jacobian_simplified_sym(mu, U, sched: DiffusionSchedule, t: float,
-                            x: np.ndarray) -> JacobianPair:
-    """Self-cluster (responsibilities-frozen) Jacobian of the tied score."""
-    return jacobian_exact_terms(mu, U, sched, t, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +313,6 @@ class HessianReport:
 def _mu_U_slices(params) -> tuple[slice, slice]:
     n_mu = sum(mu.size for mu, _ in params.blocks)
     return slice(0, n_mu), slice(n_mu, params.dim)
-
-
-# numbers per temporary of the Hessian reduction, a row block of Jacobians
-# (rows d p) or of per-sample products (rows p^2): memory is bounded in n and p
-BLOCK_ELEMENTS = 1 << 16
-
-
-def _row_blocks(X: np.ndarray, width: int):
-    step = max(1, BLOCK_ELEMENTS // width)
-    return (X[i : i + step] for i in range(0, X.shape[0], step))
 
 
 def _gram_moments(J_blocks, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -653,15 +667,11 @@ def equivalent_gaussian_error(sub: Subspace, sched: DiffusionSchedule, t: float,
     radii = np.linspace(0.0, probe_radius, n_radii + 1)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d) + eq.mu_bar
 
-    from .score import from_model_subspace
-
     params, pis = from_model_subspace(sub)
     log_p = mixture_log_density(params, pis, sched, t, pts)
     # Gaussian log-density of the moment match via a dense Cholesky
-    from scipy.linalg import solve_triangular
-
     cf = np.linalg.cholesky(eq.sigma_bar)
-    y = solve_triangular(cf, (pts - eq.mu_bar).T, lower=True).T
+    y = _lower_solve(cf, (pts - eq.mu_bar).T).T
     log_q = -0.5 * (d * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(cf)))
                     + np.sum(y * y, axis=1))
     err_max = float(np.max(np.abs(log_p - log_q)))

@@ -132,10 +132,13 @@ def _model_from(cfg: dict):
 
 def _num(block: dict, key: str, default, kind=float):
     """block[key] (default when absent) as a finite number of the given kind,
-    or as a list of them when the default is a list; an int takes no fraction."""
+    or as a list of them when the default is a list; an int takes no fraction,
+    and a JSON boolean is not a number."""
     value = block.get(key, default)
     raw = value if isinstance(default, list) else [value]
     try:
+        if any(isinstance(v, bool) for v in raw):
+            raise TypeError
         out = [kind(v) for v in raw]
         if not all(math.isfinite(o) and (o == v or type(v) is not float) for o, v in zip(out, raw)):
             raise ValueError

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .calculus import score_of
 from .errors import EmptyDataset, GridEmpty, TimeOutOfRange, ValidationError
@@ -43,12 +45,6 @@ def sm_errors(theta, truth, pis, sched: DiffusionSchedule, t: float,
     """Per-sample squared score gaps |s_theta(x) - s_truth(x)|^2."""
     diff = score_of(theta, pis, sched, t, X) - score_of(truth, pis, sched, t, X)
     return np.sum(np.atleast_2d(diff) ** 2, axis=-1)
-
-
-def sm_pointwise(theta, truth, pis, sched: DiffusionSchedule, t: float,
-                 x: np.ndarray) -> float:
-    """Squared score error at a single point."""
-    return float(sm_errors(theta, truth, pis, sched, t, np.asarray(x, float))[0])
 
 
 def empirical_loss(theta, truth, pis, sched: DiffusionSchedule, cfg: LossConfig,
@@ -164,18 +160,62 @@ def unflatten_theta_set(template, vec: np.ndarray):
     return tuple(out)
 
 
+# bits per Sobol coordinate, as scipy's default
+SOBOL_BITS = 30
+
+
+def scrambled_sobol(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the d-dimensional Sobol sequence with a linear
+    matrix scramble and a digital shift, bit for bit those of
+    `scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random(n)`.
+
+    Direction numbers are Joe & Kuo's (SIAM J. Sci. Comput. 2008), read from
+    the file scipy ships, so `scipy.stats` is never imported.  The scramble
+    is Matousek's (J. Complexity 1998): per coordinate a random lower-
+    triangular bit matrix with unit diagonal acts on each direction number,
+    most significant bit first; the random shift is the first point, and
+    point k is point k - 1 XOR the direction number indexed by the lowest
+    zero bit of k - 1 (the Gray-code walk)."""
+    with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as f:
+        vinit, poly = f["vinit"], f["poly"]
+    if d > len(poly):
+        raise ValidationError(f"a Sobol grid has at most {len(poly)} coordinates, got {d}")
+    v = np.ones((d, SOBOL_BITS), dtype=np.int64)
+    for row in range(1, d):
+        p = int(poly[row])
+        m = p.bit_length() - 1
+        col = [int(x) for x in vinit[row, :m]]
+        for j in range(m, SOBOL_BITS):
+            new = col[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= col[j - k - 1] << (k + 1)
+            col.append(new)
+        v[row] = col
+    msb = np.arange(SOBOL_BITS - 1, -1, -1)
+    v <<= msb
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) @ (
+        np.uint32(1) << np.arange(SOBOL_BITS, dtype=np.uint32))
+    ltm = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    ltm = ltm.astype(np.int64)
+    ltm[:, np.arange(SOBOL_BITS), np.arange(SOBOL_BITS)] = 1
+    bits = (v[:, :, None] >> msb) & 1  # bits of each v[c, j], most significant first
+    v = (((bits @ ltm.transpose(0, 2, 1)) & 1) << msb).sum(axis=2)
+    k = np.arange(1, n)
+    steps = np.vstack([shift[None].astype(np.int64), v.T[np.log2(k & -k).astype(np.intp)]])
+    return np.bitwise_xor.accumulate(steps, axis=0)[:n] * (1.0 / 2 ** SOBOL_BITS)
+
+
 def make_theta_grid(truth_set, half_width: float, count: int, seed: int):
-    """Scrambled-Sobol grid in the box of half-width around the truth; the
-    reported domain diameter C1 is measured from the realized points."""
+    """Scrambled-Sobol grid in the box of half-width around the truth (the
+    points of `qmc.Sobol(p, scramble=True, seed=seed)`, drawn by
+    `scrambled_sobol` without importing `scipy.stats`); the reported domain
+    diameter C1 is measured from the realized points."""
     if count < 1:
         raise GridEmpty("grid needs at least one point")
-    from scipy.stats import qmc
-
     center = flatten_theta_set(truth_set)
-    p = center.size
-    sob = qmc.Sobol(d=p, scramble=True, seed=seed)
-    pts = sob.random(count)
-    offsets = (2.0 * pts - 1.0) * half_width
+    offsets = (2.0 * scrambled_sobol(center.size, count, seed) - 1.0) * half_width
     return [unflatten_theta_set(truth_set, center + off) for off in offsets]
 
 

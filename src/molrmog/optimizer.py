@@ -79,16 +79,16 @@ def loss_and_grad(theta, truth, pis, sched: DiffusionSchedule, t: float,
                   data: np.ndarray, truth_score=None) -> tuple[float, np.ndarray]:
     """Empirical loss and its analytic gradient (2/n) sum J^T residual.
 
-    The residual and its contraction with the Jacobian come from one kernel
-    pass, without forming the (n, d, p) Jacobian.  truth_score, the truth's
-    score on data, is computed here when omitted.
+    The squared residual and its contraction with the Jacobian are summed
+    over row blocks of kernel passes, without forming the (n, d, p) Jacobian
+    or any other array that grows with n.  truth_score, the truth's score on
+    data, is computed here when omitted.
     """
     X = _check_data(data)
     if truth_score is None:
         truth_score = score_of(truth, pis, sched, t, X)
-    resid, g = residual_contraction(theta, pis, sched, t, X, truth_score)
-    loss = float(np.mean(np.sum(resid ** 2, axis=-1)))
-    return loss, 2.0 * g / X.shape[0]
+    sq, g = residual_contraction(theta, pis, sched, t, X, truth_score)
+    return sq / X.shape[0], 2.0 * g / X.shape[0]
 
 
 def init_near(truth, radius: float, rng):

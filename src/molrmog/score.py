@@ -281,14 +281,15 @@ class SymmetricParams(_FlatParams):
 
 
 def _lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """chol^{-1} b for a C-ordered lower Cholesky factor: the LAPACK call
-    `scipy.linalg.solve_triangular(chol, b, lower=True)` makes, as the upper
-    transposed system of the Fortran-ordered chol.T, without its validation."""
-    from scipy.linalg.lapack import dtrtrs
-
-    x, info = dtrtrs(chol.T, b, lower=0, trans=1)
-    if info:
-        raise np.linalg.LinAlgError(f"triangular solve failed, LAPACK info {info}")
+    """chol^{-1} b for a lower-triangular chol (r, r) and b (r, m), by forward
+    substitution over the r rows.  Each row is scaled by the reciprocal pivot,
+    as LAPACK's dtrtrs scales a row of two or more columns, so for r = 1 and
+    m >= 2 the result has the bits `scipy.linalg.solve_triangular` gives, and
+    otherwise it agrees with them to rounding error.  r is a factor rank, so
+    the loop is short."""
+    x = np.empty(b.shape)
+    for i in range(len(chol)):
+        x[i] = (b[i] - chol[i, :i] @ x[:i]) * (1.0 / chol[i, i])
     return x
 
 

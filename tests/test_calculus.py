@@ -13,7 +13,6 @@ from molrmog.calculus import (
     hessian_from_samples,
     jacobian_exact_terms,
     jacobian_fd,
-    jacobian_simplified_sym,
     jacobian_terms,
     mmtop_eigs,
     overlap_analysis,
@@ -88,7 +87,7 @@ def test_exact_terms_sum_and_blocks(unit_sched):
     termA, termB = jacobian_exact_terms(p.mu, p.U, unit_sched, 1.0, x)
     full = termA.full + termB.full
     assert full == pytest.approx(jacobian_fd(p, None, unit_sched, 1.0, x).full, abs=5e-7)
-    simp = jacobian_simplified_sym(p.mu, p.U, unit_sched, 1.0, x)
+    simp = jacobian_exact_terms(p.mu, p.U, unit_sched, 1.0, x)[0]
     assert np.array_equal(simp.full, termA.full)
     # block shapes: one mean block (d, d) and one factor block (d, d*r)
     assert termA.J_mu[0].shape == (2, 2)
@@ -104,7 +103,7 @@ def test_simplified_jacobian_accurate_when_modes_separate(unit_sched):
         mu = np.array([gap / 2, 0.0])
         x = mu + np.array([1.0, 0.3])  # one noise unit off the + mode
         exact = exact_jacobian(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, x)[0]
-        simp = jacobian_simplified_sym(mu, U, unit_sched, 1.0, x).full
+        simp = jacobian_exact_terms(mu, U, unit_sched, 1.0, x)[0].full
         errs.append(np.max(np.abs(exact - simp)))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-8

@@ -193,6 +193,29 @@ def test_import_loads_no_scipy_submodules():
     assert res.stdout.strip() == ""
 
 
+def test_subcommands_load_no_scipy_submodules(tmp_path):
+    """All eight subcommands on configs/example.json, at small sizes, in one
+    fresh interpreter: none of them loads a scipy submodule."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    config = os.path.join(root, "configs", "example.json")
+    sizes = ["estimation.trials=1", "estimation.n_mc=2048", "estimation.grid=4",
+             "estimation.n_schedule=[128,256]", "sampler.n=500", "sampler.steps=10",
+             "train.n=2000", "hessian.n_mc=2000", "overlap.n_mc=2000"]
+    code = ("import sys\n"
+            "from molrmog.cli import SUBCOMMANDS, run\n"
+            f"print([run(sub, {config!r}, {sizes!r}, out_dir={str(tmp_path)!r}) "
+            "for sub in SUBCOMMANDS])\n"
+            "print(','.join(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
+            "if m in sys.modules))")
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    codes, loaded = res.stdout.splitlines()
+    assert codes == str([0] * 8)
+    assert loaded == ""
+
+
 def test_override_changes_behavior(cfg_path, tmp_path):
     out = tmp_path / "out"
     code = run("gen", cfg_path, overrides=["gen.n=7"], out_dir=str(out))
@@ -302,6 +325,10 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("gen", "gen=3"),
     ("train", "train.m_max=2.5"),
     ("train", "train.tol=-1"),
+    ("train", "train.m_max=true"),
+    ("gen", "gen.n=true"),
+    ("estimation", "estimation.t=false"),
+    ("estimation", "estimation.n_schedule=[64,true]"),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2

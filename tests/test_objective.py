@@ -12,8 +12,9 @@ from molrmog.objective import (
     flatten_theta_set,
     lipschitz_constants,
     make_theta_grid,
-    sm_pointwise,
     estimation_gap_bound,
+    scrambled_sobol,
+    sm_errors,
     stacked_errors,
     unflatten_theta_set,
 )
@@ -51,7 +52,7 @@ def test_loss_zero_at_truth_and_positive_away(unit_sched):
     assert empirical_loss(truth, truth, pis, unit_sched, cfg, X) == 0.0
     theta = truth.unflatten(truth.flatten() + 0.2)
     assert empirical_loss(theta, truth, pis, unit_sched, cfg, X) > 0
-    assert sm_pointwise(theta, truth, pis, unit_sched, 0.5, X[0]) > 0
+    assert sm_errors(theta, truth, pis, unit_sched, 0.5, X[0])[0] > 0
     with pytest.raises(EmptyDataset):
         empirical_loss(theta, truth, pis, unit_sched, cfg, np.zeros((0, 2)))
 
@@ -152,6 +153,18 @@ def test_theta_grid_shape_and_bounds():
     assert np.array_equal(flatten_theta_set(grid[3]), flatten_theta_set(again[3]))
     with pytest.raises(GridEmpty):
         make_theta_grid((truth,), 0.25, 0, 0)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize("d", [1, 2, 8, 16, 40])
+def test_scrambled_sobol_equals_scipy(d):
+    """The numpy port draws scipy's scrambled Sobol points bit for bit."""
+    from scipy.stats import qmc
+
+    for seed in (0, 3, 20260823):
+        for n in (1, 3, 32, 64):
+            want = qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+            assert np.array_equal(scrambled_sobol(d, n, seed), want), (seed, n)
 
 
 def test_flatten_theta_set_roundtrip():

@@ -6,6 +6,7 @@ from conftest import dense_gaussian_logpdf, fd_gradient
 from molrmog.errors import DimensionMismatch, SingularNoise
 from molrmog.model import MoGComponent, Subspace, random_orthonormal, MoLRMoGModel
 from molrmog.score import (
+    _lower_solve,
     LatentParams,
     NoisedComponentView,
     NoisedMixture,
@@ -297,3 +298,19 @@ def test_successive_passes_return_independent_arrays(vp_sched):
         for a, b, c in zip(first, kept, second):
             assert np.array_equal(a, b)
             assert not np.array_equal(a, c)
+
+
+def test_lower_solve_matches_scipy_triangular_solve():
+    """The numpy forward substitution against LAPACK's, through scipy, for
+    factor ranks 1 to 6; rank 0 gives an empty solve."""
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(23)
+    for r in range(1, 7):
+        for d in (1, 2, 5, 9):
+            U = rng.standard_normal((d, r))
+            chol = np.linalg.cholesky(0.3 * np.eye(r) + 0.8 * (U.T @ U))
+            want = solve_triangular(chol, U.T, lower=True)
+            got = _lower_solve(chol, U.T)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (r, d)
+    assert _lower_solve(np.zeros((0, 0)), np.zeros((0, 4))).shape == (0, 4)
