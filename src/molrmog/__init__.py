@@ -6,7 +6,6 @@ from .schedule import DiffusionSchedule, ScheduleKind, coefficients, make_schedu
 from .model import (
     EquivalentGaussian,
     LabeledDataset,
-    LabeledSample,
     MoGComponent,
     MoLRMoGModel,
     Subspace,
@@ -20,13 +19,10 @@ from .model import (
 )
 from .score import (
     LatentParams,
-    NoisedComponentView,
     SymmetricParams,
     ambient_score,
     conditional_score,
-    delta_vec,
     latent_score,
-    log_density,
     responsibilities,
     symmetric_score,
 )

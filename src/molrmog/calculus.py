@@ -5,7 +5,8 @@ Conventions fixed here and used everywhere:
   * Flatten order of theta is the one `LatentParams` and `SymmetricParams`
     share: the means of every block first, then every covariance factor,
     block-major, U column-major.  A free mixture has one block per
-    component; the tied two-mode form has the single block (mu, U).
+    component; the tied two-mode form has the single block (mu, U).  Each
+    block's (mean, factor) column slices come from `_FlatParams.columns`.
   * A Jacobian J(x) is d x p: row i is the derivative of score coordinate i
     with respect to the flattened theta.  Batched forms are (n, d, p).
   * H = E[J^T J] over x from the noised mixture at theta (p x p, PSD).  The
@@ -45,12 +46,11 @@ from .errors import (
     RankNotOne,
     SingleComponent,
 )
-from .model import Subspace, moment_match
+from .model import Subspace, _as_factor, moment_match
 from .schedule import DiffusionSchedule, coefficients
 from .score import (
     LatentParams,
     SymmetricParams,
-    _as_factor,
     _batch,
     _lower_solve,
     from_model_subspace,
@@ -84,6 +84,8 @@ def score_of(params, pis, sched: DiffusionSchedule, t: float, x: np.ndarray) -> 
 
 def sample_noised(params, pis, sched: DiffusionSchedule, t: float, n: int, rng) -> np.ndarray:
     """Draw n latent points from the noised mixture defined by params."""
+    if n < 1:
+        raise EmptyDataset(f"need at least one sample, got n = {n}")
     rng = np.random.default_rng(rng)
     s, _, gamma = coefficients(sched, t)
     params, pis = params.mixture(pis)
@@ -116,14 +118,9 @@ class JacobianPair:
 
 
 def _pair_from_full(full: np.ndarray, params) -> JacobianPair:
-    j_mu, j_u, pos = [], [], 0
-    for mu, _ in params.blocks:
-        j_mu.append(full[:, pos : pos + mu.size])
-        pos += mu.size
-    for _, U in params.blocks:
-        j_u.append(full[:, pos : pos + U.size])
-        pos += U.size
-    return JacobianPair(J_mu=tuple(j_mu), J_U=tuple(j_u))
+    cols = params.columns
+    return JacobianPair(J_mu=tuple(full[:, m] for m, _ in cols),
+                        J_U=tuple(full[:, u] for _, u in cols))
 
 
 def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
@@ -160,14 +157,12 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, blocks):
     s, _, _ = coefficients(sched, t)
     d = free.d
     kern = mixture_kernel(free, weights, sched, t)
-    mu_end = np.cumsum([mu.size for mu, _ in params.blocks])
-    U_end = mu_end[-1] + np.cumsum([U.size for _, U in params.blocks])
+    cols = params.columns
     # per component, what no point changes: tie, column slices, Sinv, V and U
     fixed = []
     for m, ((_, U), (b, sign)) in enumerate(zip(free.components, params.tie)):
         V = kern.solve(m, U.T).T if U.size else None  # Sigma_m^{-1} U_m, (d, r)
-        fixed.append((sign, slice(mu_end[b] - d, mu_end[b]),
-                      slice(U_end[b] - U.size, U_end[b]), kern.solve(m, np.eye(d)), V, U))
+        fixed.append((sign, *cols[b], kern.solve(m, np.eye(d)), V, U))
 
     def pieces(qs, w):
         for m, (sign, mu_cols, U_cols, Sinv, V, U) in enumerate(fixed):
@@ -264,18 +259,11 @@ def exact_jacobian(params, pis, sched: DiffusionSchedule, t: float,
     return J
 
 
-def symmetric_exact_terms(mu, U, sched: DiffusionSchedule, t: float,
-                          X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (termA, termB) for the tied two-mode score, each (n, d, p)."""
-    _, _, termA, termB = jacobian_terms(SymmetricParams(mu=mu, U=U), None, sched, t, X)
-    return termA, termB
-
-
 def jacobian_exact_terms(mu, U, sched: DiffusionSchedule, t: float,
                          x: np.ndarray) -> tuple[JacobianPair, JacobianPair]:
     """Exact tied two-mode Jacobian split at one point; A + B matches FD."""
-    termA, termB = symmetric_exact_terms(mu, U, sched, t, x)
     p = SymmetricParams(mu=mu, U=U)
+    _, _, termA, termB = jacobian_terms(p, None, sched, t, x)
     return _pair_from_full(termA[0], p), _pair_from_full(termB[0], p)
 
 
@@ -311,7 +299,7 @@ class HessianReport:
 
 
 def _mu_U_slices(params) -> tuple[slice, slice]:
-    n_mu = sum(mu.size for mu, _ in params.blocks)
+    n_mu = params.columns[0][1].start
     return slice(0, n_mu), slice(n_mu, params.dim)
 
 
@@ -541,13 +529,9 @@ def constants_CprimeCtilde(params, pis, sched: DiffusionSchedule, t: float,
 
 def _component_block_slices(params) -> list[np.ndarray]:
     """Index groups whose cross blocks are zeroed to form H_diag."""
-    mu_sl, U_sl = _mu_U_slices(params)
     if isinstance(params, SymmetricParams):
-        return [np.arange(mu_sl.start, mu_sl.stop), np.arange(U_sl.start, U_sl.stop)]
-    mu_end = np.cumsum([mu.size for mu, _ in params.components])
-    U_end = mu_sl.stop + np.cumsum([U.size for _, U in params.components])
-    return [np.r_[me - mu.size : me, ue - U.size : ue]
-            for (mu, U), me, ue in zip(params.components, mu_end, U_end)]
+        return [np.r_[sl] for sl in _mu_U_slices(params)]
+    return [np.r_[m, u] for m, u in params.columns]
 
 
 def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,

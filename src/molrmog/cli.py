@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -34,7 +33,8 @@ from .errors import (
     UnknownSubcommand,
     ValidationError,
 )
-from .model import build_model, component_weights, forward_noise, mixture_moments, sample_data
+from .model import (ambient_components, as_numbers, build_model, forward_noise, mixture_moments,
+                    sample_data)
 from .objective import (
     estimation_gap_experiment,
     make_theta_grid,
@@ -118,10 +118,11 @@ def _block(cfg: dict, key: str) -> dict:
 def _schedule_from(cfg: dict):
     block = _block(cfg, "schedule")
     kind = block.get("kind", "constant_drift")
-    rate = block.get("g0") if kind == "constant_drift" else block.get("beta")
-    if rate is None:
+    rate = "g0" if kind == "constant_drift" else "beta"
+    if rate not in block:
         raise ConfigParseError(f"schedule block missing rate for kind {kind!r}")
-    return make_schedule(kind, rate, block.get("t_min", 0.01), block.get("t_max", 1.0))
+    return make_schedule(kind, _num(block, rate, None), _num(block, "t_min", 0.01),
+                         _num(block, "t_max", 1.0))
 
 
 def _model_from(cfg: dict):
@@ -137,10 +138,9 @@ def _num(block: dict, key: str, default, kind=float):
     value = block.get(key, default)
     raw = value if isinstance(default, list) else [value]
     try:
-        if any(isinstance(v, bool) for v in raw):
-            raise TypeError
+        as_numbers(raw)
         out = [kind(v) for v in raw]
-        if not all(math.isfinite(o) and (o == v or type(v) is not float) for o, v in zip(out, raw)):
+        if not all(o == v or type(v) is not float for o, v in zip(out, raw)):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigParseError(f"{key} must be a finite {kind.__name__}, got {value!r}") from None
@@ -152,10 +152,10 @@ def _params_from(cfg_block: dict, model):
     if "symmetric" in cfg_block:
         sym = cfg_block["symmetric"]
         try:
-            return SymmetricParams(mu=np.asarray(sym["mu"], float),
-                                   U=np.asarray(sym["U"], float)), None
+            return SymmetricParams(mu=as_numbers(sym["mu"]), U=as_numbers(sym["U"])), None
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigParseError(f"symmetric block needs numeric mu and U: {exc!r}") from None
+            raise ConfigParseError(f"symmetric block needs finite numeric mu and U: "
+                                   f"{exc!r}") from None
     k = _num(cfg_block, "subspace", 0, int)
     if not 0 <= k < len(model.subspaces):
         raise ConfigParseError(f"subspace {k} out of range for {len(model.subspaces)} subspaces")
@@ -198,9 +198,10 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
     if not h > 0:
         raise ConfigParseError(f"score_check.h must be positive, got {h!r}")
     times = _num(block, "times", [sched.t_min, 0.5 * (sched.t_min + sched.t_max), sched.t_max])
+    if not times:
+        raise ConfigParseError("score_check.times must name at least one time")
     rng = np.random.default_rng(seed)
     rows = []
-    max_err = 0.0
     for t in times:
         clean = sample_data(model, n_points, rng)
         X = forward_noise(clean.x, sched, t, rng)
@@ -208,9 +209,7 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
             ambient_score(model, sched, t, X),
             lambda P: np.asarray(ambient_log_density(model, sched, t, P)),
             X, h)
-        for i, e in enumerate(errs):
-            rows.append(["ambient", t, i, float(e)])
-        max_err = float(np.maximum(max_err, np.max(errs)))
+        rows += [["ambient", t, i, float(e)] for i, e in enumerate(errs)]
         for k, sub in enumerate(model.subspaces):
             params, pis = from_model_subspace(sub)
             Z = sample_noised(params, pis, sched, t, n_points, rng)
@@ -219,11 +218,11 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
                 lambda P, pa=params, pi=pis, tt=t: np.asarray(
                     mixture_log_density(pa, pi, sched, tt, P)),
                 Z, h)
-            for i, e in enumerate(errs):
-                rows.append([f"latent_k{k}", t, i, float(e)])
-            max_err = float(np.maximum(max_err, np.max(errs)))
+            rows += [[f"latent_k{k}", t, i, float(e)] for i, e in enumerate(errs)]
     write_csv(out / "score_fd_errors.csv", ["kind", "t", "index", "rel_err"], rows)
-    write_json(out / "score_check_summary.json", {"max_rel_err": max_err, "h": h})
+    # np.max, unlike Python's max, lets a NaN error through to the summary
+    write_json(out / "score_check_summary.json",
+               {"max_rel_err": float(np.max([row[3] for row in rows])), "h": h})
     return ["score_fd_errors.csv", "score_check_summary.json"]
 
 
@@ -323,10 +322,8 @@ def cmd_train(cfg, seed, out: Path) -> list[str]:
 
 def _ambient_moment_init(model, sched, n, rng):
     """Draws from the Gaussian matching the ambient mixture at t_max."""
-    flat = component_weights(model)
-    comps = [(model.subspaces[k].A, model.subspaces[k].components[l]) for k, l, _ in flat]
-    eq = mixture_moments([A @ c.mu for A, c in comps], [A @ c.U for A, c in comps],
-                         [w for _, _, w in flat], sched.s(sched.t_max), sched.gamma(sched.t_max))
+    eq = mixture_moments(*ambient_components(model), sched.s(sched.t_max),
+                         sched.gamma(sched.t_max))
     cf = np.linalg.cholesky(eq.sigma_bar + 1e-12 * np.eye(model.D))
     return eq.mu_bar + rng.standard_normal((n, model.D)) @ cf.T
 
@@ -354,59 +351,40 @@ def cmd_sample(cfg, seed, out: Path) -> list[str]:
     return ["samples.csv", "quality.json"]
 
 
+# per artifact summary: the text of its report line and the verdict on it,
+# None where there is nothing to check
+REPORT_CHECKS = {
+    "score_check_summary.json": lambda s: (
+        f"score FD check: max rel err {s['max_rel_err']:.3e} (threshold 1e-5)",
+        s["max_rel_err"] <= 1e-5),
+    "estimation_summary.json": lambda s: (
+        f"estimation slope {s['slope']:.3f} vs -0.5 +/- 0.1", abs(s["slope"] + 0.5) <= 0.1),
+    "hessian_summary.json": lambda s: (
+        (f"lambda_min(H) {s['lambda_min_H']:.4f} vs 0.8*alpha {0.8 * s['alpha_formula']:.4f}",
+         s["lambda_min_H"] >= 0.8 * s["alpha_formula"])
+        if s.get("alpha_formula")
+        else (f"lambda_min(H) {s['lambda_min_H']:.4f} (no closed-form alpha)", None)),
+    "overlap_summary.json": lambda s: (
+        f"Weyl gap {s['weyl_gap']:.3e} >= 0", s["weyl_gap"] >= -1e-8),
+    "train_summary.json": lambda s: (
+        f"contraction fraction {s.get('contraction_fraction', 0.0):.3f} vs rho+0.05 "
+        f"(rho {s['rho_bound']:.3f})", s.get("contraction_fraction", 0.0) >= 0.95),
+    "quality.json": lambda s: (
+        f"sampler max weight err {s['max_weight_err']:.4f} vs 0.01",
+        s["max_weight_err"] <= 0.01),
+}
+
+
 def cmd_report(cfg, seed, out: Path) -> list[str]:
-    lines = ["# run report", ""]
-    found = False
-
-    def load(name):
-        p = out / name
-        if p.is_file():
-            return json.loads(p.read_text(encoding="utf-8"))
-        return None
-
-    sc = load("score_check_summary.json")
-    if sc is not None:
-        found = True
-        ok = sc["max_rel_err"] <= 1e-5
-        lines.append(f"- score FD check: max rel err {sc['max_rel_err']:.3e} "
-                     f"(threshold 1e-5): {'PASS' if ok else 'FAIL'}")
-    est = load("estimation_summary.json")
-    if est is not None:
-        found = True
-        ok = abs(est["slope"] + 0.5) <= 0.1
-        lines.append(f"- estimation slope {est['slope']:.3f} vs -0.5 +/- 0.1: "
-                     f"{'PASS' if ok else 'FAIL'}")
-    hes = load("hessian_summary.json")
-    if hes is not None:
-        found = True
-        alpha = hes.get("alpha_formula")
-        if alpha:
-            ok = hes["lambda_min_H"] >= 0.8 * alpha
-            lines.append(f"- lambda_min(H) {hes['lambda_min_H']:.4f} vs 0.8*alpha "
-                         f"{0.8 * alpha:.4f}: {'PASS' if ok else 'FAIL'}")
-        else:
-            lines.append(f"- lambda_min(H) {hes['lambda_min_H']:.4f} (no closed-form alpha)")
-    ov = load("overlap_summary.json")
-    if ov is not None:
-        found = True
-        ok = ov["weyl_gap"] >= -1e-8
-        lines.append(f"- Weyl gap {ov['weyl_gap']:.3e} >= 0: {'PASS' if ok else 'FAIL'}")
-    tr = load("train_summary.json")
-    if tr is not None:
-        found = True
-        frac = tr.get("contraction_fraction", 0.0)
-        ok = frac >= 0.95
-        lines.append(f"- contraction fraction {frac:.3f} vs rho+0.05 "
-                     f"(rho {tr['rho_bound']:.3f}): {'PASS' if ok else 'FAIL'}")
-    qu = load("quality.json")
-    if qu is not None:
-        found = True
-        ok = qu["max_weight_err"] <= 0.01
-        lines.append(f"- sampler max weight err {qu['max_weight_err']:.4f} "
-                     f"vs 0.01: {'PASS' if ok else 'FAIL'}")
-    if not found:
+    lines = []
+    for name, check in REPORT_CHECKS.items():
+        if (out / name).is_file():
+            text, ok = check(json.loads((out / name).read_text(encoding="utf-8")))
+            lines.append(f"- {text}" + ("" if ok is None else f": {'PASS' if ok else 'FAIL'}"))
+    if not lines:
         raise NoArtifactsFound(f"no artifact summaries under {out}")
-    (out / "report.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "report.md").write_text("\n".join(["# run report", ""] + lines) + "\n",
+                                   encoding="utf-8")
     return ["report.md"]
 
 
@@ -434,6 +412,8 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
             apply_override(cfg, assignment)
         if seed is None:
             seed = _num(cfg, "seed", 0, int)
+        if seed < 0:
+            raise ConfigParseError(f"seed must be non-negative, got {seed}")
         out = Path(out_dir if out_dir is not None else cfg.get("out_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
         manifest = {

@@ -26,7 +26,12 @@ from .errors import (
 from .schedule import DiffusionSchedule, coefficients
 
 ORTHO_TOL = 1e-10
-WEIGHT_TOL = 1e-12
+
+
+def _as_factor(U) -> np.ndarray:
+    """U as a float array, a vector read as a single factor column."""
+    U = np.asarray(U, dtype=float)
+    return U[:, None] if U.ndim == 1 else U
 
 
 @dataclass(frozen=True)
@@ -37,10 +42,12 @@ class MoGComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        U = np.asarray(self.U, dtype=float)
-        if U.ndim == 1:
-            U = U[:, None]
-        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "U", _as_factor(self.U))
+        if self.mu.ndim != 1 or self.U.ndim != 2:
+            raise DimensionMismatch(f"need a mean vector and a factor matrix, got shapes "
+                                    f"{self.mu.shape} and {self.U.shape}")
+        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.U))):
+            raise ValidationError("component mean and factor must be finite")
         d = self.mu.shape[0]
         if self.U.shape[0] != d:
             raise DimensionMismatch(f"U has {self.U.shape[0]} rows, mu has length {d}")
@@ -58,9 +65,12 @@ class Subspace:
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "components", tuple(self.components))
+        if self.A.ndim != 2:
+            raise DimensionMismatch(f"basis A must be a matrix, got {self.A.ndim}-D")
         d = self.A.shape[1]
         gram = self.A.T @ self.A
-        if np.max(np.abs(gram - np.eye(d))) > ORTHO_TOL:
+        # written so that a NaN deviation fails it too
+        if not np.max(np.abs(gram - np.eye(d)), initial=0.0) <= ORTHO_TOL:
             raise NonOrthonormalBasis("A^T A deviates from identity beyond 1e-10")
         total = sum(c.pi for c in self.components)
         if abs(total - 1.0) > 1e-9:
@@ -96,14 +106,6 @@ class MoLRMoGModel:
         return len(self.subspaces)
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    x: np.ndarray
-    x_latent: np.ndarray
-    k: int
-    l: int
-
-
 @dataclass
 class LabeledDataset:
     """Column-oriented store of labeled draws; vector friendly at large n."""
@@ -114,15 +116,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def sample(self, model: MoLRMoGModel, i: int) -> LabeledSample:
-        ki = int(self.k[i])
-        return LabeledSample(
-            x=self.x[i],
-            x_latent=model.subspaces[ki].A.T @ self.x[i],
-            k=ki,
-            l=int(self.l[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -139,6 +132,25 @@ def random_orthonormal(D: int, d: int, seed: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
+def _refuse_bool(value):
+    """value, or TypeError if it is or holds a boolean: Python reads a JSON
+    true as the number 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    for v in value if isinstance(value, list) else ():
+        _refuse_bool(v)
+    return value
+
+
+def as_numbers(value) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array; TypeError
+    for a boolean anywhere in it and ValueError for a non-finite entry."""
+    out = np.asarray(_refuse_bool(value), dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"non-finite entry in {value!r}")
+    return out
+
+
 def build_model(spec: dict) -> MoLRMoGModel:
     """Build a model from a plain-dict description (the JSON config shape).
 
@@ -146,7 +158,7 @@ def build_model(spec: dict) -> MoLRMoGModel:
             "components": [{"pi": num, "mu": [..], "U": [[..]]}]}]}
     """
     try:
-        D = int(spec["D"])
+        D = int(_refuse_bool(spec["D"]))
         sub_specs = list(spec["subspaces"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"model spec missing or malformed field: {exc}") from exc
@@ -154,14 +166,15 @@ def build_model(spec: dict) -> MoLRMoGModel:
     for i, ss in enumerate(sub_specs):
         try:
             comps = tuple(
-                MoGComponent(pi=float(c["pi"]), mu=np.asarray(c["mu"], dtype=float),
-                             U=np.asarray(c["U"], dtype=float))
+                MoGComponent(pi=float(_refuse_bool(c["pi"])), mu=as_numbers(c["mu"]),
+                             U=as_numbers(c["U"]))
                 for c in ss["components"]
             )
             if "A" in ss:
-                A = np.asarray(ss["A"], dtype=float)
+                A = as_numbers(ss["A"])
             else:
-                A = random_orthonormal(D, int(ss["d"]), int(ss["A_seed"]))
+                A = random_orthonormal(D, int(_refuse_bool(ss["d"])),
+                                       int(_refuse_bool(ss["A_seed"])))
         except KeyError as exc:
             raise ValidationError(f"model subspace {i} is missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -179,6 +192,17 @@ def component_weights(model: MoLRMoGModel) -> list[tuple[int, int, float]]:
         for l, comp in enumerate(sub.components):
             out.append((k, l, comp.pi / K))
     return out
+
+
+def ambient_components(model: MoLRMoGModel) -> tuple[list, list, list]:
+    """The flat (k, l) components of the ambient mixture in `component_weights`
+    order: means A mu, low-rank factors A U and weights pi_l / K."""
+    means, factors = [], []
+    for sub in model.subspaces:
+        for comp in sub.components:
+            means.append(sub.A @ comp.mu)
+            factors.append(sub.A @ comp.U)
+    return means, factors, [w for _, _, w in component_weights(model)]
 
 
 def sample_data(model: MoLRMoGModel, n: int, rng) -> LabeledDataset:

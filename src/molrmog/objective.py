@@ -28,7 +28,6 @@ from .score import LatentParams, conditional_score, from_model_subspace, mixture
 class LossConfig:
     t: float | None = None  # fixed evaluation time
     grid_count: int | None = None  # or a uniform time grid over [t_min, t_max]
-    n_mc: int = 1_000_000  # population-loss Monte Carlo budget
 
     def times(self, sched: DiffusionSchedule) -> np.ndarray:
         if self.t is not None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NaNDetected, ValidationError
-from .model import MoLRMoGModel, component_weights
+from .model import MoLRMoGModel, ambient_components, component_weights
 from .schedule import DiffusionSchedule
 from .score import ambient_responsibilities, ambient_score
 
@@ -120,13 +120,11 @@ def sample_quality(samples: np.ndarray, model: MoLRMoGModel,
     s = sched.s(t_min)
     gamma = sched.gamma(t_min)
     rows = []
-    for ci, (k, l, w) in enumerate(component_weights(model)):
-        sub = model.subspaces[k]
-        comp = sub.components[l]
+    flat = zip(component_weights(model), *ambient_components(model)[:2])
+    for ci, ((k, l, w), mean, W) in enumerate(flat):
         pts = samples[assign == ci]
         weight_emp = pts.shape[0] / samples.shape[0]
-        mean_true = s * (sub.A @ comp.mu)
-        W = sub.A @ comp.U
+        mean_true = s * mean
         cov_true = (s * s) * W @ W.T + (gamma * gamma) * np.eye(model.D)
         if pts.shape[0] >= 2:
             mean_err = float(np.linalg.norm(pts.mean(axis=0) - mean_true))

@@ -94,7 +94,14 @@ def make_schedule(
         raise InvalidScheduleParams(f"t_min must be positive, got {t_min}")
     if not (t_min < t_max):
         raise InvalidScheduleParams(f"need t_min < t_max, got {t_min} >= {t_max}")
-    return DiffusionSchedule(kind=kind, rate=rate, t_min=t_min, t_max=t_max)
+    sched = DiffusionSchedule(kind=kind, rate=rate, t_min=t_min, t_max=t_max)
+    try:
+        sigma_max = sched.sigma(t_max)
+    except OverflowError:
+        sigma_max = math.inf
+    if not math.isfinite(sigma_max):
+        raise InvalidScheduleParams(f"sigma(t_max) overflows for rate {rate} and t_max {t_max}")
+    return sched
 
 
 def coefficients(sched: DiffusionSchedule, t: float) -> tuple[float, float, float]:

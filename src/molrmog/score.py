@@ -20,8 +20,8 @@ follow from them.  The pass works in place in one (d, n) scratch array
 shared by all components and in the residual array it returns, and for
 rank-one factors it forms W_l^T (W_l rho) as a broadcast product, which is
 exact, instead of a k = 1 matrix product.  The latent, ambient (means A mu,
-factors A U), tied two-mode and single-component functions below are thin
-wrappers over the kernel.  Every function accepts a single point (d,) or a
+factors A U) and tied two-mode functions below are thin wrappers over the
+kernel; a single component is the kernel with one component of weight 1.  Every function accepts a single point (d,) or a
 batch (n, d) and returns a matching shape.
 """
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularNoise
-from .model import MoLRMoGModel, component_weights
+from .model import MoLRMoGModel, _as_factor, ambient_components
 from .schedule import DiffusionSchedule, coefficients
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -148,32 +148,6 @@ class NoisedMixture:
         return float(out[0]) if single else out
 
 
-@dataclass(frozen=True)
-class NoisedComponentView:
-    """One mixture component pushed through the forward process to time t."""
-
-    s: float
-    gamma: float
-    mu: np.ndarray
-    U: np.ndarray
-
-    def kernel(self) -> NoisedMixture:
-        return NoisedMixture([self.mu], [self.U], [1.0], self.s, self.gamma)
-
-
-def log_density(view: NoisedComponentView, x: np.ndarray) -> np.ndarray | float:
-    """log N(x; s mu, s^2 U U^T + gamma^2 I) via the low-rank route."""
-    return view.kernel().log_density(x)
-
-
-def delta_vec(view: NoisedComponentView, x: np.ndarray) -> np.ndarray:
-    """Whitened residual gamma^2 Sigma^{-1} (x - s mu)."""
-    kern = view.kernel()
-    xb, single = _batch(x, kern.d)
-    out = kern.g2 * kern.solve(0, xb - kern.centers[0])
-    return out[0] if single else out
-
-
 class _FlatParams:
     """Flatten order shared by both parameterizations: the means of every
     block first, then every factor, block-major, each U raveled column-major."""
@@ -191,18 +165,21 @@ class _FlatParams:
         us = [U.ravel(order="F") for _, U in self.blocks]
         return np.concatenate(mus + us)
 
+    @property
+    def columns(self) -> list[tuple[slice, slice]]:
+        """(mean columns, factor columns) of each block in the flat layout."""
+        out, m, u = [], 0, sum(mu.size for mu, _ in self.blocks)
+        for mu, U in self.blocks:
+            out.append((slice(m, m + mu.size), slice(u, u + U.size)))
+            m, u = m + mu.size, u + U.size
+        return out
+
     def _split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.dim,):
             raise DimensionMismatch(f"expected flat vector of length {self.dim}")
-        mus, us, pos = [], [], 0
-        for mu, _ in self.blocks:
-            mus.append(vec[pos : pos + mu.size])
-            pos += mu.size
-        for _, U in self.blocks:
-            us.append(vec[pos : pos + U.size].reshape(U.shape, order="F"))
-            pos += U.size
-        return list(zip(mus, us))
+        return [(vec[m], vec[u].reshape(U.shape, order="F"))
+                for (m, u), (_, U) in zip(self.columns, self.blocks)]
 
 
 @dataclass(frozen=True)
@@ -253,25 +230,21 @@ class SymmetricParams(_FlatParams):
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
         object.__setattr__(self, "U", _as_factor(self.U))
-        if self.U.shape[0] != self.mu.shape[0]:
-            raise DimensionMismatch("U rows differ from mu length")
+        if self.mu.ndim != 1 or self.U.ndim != 2 or self.U.shape[0] != len(self.mu):
+            raise DimensionMismatch(f"need a mean vector and a factor with as many rows, got "
+                                    f"shapes {self.mu.shape} and {self.U.shape}")
 
     @property
     def blocks(self):
         return ((self.mu, self.U),)
 
     def unflatten(self, vec: np.ndarray) -> "SymmetricParams":
-        (mu, U), = self._split(vec)
-        return SymmetricParams(mu=mu, U=U)
-
-    def as_latent(self) -> tuple[LatentParams, np.ndarray]:
-        """Explicit two-component equivalent: weights (1/2, 1/2), means +/- mu."""
-        params = LatentParams(((self.mu, self.U), (-self.mu, self.U)))
-        return params, np.array([0.5, 0.5])
+        return SymmetricParams(*self._split(vec)[0])
 
     def mixture(self, pis) -> tuple[LatentParams, np.ndarray]:
-        """The free mixture these parameters define; pis is ignored."""
-        return self.as_latent()
+        """The free mixture these parameters define, pis ignored: means
+        +/- mu, the shared factor U and weights (1/2, 1/2)."""
+        return LatentParams(((self.mu, self.U), (-self.mu, self.U))), np.array([0.5, 0.5])
 
     @property
     def tie(self) -> tuple[tuple[int, float], ...]:
@@ -291,13 +264,6 @@ def _lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(len(chol)):
         x[i] = (b[i] - chol[i, :i] @ x[:i]) * (1.0 / chol[i, i])
     return x
-
-
-def _as_factor(U: np.ndarray) -> np.ndarray:
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 1:
-        U = U[:, None]
-    return U
 
 
 def from_model_subspace(sub) -> tuple[LatentParams, np.ndarray]:
@@ -336,22 +302,19 @@ def latent_score(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
 def symmetric_responsibilities(mu, U, sched: DiffusionSchedule, t: float,
                                x: np.ndarray) -> np.ndarray:
     """(r_plus, r_minus) for the tied two-mode mixture; shape (n, 2) or (2,)."""
-    return responsibilities(*SymmetricParams(mu=mu, U=U).as_latent(), sched, t, x)
+    return responsibilities(*SymmetricParams(mu=mu, U=U).mixture(None), sched, t, x)
 
 
 def symmetric_score(mu, U, sched: DiffusionSchedule, t: float, x: np.ndarray) -> np.ndarray:
     """Score of the tied two-mode mixture with modes at +/- s mu, shared Sigma."""
-    return latent_score(*SymmetricParams(mu=mu, U=U).as_latent(), sched, t, x)
+    return latent_score(*SymmetricParams(mu=mu, U=U).mixture(None), sched, t, x)
 
 
 def ambient_kernel(model: MoLRMoGModel, sched: DiffusionSchedule, t: float) -> NoisedMixture:
     """Kernel of the full ambient mixture over the flat (k, l) components:
     weights pi_l / K, mean directions A mu, low-rank factors A U."""
     s, _, gamma = coefficients(sched, t)
-    flat = component_weights(model)
-    comps = [(model.subspaces[k].A, model.subspaces[k].components[l]) for k, l, _ in flat]
-    return NoisedMixture([A @ c.mu for A, c in comps], [A @ c.U for A, c in comps],
-                         [w for _, _, w in flat], s, gamma)
+    return NoisedMixture(*ambient_components(model), s, gamma)
 
 
 def ambient_log_density(model: MoLRMoGModel, sched: DiffusionSchedule, t: float,

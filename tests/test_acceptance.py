@@ -18,8 +18,8 @@ from molrmog.calculus import (
     hessian_empirical,
     mmtop_eigs,
     overlap_analysis,
+    jacobian_terms,
     sample_noised,
-    symmetric_exact_terms,
 )
 from molrmog.cli import run
 from molrmog.model import (
@@ -247,7 +247,7 @@ def test_acceptance_06_jacobian_dominance():
         for gap in (2.0, 4.0, 8.0, 16.0):
             mu = np.array([gap * gamma / 2.0, 0.0])
             x = np.array([mu[0] + q * gamma, 0.0])
-            termA, termB = symmetric_exact_terms(mu, U, CONST, 1.0, x)
+            termA, termB = jacobian_terms(SymmetricParams(mu=mu, U=U), None, CONST, 1.0, x)[2:]
             ratios.append(float(np.linalg.norm(termB[0]) / np.linalg.norm(termA[0])))
         assert all(b <= a for a, b in zip(ratios, ratios[1:])), ratios
         assert ratios[-1] <= 1e-6
@@ -263,7 +263,7 @@ def test_acceptance_07_overlap_weyl_suite():
     for gap in (6.0, 5.0, 4.0, 3.0, 2.0, 1.0):  # in gamma units, gamma = 1 at t = 1
         mu = np.array([gap / 2.0, 0.0])
         sym = SymmetricParams(mu=mu, U=U)
-        lat, pis = sym.as_latent()
+        lat, pis = sym.mixture(None)
         X = sample_noised(sym, None, CONST, 1.0, 20000, 1000 + int(gap))
         sup_rep = overlap_analysis(sym, None, CONST, 1.0, X, mode="two_mode_sup")
         exp_rep = overlap_analysis(lat, pis, CONST, 1.0, X, mode="multi_mode_expect")

@@ -18,7 +18,6 @@ from molrmog.calculus import (
     overlap_analysis,
     sample_noised,
     score_of,
-    symmetric_exact_terms,
 )
 from molrmog.errors import (
     DimensionMismatch,
@@ -118,7 +117,7 @@ def test_cross_term_suppression_sweep(unit_sched):
     for gap in (2.0, 4.0, 8.0):
         mu = np.array([gap * gamma / 2, 0.0])
         x = np.array([mu[0] + gamma, 0.0])
-        termA, termB = symmetric_exact_terms(mu, U, unit_sched, 1.0, x)
+        termA, termB = jacobian_terms(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, x)[2:]
         ratios.append(np.linalg.norm(termB[0]) / np.linalg.norm(termA[0]))
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 1e-4
@@ -370,7 +369,7 @@ def test_equivalent_gaussian_error_degenerate_and_generic(unit_sched):
 
 def test_score_of_dispatch(unit_sched):
     p = SymmetricParams(mu=[1.0, 0.0], U=[[0.5], [0.0]])
-    lat, pis = p.as_latent()
+    lat, pis = p.mixture(None)
     x = np.array([0.3, -0.2])
     assert score_of(p, None, unit_sched, 1.0, x) == pytest.approx(
         score_of(lat, pis, unit_sched, 1.0, x), abs=1e-14)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from molrmog.cli import (
     _num,
@@ -263,6 +267,10 @@ def _assert_one_line_error(capsys):
     (("components", 0, "pi"), None),
     (("components", 0, "mu"), ["a", 0.0]),
     (("components", 1, "U"), [[0.2], [0.4, 1.0]]),
+    (("components",), [{"pi": True, "mu": [2.0, 0.0], "U": [[0.5], [0.1]]}]),
+    (("components", 0, "mu"), [float("nan"), 0.0]),
+    (("components", 1, "U"), [[[0.2]], [[0.4]]]),
+    (("A",), [[float("nan"), 0.0], [0.0, 1.0], [0.0, 0.0]]),
 ])
 def test_malformed_model_subspace_exits_2(tmp_path, capsys, path, value):
     cfg = json.loads(json.dumps(MINI_CFG))
@@ -329,9 +337,23 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("gen", "gen.n=true"),
     ("estimation", "estimation.t=false"),
     ("estimation", "estimation.n_schedule=[64,true]"),
+    ("hessian", "schedule.g0=true"),
+    ("hessian", "schedule.t_max=true"),
+    ("hessian", 'hessian.symmetric={"mu":[true,0.0],"U":[[1.0],[0.0]]}'),
+    ("hessian", 'hessian.symmetric={"mu":[NaN,0.0],"U":[[1.0],[0.0]]}'),
+    ("gen", "seed=-5"),
+    ("sample", 'sampler.schedule={"kind":"vp","beta":1e308}'),
+    ("score-check", "score_check.times=[]"),
+    ("hessian", "hessian.n_mc=-5"),
+    ("train", 'train.symmetric={"mu":4.0,"U":[[1.0],[0.0]]}'),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_negative_seed_flag_exits_2(cfg_path, tmp_path, capsys):
+    assert main(["gen", "--config", cfg_path, "--out", str(tmp_path), "--seed", "-5"]) == 2
     _assert_one_line_error(capsys)
 
 
@@ -343,3 +365,83 @@ def test_bad_subspace_index_exits_2(tmp_path, capsys, subspace):
     p.write_text(json.dumps(cfg), encoding="utf-8")
     assert run("hessian", str(p), out_dir=str(tmp_path / "out")) == 2
     _assert_one_line_error(capsys)
+
+
+# configs/example.json at small sizes; the property test below mutates it
+EXAMPLE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "example.json")
+SMALL_SIZES = {("estimation", "trials"): 1, ("estimation", "n_mc"): 2048,
+               ("estimation", "grid"): 4, ("estimation", "n_schedule"): [128, 256],
+               ("sampler", "n"): 300, ("sampler", "steps"): 5, ("train", "n"): 1000,
+               ("train", "m_max"): 5, ("hessian", "n_mc"): 500, ("overlap", "n_mc"): 500,
+               ("gen", "n"): 50, ("score_check", "n_points"): 5}
+# top-level blocks each subcommand reads; sample brings its own schedule
+READS = {"gen": ("model", "gen"), "score-check": ("model", "schedule", "score_check"),
+         "estimation": ("model", "schedule", "estimation"),
+         "hessian": ("model", "schedule", "hessian"),
+         "overlap": ("model", "schedule", "overlap"),
+         "train": ("model", "schedule", "train"), "sample": ("model", "sampler"),
+         "report": ()}
+REPLACEMENTS = {"true": True, "nan": float("nan"), "empty": [], "string": "x"}
+
+
+def _small_example():
+    with open(EXAMPLE_CFG, encoding="utf-8") as f:
+        cfg = json.load(f)
+    for (block, key), value in SMALL_SIZES.items():
+        cfg[block][key] = value
+    return cfg
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+SMALL_CFG = _small_example()
+PATHS = list(_paths(SMALL_CFG))
+# dropping a size (or a block holding one) would restore a full-size default
+DROPPABLE = [p for p in PATHS if not any(p == s[:len(p)] for s in SMALL_SIZES)]
+
+
+@st.composite
+def mutated_run(draw):
+    sub = draw(st.sampled_from(sorted(READS)))
+    kind = draw(st.sampled_from(["drop", "negate", "number"] + sorted(REPLACEMENTS)))
+    path = draw(st.sampled_from(DROPPABLE if kind == "drop" else PATHS))
+    return sub, kind, path
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mutated_run())
+def test_mutated_example_config_keeps_exit_contract(case):
+    """Every exit is 0, 2 or 3 with no traceback, and a non-number, a boolean,
+    NaN or an empty list where a subcommand reads its config exits 2."""
+    sub, kind, path = case
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    *parents, leaf = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if kind == "drop":
+        del node[leaf]
+    elif kind == "negate":
+        if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
+            return
+        node[leaf] = -node[leaf]
+    elif kind == "number":
+        node[leaf] = 0.5
+    else:
+        node[leaf] = REPLACEMENTS[kind]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        p = os.path.join(tmp, "cfg.json")
+        with open(p, "w", encoding="utf-8") as f:
+            json.dump(cfg, f)
+        code = run(sub, p, out_dir=os.path.join(tmp, "out"))
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if kind in REPLACEMENTS and path[0] in READS[sub] + ("seed",):
+        assert code == 2, err.getvalue()

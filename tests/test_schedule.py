@@ -66,6 +66,14 @@ def test_invalid_params_rejected():
         make_schedule("brownian_bridge", 1.0, 0.01, 1.0)
 
 
+def test_overflowing_sigma_rejected():
+    with pytest.raises(InvalidScheduleParams):
+        make_schedule("vp", 1e308, 0.01, 1.0)
+    with pytest.raises(InvalidScheduleParams):
+        make_schedule("constant_drift", 1e300, 0.01, 1e20)
+    assert math.isfinite(make_schedule("vp", 700.0, 0.01, 1.0).sigma(1.0))
+
+
 def test_time_out_of_range():
     sched = make_schedule("constant_drift", 1.0, 0.05, 1.0)
     with pytest.raises(TimeOutOfRange):

@@ -8,17 +8,14 @@ from molrmog.model import MoGComponent, Subspace, random_orthonormal, MoLRMoGMod
 from molrmog.score import (
     _lower_solve,
     LatentParams,
-    NoisedComponentView,
     NoisedMixture,
     SymmetricParams,
     ambient_log_density,
     ambient_responsibilities,
     ambient_score,
     conditional_score,
-    delta_vec,
     from_model_subspace,
     latent_score,
-    log_density,
     mixture_kernel,
     mixture_log_density,
     responsibilities,
@@ -43,37 +40,36 @@ def test_log_density_matches_dense_oracle():
         U = rng.standard_normal((d, r))
         mu = rng.standard_normal(d)
         s, gamma = 0.7, 0.4
-        view = NoisedComponentView(s=s, gamma=gamma, mu=mu, U=U)
+        kern = NoisedMixture([mu], [U], [1.0], s, gamma)
         cov = s * s * U @ U.T + gamma * gamma * np.eye(d)
         X = rng.standard_normal((6, d))
         want = dense_gaussian_logpdf(X, s * mu, cov)
-        assert log_density(view, X) == pytest.approx(want, rel=1e-12)
-        assert log_density(view, X[0]) == pytest.approx(want[0], rel=1e-12)
+        assert kern.log_density(X) == pytest.approx(want, rel=1e-12)
+        assert kern.log_density(X[0]) == pytest.approx(want[0], rel=1e-12)
 
 
 def test_log_density_rank_zero_factor():
-    view = NoisedComponentView(s=1.0, gamma=0.5, mu=np.zeros(2), U=np.zeros((2, 0)))
+    kern = NoisedMixture([np.zeros(2)], [np.zeros((2, 0))], [1.0], 1.0, 0.5)
     want = dense_gaussian_logpdf(np.array([0.3, -0.1]), np.zeros(2), 0.25 * np.eye(2))
-    assert log_density(view, np.array([0.3, -0.1])) == pytest.approx(want, rel=1e-12)
+    assert kern.log_density(np.array([0.3, -0.1])) == pytest.approx(want, rel=1e-12)
 
 
-def test_delta_vec_matches_dense_solve():
+def test_single_component_solve_matches_dense_solve():
     rng = np.random.default_rng(1)
     d, r = 4, 2
     U = rng.standard_normal((d, r))
     mu = rng.standard_normal(d)
     s, gamma = 1.3, 0.6
-    view = NoisedComponentView(s=s, gamma=gamma, mu=mu, U=U)
+    kern = NoisedMixture([mu], [U], [1.0], s, gamma)
     cov = s * s * U @ U.T + gamma * gamma * np.eye(d)
     x = rng.standard_normal(d)
     want = gamma * gamma * np.linalg.solve(cov, x - s * mu)
-    assert delta_vec(view, x) == pytest.approx(want, rel=1e-12)
+    assert gamma * gamma * kern.solve(0, x - s * mu) == pytest.approx(want, rel=1e-12)
 
 
 def test_singular_noise_rejected():
     with pytest.raises(SingularNoise):
-        log_density(NoisedComponentView(s=1.0, gamma=0.0, mu=np.zeros(2), U=np.eye(2)),
-                    np.zeros(2))
+        NoisedMixture([np.zeros(2)], [np.eye(2)], [1.0], 1.0, 0.0).log_density(np.zeros(2))
 
 
 def test_flatten_unflatten_roundtrip_and_order():
@@ -96,7 +92,7 @@ def test_symmetric_params_roundtrip_and_expansion():
     p = SymmetricParams(mu=[4.0, 0.0], U=[[1.0], [0.0]])
     q = p.unflatten(p.flatten())
     assert np.array_equal(q.mu, p.mu) and np.array_equal(q.U, p.U)
-    latent, pis = p.as_latent()
+    latent, pis = p.mixture(None)
     assert np.array_equal(pis, [0.5, 0.5])
     assert np.array_equal(latent.components[1][0], -p.mu)
     assert np.array_equal(latent.components[1][1], p.U)
@@ -137,7 +133,7 @@ def test_symmetric_score_odd_and_matches_explicit_mixture(unit_sched):
     rng = np.random.default_rng(8)
     X = rng.standard_normal((30, 2))
     got = symmetric_score(mu, U, unit_sched, 1.0, X)
-    params, pis = SymmetricParams(mu=mu, U=U).as_latent()
+    params, pis = SymmetricParams(mu=mu, U=U).mixture(None)
     assert got == pytest.approx(latent_score(params, pis, unit_sched, 1.0, X), abs=1e-14)
     # odd symmetry of the tied two-mode score
     assert symmetric_score(mu, U, unit_sched, 1.0, -X) == pytest.approx(-got, abs=1e-12)
