@@ -40,12 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    RankNotOne,
-    SingleComponent,
-)
+from .errors import DimensionMismatch, EmptyDataset, RankNotOne, SingleComponent
 from .model import Subspace, _as_factor, moment_match
 from .schedule import DiffusionSchedule, coefficients
 from .score import (
@@ -329,8 +324,6 @@ def hessian_from_samples(params, pis, sched: DiffusionSchedule, t: float,
                          X: np.ndarray, jac_mode: str = "exact") -> HessianReport:
     """Assemble H = mean_x J(x)^T J(x) over the given sample set."""
     Xb, _ = _batch(X, params.d)
-    if Xb.shape[0] == 0:
-        raise EmptyDataset("no samples for Hessian assembly")
     blocks = (_jacobian_by_mode(params, pis, sched, t, rows, jac_mode)
               for rows in _row_blocks(Xb, params.d * params.dim))
     return _finish_report(params, pis, sched, t, *_gram_moments(blocks, params.dim))
@@ -445,18 +438,13 @@ def alpha_symmetric(mu, U, sched: DiffusionSchedule, t: float) -> float:
     return float(_rank_one_floor(mu, U, s, gamma))
 
 
-def alpha_asymmetric(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
-                     r2_weights=None) -> float:
-    """Curvature lower bound for a free mixture of rank-one components.
-
-    Per-component mean curvature w_l s^2/(s^2+gamma^2)^2 and factor
-    curvature w_l times the closed-form minimum eigenvalue; w_l defaults to
-    pi_l, or the exact E[r_l^2] when supplied.
-    """
+def alpha_asymmetric(params: LatentParams, pis, sched: DiffusionSchedule, t: float) -> float:
+    """Curvature lower bound for a free mixture of rank-one components:
+    per-component mean curvature pi_l s^2/(s^2+gamma^2)^2 and factor
+    curvature pi_l times the closed-form minimum eigenvalue."""
     s, _, gamma = coefficients(sched, t)
-    weights = np.asarray(r2_weights if r2_weights is not None else pis, dtype=float)
     return float(min(w * _rank_one_floor(mu, U, s, gamma)
-                     for w, (mu, U) in zip(weights, params.components)))
+                     for w, (mu, U) in zip(np.asarray(pis, dtype=float), params.components)))
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +523,17 @@ def _component_block_slices(params) -> list[np.ndarray]:
 
 
 def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
-                     samples: np.ndarray, mode: str = "two_mode_sup",
-                     R: float | None = None) -> OverlapReport:
+                     samples: np.ndarray, mode: str = "two_mode_sup") -> OverlapReport:
     """Overlap statistics, curvature degradation, and the Weyl decomposition.
 
     H is assembled from the given samples; H_diag zeroes every cross block
     between parameter groups (mean vs factor for the tied form, component vs
     component for a free mixture) and the Weyl bound
     lambda_min(H) >= lambda_min(H_diag) - |Delta H|_2 is evaluated on the
-    computed matrices.
+    computed matrices.  The data radius R of the constants is the largest
+    sample norm.
     """
     Xb, _ = _batch(samples, params.d)
-    if Xb.shape[0] == 0:
-        raise EmptyDataset("overlap analysis needs samples")
     if mode not in ("two_mode_sup", "multi_mode_expect"):
         raise DimensionMismatch(f"unknown overlap mode {mode!r}")
     L = len(params.tie)
@@ -602,8 +588,7 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
             lambda_base = min(lambda_base, (pis_arr[l] - eps_total[l]) * unit)
         lambda_base = float(lambda_base)
 
-    if R is None:
-        R = float(np.max(np.linalg.norm(Xb, axis=1)))
+    R = float(np.max(np.linalg.norm(Xb, axis=1)))
     consts = _overlap_constants(params, sched, t, R, np.max(ratios, axis=0))
     alpha_eff = float(lambda_base - consts.C * eps_overlap)
     return OverlapReport(
@@ -626,9 +611,15 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
 # equivalent-Gaussian approximation error
 
 
+# probe grid of `equivalent_gaussian_error`: seeded random directions plus
+# the coordinate axes, each at evenly spaced radii
+PROBE_DIRS = 64
+PROBE_RADII = 16
+PROBE_SEED = 0
+
+
 def equivalent_gaussian_error(sub: Subspace, sched: DiffusionSchedule, t: float,
-                              probe_radius: float, n_dirs: int = 64,
-                              n_radii: int = 16, seed: int = 0):
+                              probe_radius: float):
     """Worst log-density gap between the noised mixture and its moment match
     over the ball |x - mu_bar| <= probe_radius, plus the parameter spreads
     eps (max pairwise factor distance) and delta (max pairwise mean distance).
@@ -644,11 +635,11 @@ def equivalent_gaussian_error(sub: Subspace, sched: DiffusionSchedule, t: float,
             delta = max(delta, float(np.linalg.norm(comps[i].mu - comps[j].mu)))
     eq = moment_match(sub, sched, t)
     d = sub.d
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_dirs, d))
+    rng = np.random.default_rng(PROBE_SEED)
+    dirs = rng.standard_normal((PROBE_DIRS, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(d), -np.eye(d)])
-    radii = np.linspace(0.0, probe_radius, n_radii + 1)
+    radii = np.linspace(0.0, probe_radius, PROBE_RADII + 1)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d) + eq.mu_bar
 
     params, pis = from_model_subspace(sub)

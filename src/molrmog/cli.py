@@ -132,19 +132,16 @@ def _model_from(cfg: dict):
 
 
 def _num(block: dict, key: str, default, kind=float):
-    """block[key] (default when absent) as a finite number of the given kind,
-    or as a list of them when the default is a list; an int takes no fraction,
-    and a JSON boolean is not a number."""
+    """block[key] (default when absent) through `as_numbers`: a finite number
+    of the given kind, or a list of them when the default is a list."""
     value = block.get(key, default)
-    raw = value if isinstance(default, list) else [value]
     try:
-        as_numbers(raw)
-        out = [kind(v) for v in raw]
-        if not all(o == v or type(v) is not float for o, v in zip(out, raw)):
+        out = as_numbers(value, integer=kind is int)
+        if out.ndim != np.ndim(default):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigParseError(f"{key} must be a finite {kind.__name__}, got {value!r}") from None
-    return out if isinstance(default, list) else out[0]
+    return out.tolist()
 
 
 def _params_from(cfg_block: dict, model):
@@ -379,7 +376,10 @@ def cmd_report(cfg, seed, out: Path) -> list[str]:
     lines = []
     for name, check in REPORT_CHECKS.items():
         if (out / name).is_file():
-            text, ok = check(json.loads((out / name).read_text(encoding="utf-8")))
+            try:
+                text, ok = check(json.loads((out / name).read_text(encoding="utf-8")))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigParseError(f"malformed summary {out / name}: {exc!r}") from None
             lines.append(f"- {text}" + ("" if ok is None else f": {'PASS' if ok else 'FAIL'}"))
     if not lines:
         raise NoArtifactsFound(f"no artifact summaries under {out}")

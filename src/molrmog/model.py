@@ -132,22 +132,25 @@ def random_orthonormal(D: int, d: int, seed: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def _refuse_bool(value):
-    """value, or TypeError if it is or holds a boolean: Python reads a JSON
-    true as the number 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    for v in value if isinstance(value, list) else ():
-        _refuse_bool(v)
-    return value
-
-
-def as_numbers(value) -> np.ndarray:
-    """A JSON number or nested list of numbers as a float array; TypeError
-    for a boolean anywhere in it and ValueError for a non-finite entry."""
-    out = np.asarray(_refuse_bool(value), dtype=float)
+def as_numbers(value, integer: bool = False) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array, or an int
+    array with integer=True.  TypeError for a boolean, string, null or object
+    anywhere in it (Python reads a JSON true as 1, numpy reads "1" as 1.0);
+    ValueError for a non-finite entry or, with integer=True, a fraction."""
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(leaf)
+        elif leaf is None or isinstance(leaf, (bool, str, dict)):
+            raise TypeError(f"{leaf!r} is not a number")
+    out = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"non-finite entry in {value!r}")
+    if integer:
+        if np.any(out != np.trunc(out)):
+            raise ValueError(f"{value!r} is not an integer")
+        return np.asarray(value, dtype=np.int64)
     return out
 
 
@@ -156,28 +159,30 @@ def build_model(spec: dict) -> MoLRMoGModel:
 
     spec = {"D": int, "subspaces": [{"d": int, "A_seed": int | "A": [[..]],
             "components": [{"pi": num, "mu": [..], "U": [[..]]}]}]}
+    Every number is read by `as_numbers`; int() and float() of what it
+    returns refuse a list where one number belongs.
     """
     try:
-        D = int(_refuse_bool(spec["D"]))
+        D = int(as_numbers(spec["D"], integer=True))
         sub_specs = list(spec["subspaces"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"model spec missing or malformed field: {exc}") from exc
     subspaces = []
     for i, ss in enumerate(sub_specs):
         try:
             comps = tuple(
-                MoGComponent(pi=float(_refuse_bool(c["pi"])), mu=as_numbers(c["mu"]),
+                MoGComponent(pi=float(as_numbers(c["pi"])), mu=as_numbers(c["mu"]),
                              U=as_numbers(c["U"]))
                 for c in ss["components"]
             )
             if "A" in ss:
                 A = as_numbers(ss["A"])
             else:
-                A = random_orthonormal(D, int(_refuse_bool(ss["d"])),
-                                       int(_refuse_bool(ss["A_seed"])))
+                A = random_orthonormal(D, int(as_numbers(ss["d"], integer=True)),
+                                       int(as_numbers(ss["A_seed"], integer=True)))
         except KeyError as exc:
             raise ValidationError(f"model subspace {i} is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             msg = " ".join(str(exc).split())
             raise ValidationError(f"model subspace {i} is malformed: {msg}") from exc
         subspaces.append(Subspace(A=A, components=comps))
@@ -227,13 +232,10 @@ def sample_data(model: MoLRMoGModel, n: int, rng) -> LabeledDataset:
     return LabeledDataset(k=k_lab, l=l_lab, x=x)
 
 
-def forward_noise(x0: np.ndarray, sched: DiffusionSchedule, t: float, rng,
-                  zero_noise: bool = False) -> np.ndarray:
+def forward_noise(x0: np.ndarray, sched: DiffusionSchedule, t: float, rng) -> np.ndarray:
     """Push x0 through the forward process: s(t) x0 + gamma(t) z."""
     s, _, gamma = coefficients(sched, t)  # raises TimeOutOfRange
     x0 = np.asarray(x0, dtype=float)
-    if zero_noise:
-        return s * x0
     rng = np.random.default_rng(rng)
     return s * x0 + gamma * rng.standard_normal(x0.shape)
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from .calculus import score_of
-from .errors import EmptyDataset, GridEmpty, TimeOutOfRange, ValidationError
+from .errors import GridEmpty, TimeOutOfRange, ValidationError
 from .model import MoLRMoGModel, encode, forward_noise, sample_data
 from .schedule import DiffusionSchedule, coefficients
 from .score import LatentParams, conditional_score, from_model_subspace, mixture_kernel
@@ -56,18 +56,11 @@ def empirical_loss(theta, truth, pis, sched: DiffusionSchedule, cfg: LossConfig,
     """
     times = cfg.times(sched)
     if len(times) == 1:
-        X = np.asarray(data, dtype=float)
-        if X.size == 0:
-            raise EmptyDataset("empirical loss needs at least one sample")
-        return float(np.mean(sm_errors(theta, truth, pis, sched, float(times[0]), X)))
+        return float(np.mean(sm_errors(theta, truth, pis, sched, float(times[0]), data)))
     if len(data) != len(times):
         raise ValidationError("grid mode needs one dataset per grid time")
-    vals = []
-    for tt, X in zip(times, data):
-        X = np.asarray(X, dtype=float)
-        if X.size == 0:
-            raise EmptyDataset("empirical loss needs at least one sample per time")
-        vals.append(np.mean(sm_errors(theta, truth, pis, sched, float(tt), X)))
+    vals = [np.mean(sm_errors(theta, truth, pis, sched, float(tt), X))
+            for tt, X in zip(times, data)]
     weights = np.ones(len(times))
     weights[0] = weights[-1] = 0.5
     weights /= weights.sum()
@@ -79,8 +72,6 @@ def dsm_loss(theta, pis, sched: DiffusionSchedule, cfg: LossConfig, pairs) -> fl
     x0, x_t, t = pairs
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-    if x0.shape[0] == 0:
-        raise EmptyDataset("denoising loss needs at least one pair")
     target = conditional_score(x_t, x0, sched, float(t))
     diff = score_of(theta, pis, sched, float(t), x_t) - target
     return float(np.mean(np.sum(diff ** 2, axis=-1)))
@@ -219,18 +210,11 @@ def make_theta_grid(truth_set, half_width: float, count: int, seed: int):
 
 
 def stacked_errors(theta_set, truth_set, pis_list, model: MoLRMoGModel,
-                   sched: DiffusionSchedule, t: float, X: np.ndarray,
-                   truth_scores=None) -> np.ndarray:
+                   sched: DiffusionSchedule, t: float, X: np.ndarray) -> np.ndarray:
     """Per-sample loss summed over subspaces, on encoded ambient points."""
-    n = X.shape[0]
-    total = np.zeros(n)
-    for k, sub in enumerate(model.subspaces):
-        Z = encode(sub, X)
-        s_hat = score_of(theta_set[k], pis_list[k], sched, t, Z)
-        s_true = (truth_scores[k] if truth_scores is not None
-                  else score_of(truth_set[k], pis_list[k], sched, t, Z))
-        total += np.sum((s_hat - s_true) ** 2, axis=-1)
-    return total
+    return sum(sm_errors(theta, truth, pis, sched, t, encode(sub, X))
+               for theta, truth, pis, sub in zip(theta_set, truth_set, pis_list,
+                                                 model.subspaces))
 
 
 def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
@@ -265,12 +249,12 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
     def losses_on(X):
         """(per-theta mean, per-theta variance) over the dataset."""
         Zs = [encode(sub, X) for sub in subs]
-        truth_scores = [kern.score(Z) for kern, Z in zip(truth_kernels, Zs)]
+        true_scores = [kern.score(Z) for kern, Z in zip(truth_kernels, Zs)]
         means = np.empty(len(theta_grid))
         varis = np.empty(len(theta_grid))
         for gi, kernels in enumerate(grid_kernels):
             ell = np.zeros(X.shape[0])
-            for kern, Z, s_true in zip(kernels, Zs, truth_scores):
+            for kern, Z, s_true in zip(kernels, Zs, true_scores):
                 ell += np.sum((kern.score(Z) - s_true) ** 2, axis=-1)
             means[gi] = ell.mean()
             varis[gi] = ell.var()

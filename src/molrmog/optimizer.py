@@ -22,13 +22,13 @@ import numpy as np
 from .calculus import hessian_from_samples, residual_contraction, score_of
 from .errors import (
     DivergenceDetected,
-    EmptyDataset,
     LSmallerThanAlpha,
     NaNDetected,
     NonPositiveAlpha,
     ValidationError,
 )
 from .schedule import DiffusionSchedule
+from .score import _batch
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,6 @@ class TrainTrace:
         return self.rows[-1].dist
 
 
-def _check_data(data) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(data, dtype=float))
-    if X.shape[0] == 0:
-        raise EmptyDataset("gradient descent needs a non-empty dataset")
-    return X
-
-
 def loss_and_grad(theta, truth, pis, sched: DiffusionSchedule, t: float,
                   data: np.ndarray, truth_score=None) -> tuple[float, np.ndarray]:
     """Empirical loss and its analytic gradient (2/n) sum J^T residual.
@@ -84,7 +77,7 @@ def loss_and_grad(theta, truth, pis, sched: DiffusionSchedule, t: float,
     or any other array that grows with n.  truth_score, the truth's score on
     data, is computed here when omitted.
     """
-    X = _check_data(data)
+    X = _batch(data, truth.d)[0]
     if truth_score is None:
         truth_score = score_of(truth, pis, sched, t, X)
     sq, g = residual_contraction(theta, pis, sched, t, X, truth_score)
@@ -128,7 +121,7 @@ def estimate_local_constants(truth, pis, sched: DiffusionSchedule, t: float,
 def gd_train(theta0, truth, pis, sched: DiffusionSchedule, t: float,
              data: np.ndarray, cfg: GDConfig) -> TrainTrace:
     """Deterministic full-batch GD; trace records distance contraction."""
-    X = _check_data(data)
+    X = _batch(data, truth.d)[0]
     if cfg.eta is None:
         alpha_hat, L_hat = estimate_local_constants(truth, pis, sched, t, X)
         eta, kappa, rho = theoretical_step(alpha_hat, L_hat)

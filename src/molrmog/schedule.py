@@ -15,7 +15,8 @@ Two presets are provided, both with exact closed forms:
                      -> s = exp(-beta t / 2), gamma = sqrt(1 - exp(-beta t))
 
 The early-stopping time t_min must be strictly positive so gamma(t) never
-vanishes on the working interval.
+vanishes on the working interval, and `make_schedule` refuses a rate whose
+gamma(t)^2 underflows to 0 at t_min or overflows at t_max.
 """
 
 from __future__ import annotations
@@ -95,12 +96,15 @@ def make_schedule(
     if not (t_min < t_max):
         raise InvalidScheduleParams(f"need t_min < t_max, got {t_min} >= {t_max}")
     sched = DiffusionSchedule(kind=kind, rate=rate, t_min=t_min, t_max=t_max)
+    # every score divides by gamma(t)^2: both presets raise gamma with t and
+    # keep gamma <= sigma, so these two bounds hold it in (0, inf) on the interval
     try:
-        sigma_max = sched.sigma(t_max)
+        usable = sched.gamma(t_min) ** 2 > 0 and math.isfinite(sched.sigma(t_max) ** 2)
     except OverflowError:
-        sigma_max = math.inf
-    if not math.isfinite(sigma_max):
-        raise InvalidScheduleParams(f"sigma(t_max) overflows for rate {rate} and t_max {t_max}")
+        usable = False
+    if not usable:
+        raise InvalidScheduleParams(f"gamma(t)^2 leaves (0, inf) on [{t_min}, {t_max}] "
+                                    f"at rate {rate}")
     return sched
 
 

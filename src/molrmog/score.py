@@ -21,8 +21,11 @@ shared by all components and in the residual array it returns, and for
 rank-one factors it forms W_l^T (W_l rho) as a broadcast product, which is
 exact, instead of a k = 1 matrix product.  The latent, ambient (means A mu,
 factors A U) and tied two-mode functions below are thin wrappers over the
-kernel; a single component is the kernel with one component of weight 1.  Every function accepts a single point (d,) or a
-batch (n, d) and returns a matching shape.
+kernel; a single component is the kernel with one component of weight 1.
+Every function accepts a single point (d,) or a batch (n, d) and returns a
+matching shape; `_batch` reads both, and it is the one place that refuses a
+batch of zero rows (EmptyDataset), for the scores here and for every loss,
+gradient and curvature reduction built on them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularNoise
+from .errors import DimensionMismatch, EmptyDataset, SingularNoise
 from .model import MoLRMoGModel, _as_factor, ambient_components
 from .schedule import DiffusionSchedule, coefficients
 
@@ -52,6 +55,8 @@ def _batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
         return x[None, :], True
     if x.shape[-1] != d:
         raise DimensionMismatch(f"expected points of length {d}, got {x.shape[-1]}")
+    if len(x) == 0:
+        raise EmptyDataset("need at least one point, got an empty batch")
     return x, False
 
 

@@ -166,8 +166,8 @@ def test_alpha_asymmetric_reduces_and_weights(unit_sched):
     ))
     a_half = alpha_asymmetric(params, [0.5, 0.5], unit_sched, 1.0)
     assert a_half == pytest.approx(0.5 * 0.25)
-    # explicit squared-responsibility weights replace the priors
-    a_w = alpha_asymmetric(params, [0.5, 0.5], unit_sched, 1.0, r2_weights=[0.3, 0.3])
+    # each component's floor is scaled by its weight
+    a_w = alpha_asymmetric(params, [0.3, 0.3], unit_sched, 1.0)
     assert a_w == pytest.approx(0.3 * 0.25)
     with pytest.raises(RankNotOne):
         alpha_asymmetric(LatentParams((([1.0, 0.0], np.eye(2)),)), [1.0], unit_sched, 1.0)

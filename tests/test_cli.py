@@ -271,6 +271,7 @@ def _assert_one_line_error(capsys):
     (("components", 0, "mu"), [float("nan"), 0.0]),
     (("components", 1, "U"), [[[0.2]], [[0.4]]]),
     (("A",), [[float("nan"), 0.0], [0.0, 1.0], [0.0, 0.0]]),
+    (("components", 0, "pi"), "0.5"),
 ])
 def test_malformed_model_subspace_exits_2(tmp_path, capsys, path, value):
     cfg = json.loads(json.dumps(MINI_CFG))
@@ -346,9 +347,26 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("score-check", "score_check.times=[]"),
     ("hessian", "hessian.n_mc=-5"),
     ("train", 'train.symmetric={"mu":4.0,"U":[[1.0],[0.0]]}'),
+    ("gen", 'gen.n="7"'),
+    ("score-check", 'score_check.times="1"'),
+    ("hessian", 'hessian.symmetric={"mu":["4","0"],"U":[[1.0],[0.0]]}'),
+    ("score-check", "schedule.g0=1e300"),
+    ("score-check", "schedule.g0=1e-200"),
+    ("gen", "model.D=4.5"),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("estimation_summary.json", '{"slope": "x"}'),
+    ("train_summary.json", "[]"),
+    ("quality.json", "not json"),
+])
+def test_malformed_summary_report_exits_2(tmp_path, capsys, name, text):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run("report", None, out_dir=str(tmp_path)) == 2
     _assert_one_line_error(capsys)
 
 

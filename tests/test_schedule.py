@@ -74,6 +74,15 @@ def test_overflowing_sigma_rejected():
     assert math.isfinite(make_schedule("vp", 700.0, 0.01, 1.0).sigma(1.0))
 
 
+def test_noise_level_outside_positive_finite_rejected():
+    # gamma(t_max) = 1e300 is finite, but gamma^2 overflows
+    with pytest.raises(InvalidScheduleParams):
+        make_schedule("constant_drift", 1e300, 0.01, 1.0)
+    # gamma(t_min) = 1e-201 is positive, but gamma^2 underflows to 0
+    with pytest.raises(InvalidScheduleParams):
+        make_schedule("constant_drift", 1e-200, 0.01, 1.0)
+
+
 def test_time_out_of_range():
     sched = make_schedule("constant_drift", 1.0, 0.05, 1.0)
     with pytest.raises(TimeOutOfRange):

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import dense_gaussian_logpdf, fd_gradient
-from molrmog.errors import DimensionMismatch, SingularNoise
+from molrmog.errors import DimensionMismatch, EmptyDataset, SingularNoise
 from molrmog.model import MoGComponent, Subspace, random_orthonormal, MoLRMoGModel
 from molrmog.score import (
     _lower_solve,
@@ -192,6 +192,8 @@ def test_batch_and_single_shapes_agree(unit_sched):
     assert batch == pytest.approx(rows, rel=1e-12, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         latent_score(params, pis, unit_sched, 0.3, np.zeros(5))
+    with pytest.raises(EmptyDataset):
+        latent_score(params, pis, unit_sched, 0.3, np.zeros((0, 2)))
 
 
 def dense_mixture(weights, means, factors, s, gamma, X):
