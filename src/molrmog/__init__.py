@@ -29,7 +29,6 @@ from .score import (
 from .objective import (
     EstimationReport,
     LipschitzReport,
-    LossConfig,
     ParameterBox,
     dsm_loss,
     empirical_loss,
@@ -43,10 +42,8 @@ from .calculus import (
     OverlapReport,
     alpha_asymmetric,
     alpha_symmetric,
-    constants_CprimeCtilde,
     equivalent_gaussian_error,
     hessian_empirical,
-    jacobian_exact_terms,
     jacobian_fd,
     mmtop_eigs,
     overlap_analysis,

@@ -112,12 +112,6 @@ class JacobianPair:
         return np.hstack(list(self.J_mu) + list(self.J_U))
 
 
-def _pair_from_full(full: np.ndarray, params) -> JacobianPair:
-    cols = params.columns
-    return JacobianPair(J_mu=tuple(full[:, m] for m, _ in cols),
-                        J_U=tuple(full[:, u] for _, u in cols))
-
-
 def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
                 h: float = 1e-5) -> JacobianPair:
     """Central finite differences of the score in every theta coordinate."""
@@ -132,7 +126,9 @@ def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
         sp = score_of(theta.unflatten(vec + e), pis, sched, t, x)
         sm = score_of(theta.unflatten(vec - e), pis, sched, t, x)
         cols.append((sp - sm) / (2.0 * h))
-    return _pair_from_full(np.stack(cols, axis=-1), theta)
+    full = np.stack(cols, axis=-1)
+    return JacobianPair(J_mu=tuple(full[:, m] for m, _ in theta.columns),
+                        J_U=tuple(full[:, u] for _, u in theta.columns))
 
 
 def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, blocks):
@@ -252,14 +248,6 @@ def exact_jacobian(params, pis, sched: DiffusionSchedule, t: float,
     _, _, J, B = jacobian_terms(params, pis, sched, t, X)
     J += B
     return J
-
-
-def jacobian_exact_terms(mu, U, sched: DiffusionSchedule, t: float,
-                         x: np.ndarray) -> tuple[JacobianPair, JacobianPair]:
-    """Exact tied two-mode Jacobian split at one point; A + B matches FD."""
-    p = SymmetricParams(mu=mu, U=U)
-    _, _, termA, termB = jacobian_terms(p, None, sched, t, x)
-    return _pair_from_full(termA[0], p), _pair_from_full(termB[0], p)
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +491,6 @@ def _overlap_constants(params, sched, t, R, ratios) -> OverlapConstants:
     else:
         C = 2.0 * (S_mu * C1p + S_U * C2p)
     return OverlapConstants(S_mu=float(S_mu), S_U=float(S_U), C1p=C1p, C2p=C2p, C=float(C))
-
-
-def constants_CprimeCtilde(params, pis, sched: DiffusionSchedule, t: float,
-                           R: float, samples: np.ndarray) -> OverlapConstants:
-    """Perturbation constants: sensitivity scales S_mu, S_U and the measured
-    cross-term-to-overlap ratios C1', C2' combined per the composite bound."""
-    ratios = np.zeros(2)
-    for *_, block_ratios in _overlap_blocks(params, pis, sched, t, _batch(samples, params.d)[0]):
-        ratios = np.maximum(ratios, block_ratios)
-    return _overlap_constants(params, sched, t, R, ratios)
 
 
 def _component_block_slices(params) -> list[np.ndarray]:

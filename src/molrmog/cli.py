@@ -2,7 +2,8 @@
 
 Subcommands: gen, score-check, estimation, hessian, overlap, train, sample,
 report.  Exit codes: 0 success, 2 validation/config error, 3 numerical
-failure (divergence or non-finite states).  Every run writes manifest.json
+failure (divergence, non-finite states, or a floating-point overflow,
+invalid operation or division by zero).  Every run writes manifest.json
 listing the config hash, seed, library versions, wall time, and artifacts.
 All CSVs are UTF-8 with \n line endings and round-trip-exact floats.
 """
@@ -27,7 +28,6 @@ from .calculus import (
 )
 from .errors import (
     ConfigParseError,
-    MolrmogError,
     NoArtifactsFound,
     NumericalError,
     UnknownSubcommand,
@@ -43,7 +43,6 @@ from .optimizer import GDConfig, contraction_check, gd_train, init_near
 from .sampler import SamplerConfig, model_score_fn, reverse_sample, sample_quality
 from .schedule import make_schedule
 from .score import (
-    LatentParams,
     SymmetricParams,
     ambient_log_density,
     ambient_score,
@@ -428,11 +427,13 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
             },
         }
         try:
-            artifacts = DISPATCH[subcommand](cfg, seed, out)
+            # an overflow or invalid operation is a numerical failure, not a NaN
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                artifacts = DISPATCH[subcommand](cfg, seed, out)
             manifest["artifacts"] = artifacts
             manifest["status"] = "ok"
             code = 0
-        except NumericalError as exc:
+        except (NumericalError, FloatingPointError) as exc:
             manifest["artifacts"] = []
             manifest["status"] = "numerical-failure"
             manifest["error"] = f"{type(exc).__name__}: {exc}"

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NonOrthonormalBasis,
-    TimeOutOfRange,
     ValidationError,
     WeightsNotNormalized,
 )

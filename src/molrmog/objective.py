@@ -18,25 +18,10 @@ import numpy as np
 import scipy
 
 from .calculus import score_of
-from .errors import GridEmpty, TimeOutOfRange, ValidationError
+from .errors import GridEmpty, ValidationError
 from .model import MoLRMoGModel, encode, forward_noise, sample_data
 from .schedule import DiffusionSchedule, coefficients
-from .score import LatentParams, conditional_score, from_model_subspace, mixture_kernel
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    t: float | None = None  # fixed evaluation time
-    grid_count: int | None = None  # or a uniform time grid over [t_min, t_max]
-
-    def times(self, sched: DiffusionSchedule) -> np.ndarray:
-        if self.t is not None:
-            if not (sched.t_min <= self.t <= sched.t_max):
-                raise TimeOutOfRange(f"t={self.t} outside schedule range")
-            return np.array([self.t])
-        if self.grid_count is None or self.grid_count < 2:
-            raise ValidationError("need a fixed t or a grid of >= 2 times")
-        return np.linspace(sched.t_min, sched.t_max, self.grid_count)
+from .score import conditional_score, from_model_subspace, mixture_kernel
 
 
 def sm_errors(theta, truth, pis, sched: DiffusionSchedule, t: float,
@@ -46,30 +31,14 @@ def sm_errors(theta, truth, pis, sched: DiffusionSchedule, t: float,
     return np.sum(np.atleast_2d(diff) ** 2, axis=-1)
 
 
-def empirical_loss(theta, truth, pis, sched: DiffusionSchedule, cfg: LossConfig,
-                   data) -> float:
-    """Mean squared score error over data.
-
-    Fixed-t mode: data is one (n, d) array drawn at that time.  Grid mode:
-    data is a list of arrays aligned with cfg.times, combined with
-    trapezoidal weights over the interval.
-    """
-    times = cfg.times(sched)
-    if len(times) == 1:
-        return float(np.mean(sm_errors(theta, truth, pis, sched, float(times[0]), data)))
-    if len(data) != len(times):
-        raise ValidationError("grid mode needs one dataset per grid time")
-    vals = [np.mean(sm_errors(theta, truth, pis, sched, float(tt), X))
-            for tt, X in zip(times, data)]
-    weights = np.ones(len(times))
-    weights[0] = weights[-1] = 0.5
-    weights /= weights.sum()
-    return float(np.dot(weights, vals))
+def empirical_loss(theta, truth, pis, sched: DiffusionSchedule, t: float,
+                   X: np.ndarray) -> float:
+    """Mean squared score error at time t over the (n, d) points X."""
+    return float(np.mean(sm_errors(theta, truth, pis, sched, t, X)))
 
 
-def dsm_loss(theta, pis, sched: DiffusionSchedule, cfg: LossConfig, pairs) -> float:
+def dsm_loss(theta, pis, sched: DiffusionSchedule, t: float, x0, x_t) -> float:
     """Denoising loss: mean |conditional_score(x_t, x0) - s_theta(x_t)|^2."""
-    x0, x_t, t = pairs
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
     target = conditional_score(x_t, x0, sched, float(t))

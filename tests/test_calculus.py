@@ -4,14 +4,13 @@ from conftest import dense_gaussian_logpdf
 
 from molrmog.calculus import (
     BLOCK_ELEMENTS,
+    XI_FLOOR,
     alpha_asymmetric,
     alpha_symmetric,
-    constants_CprimeCtilde,
     equivalent_gaussian_error,
     exact_jacobian,
     hessian_empirical,
     hessian_from_samples,
-    jacobian_exact_terms,
     jacobian_fd,
     jacobian_terms,
     mmtop_eigs,
@@ -83,14 +82,15 @@ def test_general_jacobian_matches_fd(unit_sched):
 def test_exact_terms_sum_and_blocks(unit_sched):
     p = SymmetricParams(mu=[2.0, -0.5], U=[[0.9], [0.4]])
     x = np.array([0.8, 0.1])
-    termA, termB = jacobian_exact_terms(p.mu, p.U, unit_sched, 1.0, x)
-    full = termA.full + termB.full
+    termA, termB = jacobian_terms(p, None, unit_sched, 1.0, x)[2:]
+    full = termA[0] + termB[0]
     assert full == pytest.approx(jacobian_fd(p, None, unit_sched, 1.0, x).full, abs=5e-7)
-    simp = jacobian_exact_terms(p.mu, p.U, unit_sched, 1.0, x)[0]
-    assert np.array_equal(simp.full, termA.full)
+    simp = jacobian_terms(p, None, unit_sched, 1.0, x)[2]
+    assert np.array_equal(simp, termA)
     # block shapes: one mean block (d, d) and one factor block (d, d*r)
-    assert termA.J_mu[0].shape == (2, 2)
-    assert termA.J_U[0].shape == (2, 2)
+    (mu_cols, U_cols), = p.columns
+    assert termA[0][:, mu_cols].shape == (2, 2)
+    assert termA[0][:, U_cols].shape == (2, 2)
 
 
 def test_simplified_jacobian_accurate_when_modes_separate(unit_sched):
@@ -102,7 +102,7 @@ def test_simplified_jacobian_accurate_when_modes_separate(unit_sched):
         mu = np.array([gap / 2, 0.0])
         x = mu + np.array([1.0, 0.3])  # one noise unit off the + mode
         exact = exact_jacobian(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, x)[0]
-        simp = jacobian_exact_terms(mu, U, unit_sched, 1.0, x)[0].full
+        simp = jacobian_terms(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, x)[2][0]
         errs.append(np.max(np.abs(exact - simp)))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-8
@@ -329,10 +329,23 @@ def test_overlap_analysis_matches_separate_reductions(unit_sched):
         hess = hessian_from_samples(params, pis, unit_sched, 1.0, X)
         np.testing.assert_allclose(rep.hessian.H, hess.H, rtol=1e-12, atol=0)
         np.testing.assert_allclose(rep.hessian.stderr, hess.stderr, rtol=1e-12, atol=0)
+        # C1', C2': the largest |B_mu|_F / xi and |B_U|_F / xi from one
+        # whole-batch pass, over points whose overlap xi is above XI_FLOOR
+        _, r, _, B = jacobian_terms(params, pis, unit_sched, 1.0, X)
+        first, second = np.triu_indices(r.shape[1], 1)
+        xi = np.sum(r[:, first] * r[:, second], axis=1)
+        keep = xi > XI_FLOOR
+        n_mu = params.columns[0][1].start
+        C1p, C2p = (np.max(np.linalg.norm(B[keep][:, :, sl], axis=(1, 2)) / xi[keep])
+                    for sl in (slice(0, n_mu), slice(n_mu, params.dim)))
+        s, _, gamma = coefficients(unit_sched, 1.0)
         R = float(np.max(np.linalg.norm(X, axis=1)))
-        c = constants_CprimeCtilde(params, pis, unit_sched, 1.0, R, X)
-        for field in ("S_mu", "S_U", "C1p", "C2p", "C"):
-            assert getattr(rep.constants, field) == pytest.approx(getattr(c, field), rel=1e-12)
+        S_mu, S_U = s / gamma ** 2, s * R * R / gamma ** 2
+        C = (2.0 * (S_mu + S_U) * (C1p + C2p) if isinstance(params, SymmetricParams)
+             else 2.0 * (S_mu * C1p + S_U * C2p))
+        want = {"S_mu": S_mu, "S_U": S_U, "C1p": C1p, "C2p": C2p, "C": C}
+        for field, value in want.items():
+            assert getattr(rep.constants, field) == pytest.approx(value, rel=1e-12)
     r = responsibilities(free, pis, unit_sched, 1.0, X)
     eps = [sum(np.mean(r[:, j] * r[:, l]) for j in range(3) if j != l) for l in range(3)]
     np.testing.assert_allclose(rep.eps_total, eps, rtol=1e-12, atol=0)
@@ -341,9 +354,10 @@ def test_overlap_analysis_matches_separate_reductions(unit_sched):
 def test_perturbation_constants_scales(unit_sched):
     p = SymmetricParams(mu=[2.0, 0.0], U=[[1.0], [0.0]])
     X = sample_noised(p, None, unit_sched, 1.0, 500, 29)
-    c = constants_CprimeCtilde(p, None, unit_sched, 1.0, R=2.0, samples=X)
+    c = overlap_analysis(p, None, unit_sched, 1.0, X).constants
+    R = float(np.max(np.linalg.norm(X, axis=1)))
     assert c.S_mu == pytest.approx(1.0)
-    assert c.S_U == pytest.approx(4.0)  # s R^2 / gamma^2
+    assert c.S_U == pytest.approx(R * R)  # s R^2 / gamma^2
     assert c.C == pytest.approx(2.0 * (c.S_mu + c.S_U) * (c.C1p + c.C2p))
     assert c.C1p >= 0 and c.C2p >= 0
 

@@ -246,6 +246,19 @@ def test_numerical_failure_exit_3_with_manifest(cfg_path, tmp_path):
     assert man["artifacts"] == []
 
 
+@pytest.mark.parametrize("g0", ["1e-100", "1e-160"])
+def test_floating_point_failure_exits_3(cfg_path, tmp_path, capsys, g0):
+    """gamma^2 is in (0, inf), but the score residuals overflow: the run
+    stops with exit 3 and one line instead of reporting a NaN error."""
+    out = tmp_path / "out"
+    assert run("score-check", cfg_path, overrides=[f"schedule.g0={g0}"], out_dir=str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("FloatingPointError: ") and err.count("\n") == 1
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["status"] == "numerical-failure"
+    assert man["artifacts"] == []
+
+
 def test_main_entry_point(cfg_path, tmp_path):
     out = tmp_path / "out"
     assert main(["gen", "--config", cfg_path, "--out", str(out), "--seed", "5"]) == 0

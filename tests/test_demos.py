@@ -1,4 +1,5 @@
-"""Every demo runs end to end: scores, Jacobians, GD training and sampling."""
+"""Every demo and the README tour run end to end: scores, Jacobians, GD
+training and sampling."""
 
 import os
 import subprocess
@@ -10,12 +11,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_scores_and_jacobians.py", "02_training_convergence.py",
-                                  "03_reverse_sampling.py"])
-def test_demo_exits_0(demo):
+def run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", ["01_scores_and_jacobians.py", "02_training_convergence.py",
+                                  "03_reverse_sampling.py"])
+def test_demo_exits_0(demo):
+    run_python([str(ROOT / "demos" / demo)])
+
+
+def test_readme_tour_exits_0():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    run_python(["-c", tour])

@@ -4,7 +4,6 @@ import pytest
 from molrmog.errors import EmptyDataset, GridEmpty, TimeOutOfRange, ValidationError
 from molrmog.model import build_model, forward_noise, sample_data
 from molrmog.objective import (
-    LossConfig,
     ParameterBox,
     dsm_loss,
     empirical_loss,
@@ -35,42 +34,23 @@ def small_model():
     })
 
 
-def test_loss_config_times(unit_sched):
-    assert LossConfig(t=0.5).times(unit_sched) == pytest.approx([0.5])
-    grid = LossConfig(grid_count=5).times(unit_sched)
-    assert grid == pytest.approx(np.linspace(0.01, 1.0, 5))
+def test_loss_time_outside_schedule(unit_sched):
+    truth, pis = from_model_subspace(small_model().subspaces[0])
+    X = np.random.default_rng(0).standard_normal((20, 2))
     with pytest.raises(TimeOutOfRange):
-        LossConfig(t=2.0).times(unit_sched)
-    with pytest.raises(ValidationError):
-        LossConfig().times(unit_sched)
+        empirical_loss(truth, truth, pis, unit_sched, 2.0, X)
 
 
 def test_loss_zero_at_truth_and_positive_away(unit_sched):
     truth, pis = from_model_subspace(small_model().subspaces[0])
     X = np.random.default_rng(0).standard_normal((200, 2))
-    cfg = LossConfig(t=0.5)
-    assert empirical_loss(truth, truth, pis, unit_sched, cfg, X) == 0.0
+    t = 0.5
+    assert empirical_loss(truth, truth, pis, unit_sched, t, X) == 0.0
     theta = truth.unflatten(truth.flatten() + 0.2)
-    assert empirical_loss(theta, truth, pis, unit_sched, cfg, X) > 0
+    assert empirical_loss(theta, truth, pis, unit_sched, t, X) > 0
     assert sm_errors(theta, truth, pis, unit_sched, 0.5, X[0])[0] > 0
     with pytest.raises(EmptyDataset):
-        empirical_loss(theta, truth, pis, unit_sched, cfg, np.zeros((0, 2)))
-
-
-def test_grid_loss_is_trapezoid_average(unit_sched):
-    truth, pis = from_model_subspace(small_model().subspaces[0])
-    theta = truth.unflatten(truth.flatten() + 0.1)
-    cfg = LossConfig(grid_count=3)
-    times = cfg.times(unit_sched)
-    rng = np.random.default_rng(1)
-    data = [rng.standard_normal((50, 2)) for _ in times]
-    got = empirical_loss(theta, truth, pis, unit_sched, cfg, data)
-    per_t = [empirical_loss(theta, truth, pis, unit_sched, LossConfig(t=float(tt)), X)
-             for tt, X in zip(times, data)]
-    want = (0.5 * per_t[0] + per_t[1] + 0.5 * per_t[2]) / 2.0
-    assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValidationError):
-        empirical_loss(theta, truth, pis, unit_sched, cfg, data[:2])
+        empirical_loss(theta, truth, pis, unit_sched, t, np.zeros((0, 2)))
 
 
 def test_dsm_equals_sm_up_to_constant(unit_sched):
@@ -84,16 +64,15 @@ def test_dsm_equals_sm_up_to_constant(unit_sched):
     data = sample_data(model, n, rng)
     x0 = data.x @ model.subspaces[0].A
     x_t = forward_noise(x0, unit_sched, t, rng)
-    cfg = LossConfig(t=t)
     flat = truth.flatten()
     rng2 = np.random.default_rng(3)
     for _ in range(4):
         a = truth.unflatten(flat + 0.3 * rng2.standard_normal(flat.size))
         b = truth.unflatten(flat + 0.3 * rng2.standard_normal(flat.size))
-        d_dsm = (dsm_loss(a, pis, unit_sched, cfg, (x0, x_t, t))
-                 - dsm_loss(b, pis, unit_sched, cfg, (x0, x_t, t)))
-        d_sm = (empirical_loss(a, truth, pis, unit_sched, cfg, x_t)
-                - empirical_loss(b, truth, pis, unit_sched, cfg, x_t))
+        d_dsm = (dsm_loss(a, pis, unit_sched, t, x0, x_t)
+                 - dsm_loss(b, pis, unit_sched, t, x0, x_t))
+        d_sm = (empirical_loss(a, truth, pis, unit_sched, t, x_t)
+                - empirical_loss(b, truth, pis, unit_sched, t, x_t))
         # the cross term is mean-zero; allow a 4-SE Monte Carlo band
         diff_a = np.sum((latent_score(a, pis, unit_sched, t, x_t)
                          - latent_score(b, pis, unit_sched, t, x_t))
@@ -102,7 +81,7 @@ def test_dsm_equals_sm_up_to_constant(unit_sched):
         band = 4 * 2 * np.std(diff_a) / np.sqrt(n)
         assert abs(d_dsm - d_sm) <= band + 1e-12
     with pytest.raises(EmptyDataset):
-        dsm_loss(truth, pis, unit_sched, cfg, (np.zeros((0, 2)), np.zeros((0, 2)), t))
+        dsm_loss(truth, pis, unit_sched, t, np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_lipschitz_constants_closed_form(unit_sched):

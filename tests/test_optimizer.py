@@ -10,7 +10,7 @@ from molrmog.errors import (
     NonPositiveAlpha,
     ValidationError,
 )
-from molrmog.objective import LossConfig, empirical_loss
+from molrmog.objective import empirical_loss
 from molrmog.optimizer import (
     GDConfig,
     contraction_check,
@@ -34,13 +34,12 @@ def test_analytic_gradient_matches_fd(unit_sched):
     X = training_data(200, 1, unit_sched)
     flat = TRUTH.flatten()
     rng = np.random.default_rng(2)
-    cfg = LossConfig(t=1.0)
     for _ in range(3):
         vec = flat + 0.3 * rng.standard_normal(flat.size)
         theta = TRUTH.unflatten(vec)
         _, grad = loss_and_grad(theta, TRUTH, None, unit_sched, 1.0, X)
         want = fd_gradient(
-            lambda v: empirical_loss(TRUTH.unflatten(v), TRUTH, None, unit_sched, cfg, X),
+            lambda v: empirical_loss(TRUTH.unflatten(v), TRUTH, None, unit_sched, 1.0, X),
             vec,
         )
         assert grad == pytest.approx(want, abs=1e-6)
