@@ -168,12 +168,11 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, blocks):
                    None if V is None else U.T @ q)
 
     for Xb in blocks:
-        qs, r, _ = kern.evaluate(Xb)
-        qs, w = qs.transpose(0, 2, 1), r.T  # (L, d, rows) and (L, rows)
+        qs, w, _ = kern._pass(Xb)  # (L, d, rows) and (L, rows)
         score = qs[0] * w[0]
         for q, wl in zip(qs[1:], w[1:]):
             score += q * wl
-        yield s, score, r, pieces(qs, w)
+        yield s, score, w.T, pieces(qs, w)
 
 
 def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
@@ -309,23 +308,12 @@ def _gram_moments(J_blocks, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hessian_from_samples(params, pis, sched: DiffusionSchedule, t: float,
-                         X: np.ndarray, jac_mode: str = "exact") -> HessianReport:
-    """Assemble H = mean_x J(x)^T J(x) over the given sample set."""
+                         X: np.ndarray) -> HessianReport:
+    """Assemble H = mean_x J(x)^T J(x), J the exact Jacobian, over the samples."""
     Xb, _ = _batch(X, params.d)
-    blocks = (_jacobian_by_mode(params, pis, sched, t, rows, jac_mode)
+    blocks = (exact_jacobian(params, pis, sched, t, rows)
               for rows in _row_blocks(Xb, params.d * params.dim))
     return _finish_report(params, pis, sched, t, *_gram_moments(blocks, params.dim))
-
-
-def _jacobian_by_mode(params, pis, sched, t, X, jac_mode):
-    if jac_mode == "exact":
-        return exact_jacobian(params, pis, sched, t, X)
-    if jac_mode == "simplified":
-        return jacobian_terms(params, pis, sched, t, X)[2]
-    if jac_mode == "fd":
-        rows = [jacobian_fd(params, pis, sched, t, x).full for x in np.atleast_2d(X)]
-        return np.stack(rows, axis=0)
-    raise DimensionMismatch(f"unknown jac_mode {jac_mode!r}")
 
 
 def _finish_report(params, pis, sched, t, H, stderr) -> HessianReport:
@@ -362,10 +350,10 @@ def _finish_report(params, pis, sched, t, H, stderr) -> HessianReport:
 
 
 def hessian_empirical(theta_star, pis, sched: DiffusionSchedule, t: float,
-                      n_mc: int, rng, jac_mode: str = "exact") -> HessianReport:
+                      n_mc: int, rng) -> HessianReport:
     """Monte Carlo H = E[J^T J] at theta_star over the noised mixture."""
     X = sample_noised(theta_star, pis, sched, t, n_mc, rng)
-    return hessian_from_samples(theta_star, pis, sched, t, X, jac_mode=jac_mode)
+    return hessian_from_samples(theta_star, pis, sched, t, X)
 
 
 # ---------------------------------------------------------------------------

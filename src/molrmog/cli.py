@@ -64,9 +64,12 @@ def load_config(path: str) -> dict:
     if not p.is_file():
         raise ConfigParseError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigParseError(f"config must be a JSON object, got {cfg!r:.60}")
+    return cfg
 
 
 def apply_override(cfg: dict, assignment: str) -> None:
@@ -250,8 +253,7 @@ def cmd_hessian(cfg, seed, out: Path) -> list[str]:
     t = _num(block, "t", 0.5)
     params, pis = _params_from(block, model)
     rep = hessian_empirical(params, pis, sched, t, _num(block, "n_mc", 20000, int),
-                            np.random.default_rng(seed),
-                            jac_mode=block.get("jac_mode", "exact"))
+                            np.random.default_rng(seed))
     evals = np.linalg.eigvalsh(rep.H)
     write_csv(out / "hessian_spectrum.csv", ["index", "eigenvalue"],
               [(i, float(v)) for i, v in enumerate(evals)])
@@ -413,8 +415,14 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
             seed = _num(cfg, "seed", 0, int)
         if seed < 0:
             raise ConfigParseError(f"seed must be non-negative, got {seed}")
-        out = Path(out_dir if out_dir is not None else cfg.get("out_dir", "."))
-        out.mkdir(parents=True, exist_ok=True)
+        out = out_dir if out_dir is not None else cfg.get("out_dir", ".")
+        if not isinstance(out, (str, Path)):
+            raise ConfigParseError(f"out_dir must be a path string, got {out!r}")
+        out = Path(out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigParseError(f"cannot create output directory: {exc}") from None
         manifest = {
             "subcommand": subcommand,
             "config_hash": config_hash(cfg),

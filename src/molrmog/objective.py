@@ -178,12 +178,14 @@ def make_theta_grid(truth_set, half_width: float, count: int, seed: int):
     return [unflatten_theta_set(truth_set, center + off) for off in offsets]
 
 
-def stacked_errors(theta_set, truth_set, pis_list, model: MoLRMoGModel,
-                   sched: DiffusionSchedule, t: float, X: np.ndarray) -> np.ndarray:
-    """Per-sample loss summed over subspaces, on encoded ambient points."""
-    return sum(sm_errors(theta, truth, pis, sched, t, encode(sub, X))
-               for theta, truth, pis, sub in zip(theta_set, truth_set, pis_list,
-                                                 model.subspaces))
+def stacked_errors(kernels, Zs, true_scores) -> np.ndarray:
+    """Per-sample loss summed over subspaces, sum_k |kernels[k].score(Zs[k]) -
+    true_scores[k]|^2: kernel k is prebuilt at one theta and t, and Zs[k]
+    holds the ambient points encoded in subspace k."""
+    ell = np.zeros(Zs[0].shape[0])
+    for kern, Z, s_true in zip(kernels, Zs, true_scores):
+        ell += np.sum((kern.score(Z) - s_true) ** 2, axis=-1)
+    return ell
 
 
 def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
@@ -222,9 +224,7 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
         means = np.empty(len(theta_grid))
         varis = np.empty(len(theta_grid))
         for gi, kernels in enumerate(grid_kernels):
-            ell = np.zeros(X.shape[0])
-            for kern, Z, s_true in zip(kernels, Zs, true_scores):
-                ell += np.sum((kern.score(Z) - s_true) ** 2, axis=-1)
+            ell = stacked_errors(kernels, Zs, true_scores)
             means[gi] = ell.mean()
             varis[gi] = ell.var()
         return means, varis

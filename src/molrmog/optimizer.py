@@ -122,11 +122,12 @@ def gd_train(theta0, truth, pis, sched: DiffusionSchedule, t: float,
              data: np.ndarray, cfg: GDConfig) -> TrainTrace:
     """Deterministic full-batch GD; trace records distance contraction."""
     X = _batch(data, truth.d)[0]
-    if cfg.eta is None:
-        alpha_hat, L_hat = estimate_local_constants(truth, pis, sched, t, X)
-        eta, kappa, rho = theoretical_step(alpha_hat, L_hat)
-    else:
-        eta, kappa, rho = cfg.eta, float("nan"), float("nan")
+    alpha_hat, L_hat = estimate_local_constants(truth, pis, sched, t, X)
+    eta, kappa, rho = theoretical_step(alpha_hat, L_hat)
+    if cfg.eta is not None:
+        # the contraction factor of a fixed step on the same alpha and L'
+        eta = cfg.eta
+        rho = max(abs(1.0 - eta * alpha_hat), abs(1.0 - eta * L_hat))
 
     s_true = score_of(truth, pis, sched, t, X)
     truth_vec = truth.flatten()

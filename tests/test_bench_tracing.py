@@ -1,0 +1,50 @@
+"""The benchmark's tracer rebinds molrmog functions by name, so deleting or
+renaming one of them breaks only traced bench runs; this keeps them bound."""
+
+import importlib.util
+from pathlib import Path
+
+from molrmog import calculus, model, objective, optimizer, score
+from molrmog.model import build_model
+from molrmog.objective import estimation_gap_experiment, make_theta_grid
+from molrmog.score import from_model_subspace
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.Tracer()
+
+
+def test_tracer_wraps_every_traced_name_and_restores_it(unit_sched):
+    names = [(calculus, "score_of"), (calculus, "exact_jacobian"),
+             (objective, "stacked_errors"), (score, "latent_score"),
+             (model, "encode"), (optimizer, "loss_and_grad")]
+    originals = [getattr(mod, attr) for mod, attr in names]
+    tracer = load_tracer()
+    try:
+        tracer.install()
+        restore = list(tracer._restore)
+        for (mod, attr), orig in zip(names, originals):
+            assert getattr(mod, attr).__wrapped__ is orig, (mod.__name__, attr)
+        for target, attr, orig in restore:
+            bound = target[attr] if isinstance(target, dict) else getattr(target, attr)
+            assert bound.__wrapped__ is orig, attr
+        # the experiment's per-sample loss runs through the traced name
+        sub = {"d": 2, "A_seed": 7, "components": [
+            {"pi": 1.0, "mu": [1.0, 0.0], "U": [[0.5], [0.1]]}]}
+        mix = build_model({"D": 3, "subspaces": [sub]})
+        truth = tuple(from_model_subspace(s)[0] for s in mix.subspaces)
+        grid = make_theta_grid(truth, 0.25, 2, 3)
+        estimation_gap_experiment(mix, grid, [16, 32], 1, unit_sched, 0.25, 5, n_mc=64)
+        # one call per grid point on the population set and on each dataset
+        assert tracer.metrics(1)["objective.stacked_errors.calls"] == 2 * 3
+    finally:
+        tracer.uninstall()
+    for (mod, attr), orig in zip(names, originals):
+        assert getattr(mod, attr) is orig
+    for target, attr, orig in restore:
+        assert (target[attr] if isinstance(target, dict) else getattr(target, attr)) is orig

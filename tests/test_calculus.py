@@ -258,13 +258,12 @@ def test_hessian_memory_bounded(unit_sched):
 
 
 def test_hessian_fd_mode_agrees_with_exact(unit_sched):
+    """The Hessian of the exact Jacobian equals mean F^T F for F the FD Jacobian."""
     p = SymmetricParams(mu=[2.0, 0.5], U=[[0.8], [0.1]])
     X = sample_noised(p, None, unit_sched, 1.0, 40, 13)
-    a = hessian_from_samples(p, None, unit_sched, 1.0, X, jac_mode="exact")
-    b = hessian_from_samples(p, None, unit_sched, 1.0, X, jac_mode="fd")
-    assert a.H == pytest.approx(b.H, abs=1e-6)
-    with pytest.raises(DimensionMismatch):
-        hessian_from_samples(p, None, unit_sched, 1.0, X, jac_mode="bogus")
+    a = hessian_from_samples(p, None, unit_sched, 1.0, X)
+    F = np.stack([jacobian_fd(p, None, unit_sched, 1.0, x).full for x in X])
+    assert a.H == pytest.approx(np.einsum("ndp,ndq->pq", F, F) / X.shape[0], abs=1e-6)
 
 
 def test_hessian_empirical_reproducible(unit_sched):
@@ -448,11 +447,3 @@ def test_self_cluster_term_matches_frozen_responsibility_fd(unit_sched, vp_sched
                 fd = np.stack(cols, axis=-1)
                 got = jacobian_terms(params, pis, sched, t, x)[2][0]
                 assert got == pytest.approx(fd, abs=5e-7)
-
-    # the simplified Hessian is the mean of A^T A for a free mixture too
-    params, pis = cases[2]
-    X = sample_noised(params, pis, unit_sched, 1.0, 300, 31)
-    A = jacobian_terms(params, pis, unit_sched, 1.0, X)[2]
-    H = np.einsum("ndp,ndq->pq", A, A) / X.shape[0]
-    rep = hessian_from_samples(params, pis, unit_sched, 1.0, X, jac_mode="simplified")
-    assert rep.H == pytest.approx(0.5 * (H + H.T), abs=1e-12)

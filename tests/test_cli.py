@@ -246,6 +246,19 @@ def test_numerical_failure_exit_3_with_manifest(cfg_path, tmp_path):
     assert man["artifacts"] == []
 
 
+def test_explicit_step_writes_finite_summary(cfg_path, tmp_path):
+    """An explicit train.eta reports the fixed step's contraction factor, not
+    NaN, and the contraction check reads its ratios against it."""
+    out = tmp_path / "out"
+    assert run("train", cfg_path, overrides=["train.eta=0.5", "train.m_max=20"],
+               out_dir=str(out)) == 0
+    summary = json.loads((out / "train_summary.json").read_text())
+    assert all(np.isfinite(v) for k, v in summary.items() if k != "first_violation")
+    assert 0 < summary["rho_bound"] < 1
+    assert summary["contraction_fraction"] == 1.0
+    assert summary["first_violation"] is None
+
+
 @pytest.mark.parametrize("g0", ["1e-100", "1e-160"])
 def test_floating_point_failure_exits_3(cfg_path, tmp_path, capsys, g0):
     """gamma^2 is in (0, inf), but the score residuals overflow: the run
@@ -385,6 +398,29 @@ def test_malformed_summary_report_exits_2(tmp_path, capsys, name, text):
 
 def test_negative_seed_flag_exits_2(cfg_path, tmp_path, capsys):
     assert main(["gen", "--config", cfg_path, "--out", str(tmp_path), "--seed", "-5"]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text", ["[1,2]", "5", "null", '"cfg"'])
+def test_non_object_config_exits_2(tmp_path, capsys, text):
+    p = tmp_path / "cfg.json"
+    p.write_text(text, encoding="utf-8")
+    assert run("gen", str(p), out_dir=str(tmp_path / "out")) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("value", ["5", "null", '["a"]', "true"])
+def test_non_string_out_dir_exits_2(cfg_path, tmp_path, capsys, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", cfg_path, overrides=[f"out_dir={value}"]) == 2
+    _assert_one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_uncreatable_out_dir_exits_2(cfg_path, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["gen", "--config", cfg_path, "--out", str(blocker / "x")]) == 2
     _assert_one_line_error(capsys)
 
 

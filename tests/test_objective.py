@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from molrmog.errors import EmptyDataset, GridEmpty, TimeOutOfRange, ValidationError
-from molrmog.model import build_model, forward_noise, sample_data
+from molrmog.model import build_model, encode, forward_noise, sample_data
 from molrmog.objective import (
     ParameterBox,
     dsm_loss,
@@ -14,7 +14,6 @@ from molrmog.objective import (
     estimation_gap_bound,
     scrambled_sobol,
     sm_errors,
-    stacked_errors,
     unflatten_theta_set,
 )
 from molrmog.score import LatentParams, SymmetricParams, from_model_subspace, latent_score
@@ -180,7 +179,8 @@ def test_gap_bound_monotone_in_n():
 
 def test_estimation_gaps_match_direct_stacked_errors(unit_sched):
     """The experiment's population moments and per-n gaps equal a direct
-    per-grid-point stacked_errors evaluation on the same draws."""
+    per-grid-point sum over subspaces of sm_errors on the same draws, which
+    builds its own kernels on every call."""
     model = build_model({"D": 4, "subspaces": [
         {"d": 2, "A_seed": 7, "components": [
             {"pi": 0.4, "mu": [2.0, 0.0], "U": [[0.6], [0.1]]},
@@ -199,7 +199,9 @@ def test_estimation_gaps_match_direct_stacked_errors(unit_sched):
 
     def mean_var(n):
         X = forward_noise(sample_data(model, n, rng).x, unit_sched, t, rng)
-        ell = np.stack([stacked_errors(th, truth_set, pis_list, model, unit_sched, t, X)
+        ell = np.stack([sum(sm_errors(th_k, truth_k, pis_k, unit_sched, t, encode(sub, X))
+                            for th_k, truth_k, pis_k, sub in zip(th, truth_set, pis_list,
+                                                                 model.subspaces))
                         for th in grid])
         return ell.mean(axis=1), ell.var(axis=1)
 

@@ -193,6 +193,22 @@ def test_gd_with_analytic_constants_satisfies_weak_bound(unit_sched):
     assert rep.fraction == 1.0
 
 
+def test_explicit_step_reports_its_contraction_factor(unit_sched):
+    """A fixed step keeps kappa and reports rho = max |1 - eta lambda| over the
+    extreme loss-Hessian eigenvalues; at the theoretical step that is the
+    theoretical rho."""
+    X = training_data(2000, 43, unit_sched)
+    theta0 = init_near(TRUTH, 0.2, 45)
+    auto = gd_train(theta0, TRUTH, None, unit_sched, 1.0, X, GDConfig(m_max=3))
+    alpha_hat, L_hat = estimate_local_constants(TRUTH, None, unit_sched, 1.0, X)
+    trace = gd_train(theta0, TRUTH, None, unit_sched, 1.0, X, GDConfig(eta=0.5, m_max=20))
+    assert trace.kappa == auto.kappa
+    assert trace.rho_bound == max(abs(1 - 0.5 * alpha_hat), abs(1 - 0.5 * L_hat))
+    assert contraction_check(trace, trace.rho_bound, slack=0.05).fraction == 1.0
+    same = gd_train(theta0, TRUTH, None, unit_sched, 1.0, X, GDConfig(eta=auto.eta, m_max=3))
+    assert same.rho_bound == pytest.approx(auto.rho_bound, rel=1e-12)
+
+
 def test_gd_fixed_point_at_truth(unit_sched):
     X = training_data(500, 17, unit_sched)
     trace = gd_train(TRUTH, TRUTH, None, unit_sched, 1.0, X, GDConfig(m_max=5))
