@@ -136,9 +136,9 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, blocks):
     the free mixture params define factored once for all of them: yields
     (s, score, r, pieces) per block.
 
-    score is the (d, rows) sum of r_l q_l, the negated score with the points
-    on the last axis, and r the (rows, L) responsibilities of the free
-    mixture.  pieces yields, per component, (sign, mu_cols, U_cols, q, rm,
+    score is the (d, rows) score with the points on the last axis, the
+    transpose of the one `NoisedMixture.score` gives, and r the (rows, L)
+    responsibilities of the free mixture.  pieces yields, per component, (sign, mu_cols, U_cols, q, rm,
     Sinv, c, V, qU): the mean sign and the column slices of the block it is
     tied to; q = Sigma^{-1} (x - s mu) and c = -r (q + score), both (d, rows);
     its (rows,) responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1} U and
@@ -155,24 +155,23 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, blocks):
         V = kern.solve(m, U.T).T if U.size else None  # Sigma_m^{-1} U_m, (d, r)
         fixed.append((sign, *cols[b], kern.solve(m, np.eye(d)), V, U))
 
-    def pieces(qs, w):
+    def pieces(qs, w, tmp):
         for m, (sign, mu_cols, U_cols, Sinv, V, U) in enumerate(fixed):
             q, rm = qs[m], w[m]
             # q_m + score summed pairwise as sum_l r_l (q_m - q_l): it keeps
             # its relative accuracy where r_m r_l is far below 1
-            dev = np.zeros_like(q)
+            c = np.zeros_like(q)
             for l, ql in enumerate(qs):
                 if l != m:
-                    dev += w[l] * (q - ql)
-            yield (sign, mu_cols, U_cols, q, rm, Sinv, (-rm) * dev, V,
-                   None if V is None else U.T @ q)
+                    c += np.multiply(np.subtract(q, ql, out=tmp), w[l], out=tmp)
+            c *= -rm
+            yield sign, mu_cols, U_cols, q, rm, Sinv, c, V, None if V is None else U.T @ q
 
     for Xb in blocks:
-        qs, w, _ = kern._pass(Xb)  # (L, d, rows) and (L, rows)
-        score = qs[0] * w[0]
-        for q, wl in zip(qs[1:], w[1:]):
-            score += q * wl
-        yield s, score, w.T, pieces(qs, w)
+        score, work, z, _ = kern._pass(Xb, residuals=True)
+        L = len(work) - 2
+        # x^T, free once the pass is done, is the pieces' scratch
+        yield s, score.T, z[:L].T, pieces(work[:L], z[:L], work[L])
 
 
 def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
@@ -202,7 +201,7 @@ def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarra
             A[:, U_cols] += (dq * ((s * s) * rm)).reshape(d, k, n)
             g_U = (s * s) * (qU[:, None, :] * q[None, :, :] - V.T[:, :, None])
             B[:, U_cols] += c[:, None, :] * g_U.reshape(k, n)
-    return -score.T, r, A.transpose(2, 0, 1), B.transpose(2, 0, 1)
+    return score.T, r, A.transpose(2, 0, 1), B.transpose(2, 0, 1)
 
 
 def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
@@ -222,13 +221,13 @@ def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
     whatever n is; the sums are the single-block ones up to rounding.
     """
     Xb, _ = _batch(X, params.d)
-    # per point, one kernel pass allocates L residuals, rho and L log-joints
+    # per point, one kernel pass holds about L residuals, rho and L log-joints
     d, L = params.d, len(params.tie)
     width = d * L + d + L
     passes = _derivative_pass(params, pis, sched, t, _row_blocks(Xb, width))
     sq, g = 0.0, np.zeros(params.dim)
     for (s, score, _, pieces), T in zip(passes, _row_blocks(target, width)):
-        resid = -score.T - T
+        resid = score.T - T
         sq += np.sum(np.sum(resid ** 2, axis=-1))
         R = resid.T
         for sign, mu_cols, U_cols, q, rm, Sinv, c, V, qU in pieces:

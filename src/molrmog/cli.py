@@ -111,6 +111,27 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+# the keys of each config block; one nested under a known name has its table
+_KNOWN_KEYS = {
+    "": "seed out_dir schedule model gen score_check estimation hessian overlap train sampler",
+    "schedule": "kind g0 beta t_min t_max", "model": "D subspaces", "gen": "n",
+    "subspaces": "d A_seed A components", "components": "pi mu U", "symmetric": "mu U",
+    "score_check": "n_points times h", "estimation": "t n_schedule trials grid half_width n_mc",
+    "hessian": "t n_mc subspace symmetric", "overlap": "t n_mc mode subspace symmetric",
+    "train": "t n init_radius eta m_max tol dist_floor subspace symmetric",
+    "sampler": "steps n schedule"}
+
+
+def _check_keys(block: dict, name: str = "", path: str = "") -> None:
+    """Refuse the first key a config block does not know, naming its dotted path."""
+    for key, value in block.items():
+        if key not in _KNOWN_KEYS[name].split():
+            raise ConfigParseError(f"unknown config key {path + key!r}")
+        for i, item in enumerate(value) if isinstance(value, list) else [(None, value)]:
+            if key in _KNOWN_KEYS and isinstance(item, dict):
+                _check_keys(item, key, f"{path}{key}." if i is None else f"{path}{key}[{i}].")
+
+
 def _block(cfg: dict, key: str) -> dict:
     if not isinstance(block := cfg.get(key, {}), dict):
         raise ConfigParseError(f"{key} must be an object, got {block!r}")
@@ -411,6 +432,7 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
         cfg = load_config(config_path) if config_path else {}
         for assignment in overrides:
             apply_override(cfg, assignment)
+        _check_keys(cfg)
         if seed is None:
             seed = _num(cfg, "seed", 0, int)
         if seed < 0:

@@ -217,8 +217,7 @@ def sample_data(model: MoLRMoGModel, n: int, rng) -> LabeledDataset:
     flat = component_weights(model)
     probs = np.array([w for _, _, w in flat])
     idx = rng.choice(len(flat), size=n, p=probs)
-    k_lab = np.array([flat[i][0] for i in idx], dtype=int)
-    l_lab = np.array([flat[i][1] for i in idx], dtype=int)
+    k_lab, l_lab = np.array([(k, l) for k, l, _ in flat], dtype=int)[idx].T
     x = np.empty((n, model.D))
     # one block of normal draws per component, in fixed component order
     for ci, (k, l, _) in enumerate(flat):

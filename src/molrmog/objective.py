@@ -173,6 +173,8 @@ def make_theta_grid(truth_set, half_width: float, count: int, seed: int):
     diameter C1 is measured from the realized points."""
     if count < 1:
         raise GridEmpty("grid needs at least one point")
+    if not 0 < half_width < math.inf:
+        raise ValidationError(f"half_width must be positive and finite, got {half_width!r}")
     center = flatten_theta_set(truth_set)
     offsets = (2.0 * scrambled_sobol(center.size, count, seed) - 1.0) * half_width
     return [unflatten_theta_set(truth_set, center + off) for off in offsets]

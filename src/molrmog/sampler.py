@@ -10,8 +10,8 @@ buffers the sampler owns (drift and noise), and writes its result into one
 fresh state array.  `reverse_sample` therefore never modifies the array it
 hands to score_fn, nor the array score_fn returns: a callback may cache
 either or return a view of its input.  The exact score it usually calls
-(`score.NoisedMixture.score`) works in place in a scratch array reused
-across components and forms the rank-one Woodbury product as a broadcast.
+(`score.NoisedMixture.score`) makes one allocation per call, holds no
+per-component residual, and returns the score in the state's (n, D) layout.
 """
 
 from __future__ import annotations

@@ -14,18 +14,17 @@ log pi_l - (d log 2 pi + log det Sigma_l) / 2 with
 
 No dense covariance is ever formed, and the identities stay exact for
 arbitrary U (the orthonormal-columns projection form is a special case).  One
-pass over x gives the residuals q_l = Sigma_l^{-1} (x - s mu_l) and the
-log-joints; responsibilities, the score -sum_l r_l q_l and the log density
-follow from them.  The pass works in place in one (d, n) scratch array
-shared by all components and in the residual array it returns, and for
-rank-one factors it forms W_l^T (W_l rho) as a broadcast product, which is
-exact, instead of a k = 1 matrix product.  The latent, ambient (means A mu,
-factors A U) and tied two-mode functions below are thin wrappers over the
-kernel; a single component is the kernel with one component of weight 1.
-Every function accepts a single point (d,) or a batch (n, d) and returns a
-matching shape; `_batch` reads both, and it is the one place that refuses a
-batch of zero rows (EmptyDataset), for the scores here and for every loss,
-gradient and curvature reduction built on them.
+pass over x takes, per component, rho_l = x - s mu_l, a_l = W_l rho_l and the
+exact norms, for the log-joints by rho^T Sigma_l^{-1} rho = (|rho_l|^2 -
+|a_l|^2) / gamma^2, then the score -sum_l r_l q_l = (M^T [r; r_l a_l] - x) /
+gamma^2 by one GEMM against M = [s mu_1 ... s mu_L; W_1; ...; W_L]; only
+`evaluate` and the derivative pass also take q_l = (rho_l - W_l^T a_l) /
+gamma^2.  The latent, ambient (means A mu, factors A U) and tied two-mode
+functions below are thin wrappers over the kernel; a single component is the
+kernel with one component of weight 1.  Every function accepts a single point
+(d,) or a batch (n, d) and returns a matching shape; `_batch` reads both, and
+it is the one place that refuses a batch of zero rows (EmptyDataset), for the
+scores here and for every loss, gradient and curvature reduction built on them.
 """
 
 from __future__ import annotations
@@ -69,17 +68,21 @@ class NoisedMixture:
         self.centers = s * np.array(means, dtype=float)  # (L, d)
         self.d = d = self.centers.shape[1]
         self.g2 = gamma * gamma
-        self.W = []  # per component, (r, d)
-        logdet = np.empty(len(self.centers))
-        for l, U in enumerate(_as_factor(U) for U in factors):
-            r = U.shape[1]
-            logdet[l] = 2.0 * (d - r) * math.log(gamma)
-            if r:
-                chol = np.linalg.cholesky(self.g2 * np.eye(r) + (s * s) * (U.T @ U))
-                self.W.append(s * _lower_solve(chol, U.T))
-                logdet[l] += 2.0 * np.sum(np.log(np.diag(chol)))
-            else:
-                self.W.append(np.zeros((0, d)))
+        Us = [_as_factor(U) for U in factors]
+        ranks = [U.shape[1] for U in Us]
+        # the factors side by side, U = [U_1 ... U_L]; G sums each component's
+        # columns and G^T G keeps the diagonal blocks of U^T U, so one Cholesky
+        # and one forward substitution give every W_l, stacked under the means
+        # in M = [s mu_1 ... s mu_L; W_1; ...; W_L]
+        U = np.hstack(Us)
+        self.G = np.repeat(np.eye(len(Us)), ranks, axis=1)
+        chol = np.linalg.cholesky(self.g2 * np.eye(U.shape[1])
+                                  + (s * s) * ((U.T @ U) * (self.G.T @ self.G)))
+        self.M = np.vstack([self.centers, s * _lower_solve(chol, U.T)])
+        self.rows = [slice(e - r, e) for r, e in zip(ranks, len(ranks) + np.cumsum(ranks))]
+        self.W = [self.M[rows] for rows in self.rows]  # per component, (r, d)
+        logdet = (2.0 * (d - np.array(ranks)) * math.log(gamma)
+                  + self.G @ (2.0 * np.log(chol.diagonal())))
         self.const = np.log(np.asarray(weights, dtype=float)) - 0.5 * (d * LOG_2PI + logdet)
 
     def solve(self, l: int, v: np.ndarray) -> np.ndarray:
@@ -87,69 +90,69 @@ class NoisedMixture:
         W = self.W[l]
         return (v - (v @ W.T) @ W) / self.g2
 
-    def _pass(self, x: np.ndarray):
-        """Residuals (L, d, n), normalized weights (L, n) and log density (n,);
-        points run along the last axis so numpy's inner loops are long.
-
-        Every component works in place in one (d, n) scratch array, rho, and
-        its own residual slot, which first holds W^T W rho; x^T waits in the
-        last slot, which the last component overwrites only after reading it.
-        A pass allocates q, the log-joints and rho, and no other (d, n) array."""
-        q = np.empty((len(self.W), self.d, len(x)))
-        logj = np.empty((len(self.W), len(x)))
-        xt = q[-1]
+    def _pass(self, x: np.ndarray, residuals: bool = False):
+        """(score, work, z, (top, total)) for x (n, d), points on the last axis
+        so numpy's inner loops are long: work is (k + 2, d, n), the q_l if asked
+        for (k = L, else 0), x^T and the scratch rho_l; z, in the same single
+        allocation (fewer page faults), is the weights (L, n) over every r_l a_l;
+        the log density is top + log(total)."""
+        L, d, n = len(self.W), self.d, len(x)
+        k = L if residuals else 0
+        buf = np.empty(((k + 2) * d + len(self.M), n))
+        work, z = buf[:(k + 2) * d].reshape(k + 2, d, n), buf[(k + 2) * d:]
+        xt, rho, logj, a_rows = work[-2], work[-1], z[:L], [z[rows] for rows in self.rows]
         np.copyto(xt, x.T)
-        rho = np.empty_like(xt)
-        for l, (c, W, ql) in enumerate(zip(self.centers, self.W, q)):
+        for l, (c, W, a) in enumerate(zip(self.centers, self.W, a_rows)):
             np.subtract(xt, c[:, None], out=rho)
-            if len(W) == 1:
-                # W^T (W rho) for r = 1: one exact product per entry, as the
-                # k = 1 GEMM gives, without its overhead
-                np.multiply(W.T, W @ rho, out=ql)
-            else:
-                np.matmul(W.T, W @ rho, out=ql)
-            np.subtract(rho, ql, out=ql)
-            ql /= self.g2
-            rho *= ql
-            np.sum(rho, axis=0, out=logj[l])
-            logj[l] *= 0.5
-            np.subtract(self.const[l], logj[l], out=logj[l])
+            np.matmul(W, rho, out=a)
+            if residuals:
+                # rank one: one exact product per entry, faster than matmul's k = 1
+                np.dot(W.T, a, out=work[l])
+                np.subtract(rho, work[l], out=work[l])
+                work[l] /= self.g2
+            np.einsum("in,in->n", rho, rho, out=logj[l])
+        # the exact norms, never the expanded |x|^2 - 2 c.x + |c|^2, whose
+        # rounding error grows with |x|^2 / gamma^2
+        logj -= self.G @ np.square(z[L:])
+        logj *= -0.5 / self.g2
+        logj += self.const[:, None]
         top = logj.max(axis=0)
         logj -= top
         w = np.exp(logj, out=logj)
         total = w.sum(axis=0)
         w /= total
-        return q, w, top + np.log(total)
+        for wl, a in zip(w, a_rows):
+            a *= wl
+        # the score by one GEMM (module docstring), into its own array so that a
+        # caller who keeps it keeps nothing else of the pass
+        np.matmul(self.M.T, z, out=rho)
+        out = np.subtract(rho, xt)
+        out /= self.g2
+        return out.T, work, z, (top, total)
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One pass over x of shape (n, d): residuals q (L, n, d),
         responsibilities r (n, L) and the mixture log density (n,)."""
-        q, w, logp = self._pass(x)
-        return q.transpose(0, 2, 1), w.T, logp
+        _, work, z, (top, total) = self._pass(x, residuals=True)
+        return work[:-2].transpose(0, 2, 1), z[:len(self.W)].T, top + np.log(total)
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        """-sum_l r_l(x) Sigma_l^{-1} (x - s mu_l), summed in place on the
-        pass's residuals; the result is a fresh array."""
+        """The score, a fresh (n, d) array."""
         xb, single = _batch(x, self.d)
-        q, w, _ = self._pass(xb)
-        out = q[0]
-        out *= w[0]
-        for ql, wl in zip(q[1:], w[1:]):
-            ql *= wl
-            out += ql
-        out = np.negative(out).T
+        out = self._pass(xb)[0]
         return out[0] if single else out
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities, max-shifted before exp."""
         xb, single = _batch(x, self.d)
-        r = self.evaluate(xb)[1]
+        r = self._pass(xb)[2][:len(self.W)].T
         return r[0] if single else r
 
     def log_density(self, x: np.ndarray) -> np.ndarray | float:
         """log of the mixture density, max-shifted log-sum-exp of the log-joints."""
         xb, single = _batch(x, self.d)
-        out = self.evaluate(xb)[2]
+        top, total = self._pass(xb)[3]
+        out = top + np.log(total)
         return float(out[0]) if single else out
 
 

@@ -379,10 +379,28 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("score-check", "schedule.g0=1e300"),
     ("score-check", "schedule.g0=1e-200"),
     ("gen", "model.D=4.5"),
+    ("estimation", "estimation.half_width=0"),
+    ("estimation", "estimation.half_width=-0.25"),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("sub, override, key", [
+    ("hessian", "hessian.n_MC=5", "hessian.n_MC"),
+    ("hessian", 'hessian.jac_mode="fd"', "hessian.jac_mode"),
+    ("gen", "gen.nn=5", "gen.nn"),
+    ("gen", "sampeler.n=5", "sampeler"),
+    ("sample", "sampler.schedule.betta=8", "sampler.schedule.betta"),
+    ("train", "train.symmetric.V=[[1.0],[0.0]]", "train.symmetric.V"),
+    ("gen", "model.subspaces=[{\"d\":2,\"A_seed\":4,\"A_sed\":5,\"components\":[]}]",
+     "model.subspaces[0].A_sed"),
+])
+def test_unknown_config_key_exits_2_naming_it(cfg_path, tmp_path, capsys, sub, override, key):
+    assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config key {key!r}\n"
 
 
 @pytest.mark.parametrize("name, text", [

@@ -246,6 +246,18 @@ def test_kernel_matches_dense_cholesky_across_ranks_and_schedules(unit_sched, vp
                 assert q[l] == pytest.approx(np.linalg.solve(cov, (X - s * mu).T).T, rel=1e-9)
 
 
+def _highdim_model():
+    """D = 64 with K = 4 planes, each holding two rank-one components whose
+    means have norm about 5."""
+    subs = []
+    for k in range(4):
+        rng = np.random.default_rng(30 + k)
+        comps = tuple(MoGComponent(pi=0.5, mu=rng.normal(0.0, 3.5, 2), U=0.5 * rng.standard_normal((2, 1)))
+                      for _ in range(2))
+        subs.append(Subspace(A=random_orthonormal(64, 2, 40 + k), components=comps))
+    return MoLRMoGModel(D=64, subspaces=tuple(subs))
+
+
 def test_ambient_kernel_matches_dense_cholesky(vp_sched):
     comps_a = (MoGComponent(pi=0.3, mu=[2.0, 0.0], U=[[0.6], [0.1]]),
                MoGComponent(pi=0.7, mu=[-2.0, 0.5], U=np.zeros((2, 0))))
@@ -253,33 +265,65 @@ def test_ambient_kernel_matches_dense_cholesky(vp_sched):
     model = MoLRMoGModel(D=5, subspaces=(
         Subspace(A=random_orthonormal(5, 2, 3), components=comps_a),
         Subspace(A=random_orthonormal(5, 3, 4), components=comps_b)))
-    flat = [(sub, c) for sub in model.subspaces for c in sub.components]
-    weights = [c.pi / 2 for _, c in flat]
-    means = [sub.A @ c.mu for sub, c in flat]
-    factors = [sub.A @ c.U for sub, c in flat]
     X = 2.0 * np.random.default_rng(13).standard_normal((9, 5))
-    for t in (vp_sched.t_min, vp_sched.t_max):
-        want_score, want_r, want_logp = dense_mixture(
-            weights, means, factors, vp_sched.s(t), vp_sched.gamma(t), X)
-        assert ambient_score(model, vp_sched, t, X) == pytest.approx(want_score, rel=1e-9)
-        assert ambient_responsibilities(model, vp_sched, t, X) == pytest.approx(want_r, rel=1e-9)
-        assert ambient_log_density(model, vp_sched, t, X) == pytest.approx(want_logp, rel=1e-9)
-        assert ambient_log_density(model, vp_sched, t, X[2]) == pytest.approx(want_logp[2],
-                                                                              rel=1e-9)
+    # D = 64 (K = 4, d = 2, L = 2), and at t_min points near its means, |x| ~ 5
+    big = _highdim_model()
+    rng = np.random.default_rng(14)
+    s, gamma = vp_sched.s(vp_sched.t_min), vp_sched.gamma(vp_sched.t_min)
+    near = [s * sub.A @ c.mu + gamma * rng.standard_normal(64)
+            for sub in big.subspaces for c in sub.components]
+    cases = [(model, X, (vp_sched.t_min, vp_sched.t_max)),
+             (big, 0.6 * rng.standard_normal((6, 64)), (0.5, vp_sched.t_max)),
+             (big, np.array(near), (vp_sched.t_min,))]
+    for model, X, times in cases:
+        flat = [(sub, c) for sub in model.subspaces for c in sub.components]
+        weights = [c.pi / model.K for _, c in flat]
+        means = [sub.A @ c.mu for sub, c in flat]
+        factors = [sub.A @ c.U for sub, c in flat]
+        for t in times:
+            want_score, want_r, want_logp = dense_mixture(
+                weights, means, factors, vp_sched.s(t), vp_sched.gamma(t), X)
+            assert ambient_score(model, vp_sched, t, X) == pytest.approx(want_score, rel=1e-9)
+            assert ambient_responsibilities(model, vp_sched, t, X) == pytest.approx(want_r,
+                                                                                    rel=1e-9)
+            assert ambient_log_density(model, vp_sched, t, X) == pytest.approx(want_logp,
+                                                                               rel=1e-9)
+            assert ambient_log_density(model, vp_sched, t, X[2]) == pytest.approx(want_logp[2],
+                                                                                  rel=1e-9)
 
 
-def test_rank_one_residual_equals_matmul_exactly(vp_sched):
-    """The broadcast outer product gives W^T (W rho) bit for bit."""
+def test_ambient_score_holds_no_per_component_residuals(vp_sched):
+    """One ambient_score call at D = 64 with 8 components and n = 2000 peaks
+    below 3.5 n D 8 bytes: x^T, the scratch rho, the weights and a_l rows
+    (0.25 n D 8 here) and the result, where every component's (D, n)
+    residual alone is 8 n D 8."""
+    import tracemalloc
+
+    model = _highdim_model()
+    X = 0.6 * np.random.default_rng(15).standard_normal((2000, 64))
+    ambient_score(model, vp_sched, 0.5, X)
+    tracemalloc.start()
+    try:
+        ambient_score(model, vp_sched, 0.5, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2000 * 64 * 8, peak
+
+
+def test_residuals_equal_woodbury_product_exactly(vp_sched):
+    """evaluate's q_l, formed from the pass's own a_l = W_l rho_l, is
+    (rho - W^T (W rho)) / gamma^2 bit for bit, for rank-one and rank-two factors."""
     rng = np.random.default_rng(21)
-    for d in (1, 2, 5):
-        params, pis = random_params(d, 3, 1, seed=d)
+    for rank, d in ((1, 1), (1, 2), (1, 5), (2, 2), (2, 5)):
+        params, pis = random_params(d, 3, rank, seed=d * rank)
         kern = mixture_kernel(params, pis, vp_sched, 0.4)
         X = rng.standard_normal((50, d)) * 3.0
         q = kern.evaluate(X)[0]
         for l, (c, W) in enumerate(zip(kern.centers, kern.W)):
             rho = np.ascontiguousarray(X.T) - c[:, None]
             want = (rho - W.T @ (W @ rho)) / kern.g2
-            assert np.array_equal(q[l], want.T)
+            assert np.array_equal(q[l], want.T), (rank, d, l)
 
 
 def test_successive_passes_return_independent_arrays(vp_sched):
