@@ -29,7 +29,7 @@ print("\nnear the + mode, r+ =", r[0], " r- =", r[1])
 
 # the exact parameter-Jacobian splits into a frozen-responsibility part
 # (term A) and an overlap-driven part (term B proportional to r+ r-)
-termA, termB = jacobian_terms(p, None, sched, t, x)[2:]
+termA, termB = jacobian_terms(p, None, sched, t, x)[1:]
 print("|termA| =", np.linalg.norm(termA), " |termB| =", np.linalg.norm(termB))
 
 fd = jacobian_fd(p, None, sched, t, x).full
@@ -41,5 +41,5 @@ print("\ngap (in noise units) vs |termB|/|termA| one noise unit off the + mode:"
 for gap in (2.0, 4.0, 8.0, 16.0):
     mu = np.array([gap / 2.0, 0.0])
     xq = mu + np.array([1.0, 0.0])
-    a, b = jacobian_terms(SymmetricParams(mu=mu, U=p.U), None, sched, t, xq)[2:]
+    a, b = jacobian_terms(SymmetricParams(mu=mu, U=p.U), None, sched, t, xq)[1:]
     print(f"  {gap:4.0f}  {np.linalg.norm(b) / np.linalg.norm(a):.3e}")

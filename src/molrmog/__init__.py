@@ -10,12 +10,10 @@ from .model import (
     MoLRMoGModel,
     Subspace,
     build_model,
-    decode,
     encode,
     forward_noise,
     moment_match,
     sample_data,
-    support_radius,
 )
 from .score import (
     LatentParams,

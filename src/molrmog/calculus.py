@@ -15,28 +15,29 @@ Conventions fixed here and used everywhere:
     silently.  `_gram_moments` is the one reduction that builds H, for the
     Hessian report, the overlap analysis and the GD step size alike.
 
-There is one derivative code path, `_derivative_pass`.  It factors the kernel
-of the free mixture the parameters define once and makes one kernel pass over
-each row block of x, which yields the score, the responsibilities and each
-component's pieces of the Jacobian.
-`jacobian_terms` assembles those into the Jacobian split into a "self-cluster"
-part (term A: component responsibilities frozen) and a responsibility-
-derivative part (term B, proportional to the pairwise overlaps r_i r_j and
-exponentially suppressed as the modes separate).  Term A alone is the
-simplified Jacobian; A + B matches finite differences to first-principles
+There is one derivative code path, `_derivative_pass`.  It checks the batch,
+cuts it into row blocks, factors the kernel of the free mixture the parameters
+define once and makes one kernel pass over each block, which yields the score,
+the responsibilities and each component's pieces of the Jacobian.
+`_jacobian_blocks` assembles those, block by block, into the Jacobian split
+into a "self-cluster" part (term A: component responsibilities frozen) and a
+responsibility-derivative part (term B, proportional to the pairwise overlaps
+r_i r_j and exponentially suppressed as the modes separate); `jacobian_terms`
+(one block), the Hessian and the overlap analysis read it.  Term A alone is
+the simplified Jacobian; A + B matches finite differences to first-principles
 accuracy.  The tied two-mode form is the free mixture (mu, -mu, U, U) with
 weights (1/2, 1/2); its terms are the free ones pulled back through that
 linear tie, J_mu = J_mu+ - J_mu- and J_U = J_U+ + J_U-, applied as block
 sums while the terms are assembled (`SymmetricParams.tie`), so it has no
 derivative code of its own.  The GD gradient sum_n J_n^T (residual)_n is the
 residual contraction of the same pieces (`residual_contraction`): it costs
-O(n d (d + r)) per component, runs over row blocks so its temporaries stay
-bounded in n, and never forms the (n, d, p) terms.
+O(n d (d + r)) per component and never forms the (n, d, p) terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -63,8 +64,9 @@ XI_FLOOR = 1e-300
 BLOCK_ELEMENTS = 1 << 16
 
 
-def _row_blocks(X: np.ndarray, width: int):
-    step = max(1, BLOCK_ELEMENTS // width)
+def _row_blocks(X: np.ndarray, width: int | None):
+    """Row blocks of X of BLOCK_ELEMENTS // width rows; one block for width None."""
+    step = len(X) if width is None else max(1, BLOCK_ELEMENTS // width)
     return (X[i : i + step] for i in range(0, X.shape[0], step))
 
 
@@ -131,10 +133,11 @@ def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
                         J_U=tuple(full[:, u] for _, u in theta.columns))
 
 
-def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, blocks):
-    """Kernel passes over row blocks (rows, d) of points, with the kernel of
-    the free mixture params define factored once for all of them: yields
-    (s, score, r, pieces) per block.
+def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray,
+                     width: int | None):
+    """Kernel passes over the row blocks of X that `_row_blocks(X, width)`
+    cuts, with the kernel of the free mixture params define factored once for
+    all of them: yields (s, score, r, pieces) per block.
 
     score is the (d, rows) score with the points on the last axis, the
     transpose of the one `NoisedMixture.score` gives, and r the (rows, L)
@@ -144,16 +147,16 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, blocks):
     its (rows,) responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1} U and
     qU = U^T q, both None for a rank-0 factor.
     """
+    Xb, _ = _batch(X, params.d)
     free, weights = params.mixture(pis)
     s, _, _ = coefficients(sched, t)
-    d = free.d
     kern = mixture_kernel(free, weights, sched, t)
     cols = params.columns
     # per component, what no point changes: tie, column slices, Sinv, V and U
     fixed = []
     for m, ((_, U), (b, sign)) in enumerate(zip(free.components, params.tie)):
         V = kern.solve(m, U.T).T if U.size else None  # Sigma_m^{-1} U_m, (d, r)
-        fixed.append((sign, *cols[b], kern.solve(m, np.eye(d)), V, U))
+        fixed.append((sign, *cols[b], kern.solve(m, np.eye(free.d)), V, U))
 
     def pieces(qs, w, tmp):
         for m, (sign, mu_cols, U_cols, Sinv, V, U) in enumerate(fixed):
@@ -167,28 +170,34 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, blocks):
             c *= -rm
             yield sign, mu_cols, U_cols, q, rm, Sinv, c, V, None if V is None else U.T @ q
 
-    for Xb in blocks:
-        score, work, z, _ = kern._pass(Xb, residuals=True)
+    for rows in _row_blocks(Xb, width):
+        score, work, z, _ = kern._pass(rows, residuals=True)
         L = len(work) - 2
         # x^T, free once the pass is done, is the pieces' scratch
         yield s, score.T, z[:L].T, pieces(work[:L], z[:L], work[L])
 
 
-def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
-    """One kernel pass over X: (score, r, termA, termB).
+def _jacobian_blocks(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray,
+                     width: int | None):
+    """(r, A, B) per row block of X, from one `_derivative_pass`.
 
-    score is (n, d) and r the (n, L) responsibilities of the free mixture.
-    For its component m with q_m = Sigma_m^{-1} (x - s mu_m) the theta_m
-    columns of the Jacobian are the self term A = r_m d(-q_m)/d(theta_m) and
-    the cross term B = -r_m (q_m + score) g_m^T, g_m the gradient of
-    log N_m in theta_m.  Both are (n, d, p) in params' own parameterization:
-    each component's columns are added into the block it is tied to, with
-    the mean columns signed.  They are built with the points on the last
-    axis, so numpy's inner loops are long, and returned as transposed views.
+    r is the (rows, L) responsibilities of the free mixture.  For its
+    component m with q_m = Sigma_m^{-1} (x - s mu_m) the theta_m columns of
+    the Jacobian are the self term A = r_m d(-q_m)/d(theta_m) and the cross
+    term B = -r_m (q_m + score) g_m^T, g_m the gradient of log N_m in
+    theta_m.  Both are (rows, d, p) in params' own parameterization: each
+    component's columns are added into the block it is tied to, with the mean
+    columns signed.  `_terms` builds them; the generator keeps no reference
+    to them, so a consumer that drops B holds one (rows, d, p) array.
     """
-    (s, score, r, pieces), = _derivative_pass(params, pis, sched, t, [_batch(X, params.d)[0]])
+    return ((r, *_terms(s, score, pieces, params.dim))
+            for s, score, r, pieces in _derivative_pass(params, pis, sched, t, X, width))
+
+
+def _terms(s: float, score: np.ndarray, pieces, p: int):
+    """A and B of one block, built (d, p, rows) for long inner loops, as (rows, d, p) views."""
     d, n = score.shape
-    A = np.zeros((d, params.dim, n))
+    A = np.zeros((d, p, n))
     B = np.zeros_like(A)
     for sign, mu_cols, U_cols, q, rm, Sinv, c, V, qU in pieces:
         A[:, mu_cols] += Sinv[:, :, None] * ((sign * s) * rm)
@@ -201,7 +210,12 @@ def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarra
             A[:, U_cols] += (dq * ((s * s) * rm)).reshape(d, k, n)
             g_U = (s * s) * (qU[:, None, :] * q[None, :, :] - V.T[:, :, None])
             B[:, U_cols] += c[:, None, :] * g_U.reshape(k, n)
-    return score.T, r, A.transpose(2, 0, 1), B.transpose(2, 0, 1)
+    return A.transpose(2, 0, 1), B.transpose(2, 0, 1)
+
+
+def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
+    """One kernel pass over X: (r, A, B) of `_jacobian_blocks` in one block, A and B (n, d, p)."""
+    return next(_jacobian_blocks(params, pis, sched, t, X, None))
 
 
 def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
@@ -220,11 +234,10 @@ def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
     factored for all of them, so a call's temporaries stay that small
     whatever n is; the sums are the single-block ones up to rounding.
     """
-    Xb, _ = _batch(X, params.d)
     # per point, one kernel pass holds about L residuals, rho and L log-joints
     d, L = params.d, len(params.tie)
     width = d * L + d + L
-    passes = _derivative_pass(params, pis, sched, t, _row_blocks(Xb, width))
+    passes = _derivative_pass(params, pis, sched, t, X, width)
     sq, g = 0.0, np.zeros(params.dim)
     for (s, score, _, pieces), T in zip(passes, _row_blocks(target, width)):
         resid = score.T - T
@@ -243,9 +256,8 @@ def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
 def exact_jacobian(params, pis, sched: DiffusionSchedule, t: float,
                    X: np.ndarray) -> np.ndarray:
     """Batched (n, d, p) exact Jacobian A + B under either parameterization."""
-    _, _, J, B = jacobian_terms(params, pis, sched, t, X)
-    J += B
-    return J
+    _, A, B = jacobian_terms(params, pis, sched, t, X)
+    return np.add(A, B, out=A)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +320,10 @@ def _gram_moments(J_blocks, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def hessian_from_samples(params, pis, sched: DiffusionSchedule, t: float,
                          X: np.ndarray) -> HessianReport:
-    """Assemble H = mean_x J(x)^T J(x), J the exact Jacobian, over the samples."""
-    Xb, _ = _batch(X, params.d)
-    blocks = (exact_jacobian(params, pis, sched, t, rows)
-              for rows in _row_blocks(Xb, params.d * params.dim))
+    """Assemble H = mean_x J(x)^T J(x), J the exact Jacobian, over the samples;
+    `starmap`, unlike a generator expression, holds no block's B once it is in A."""
+    blocks = starmap(lambda _, A, B: np.add(A, B, out=A),
+                     _jacobian_blocks(params, pis, sched, t, X, params.d * params.dim))
     return _finish_report(params, pis, sched, t, *_gram_moments(blocks, params.dim))
 
 
@@ -363,7 +375,6 @@ def hessian_empirical(theta_star, pis, sched: DiffusionSchedule, t: float,
 class MMTopEigs:
     lambda_min: float
     lambda_max: float
-    bulk: float
     spectrum: np.ndarray
 
 
@@ -391,7 +402,7 @@ def mmtop_eigs(a: np.ndarray, b: np.ndarray) -> MMTopEigs:
     bulk = c * c
     spectrum = np.sort(np.concatenate([np.full(n - 2, bulk), [mu1, mu2]]))
     return MMTopEigs(lambda_min=float(mu2), lambda_max=float(max(mu1, bulk)),
-                     bulk=bulk, spectrum=spectrum)
+                     spectrum=spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +455,10 @@ class OverlapReport:
     lambda_base: float
     constants: OverlapConstants
     alpha_eff: float
-    lambda_min_H: float
     lambda_min_Hdiag: float
     delta_norm: float  # spectral norm of the discarded cross blocks
     weyl_gap: float
     hessian: HessianReport
-
-
-def _overlap_blocks(params, pis, sched, t, Xb):
-    """One jacobian_terms pass over row blocks of Xb.  Each block yields its
-    exact Jacobian A + B, its largest pair product r_i r_j (i < j), the
-    per-pair sums of r_i r_j, and its largest |B_mu|_F / xi and |B_U|_F / xi
-    over samples whose overlap xi = sum_{i<j} r_i r_j is above XI_FLOOR."""
-    first, second = np.triu_indices(len(params.tie), 1)
-    for rows in _row_blocks(Xb, params.d * params.dim):
-        _, r, A, B = jacobian_terms(params, pis, sched, t, rows)
-        pairs = r[:, first] * r[:, second]
-        xi = pairs.sum(axis=1)
-        mask = xi > XI_FLOOR
-        ratios = [np.max(np.linalg.norm(B[:, :, sl], axis=(1, 2))[mask] / xi[mask], initial=0.0)
-                  for sl in _mu_U_slices(params)]
-        A += B
-        yield A, np.max(pairs, initial=0.0), pairs.sum(axis=0), ratios
 
 
 def _overlap_constants(params, sched, t, R, ratios) -> OverlapConstants:
@@ -481,9 +474,10 @@ def _overlap_constants(params, sched, t, R, ratios) -> OverlapConstants:
 
 
 def _component_block_slices(params) -> list[np.ndarray]:
-    """Index groups whose cross blocks are zeroed to form H_diag."""
+    """Index groups whose cross blocks are zeroed to form H_diag; a rank-0
+    tied form has no factor group."""
     if isinstance(params, SymmetricParams):
-        return [np.r_[sl] for sl in _mu_U_slices(params)]
+        return [np.r_[sl] for sl in _mu_U_slices(params) if sl.stop > sl.start]
     return [np.r_[m, u] for m, u in params.columns]
 
 
@@ -507,12 +501,20 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
     if mode == "multi_mode_expect" and isinstance(params, SymmetricParams):
         raise DimensionMismatch("multi_mode_expect needs a free mixture, not the tied two-mode form")
 
-    stats = []  # per block: largest pair product, pair sums, cross-term ratios
+    # per block: the largest and the summed pair products r_i r_j (i < j), and the largest
+    # |B_mu|_F / xi and |B_U|_F / xi where the overlap xi = sum_{i<j} r_i r_j > XI_FLOOR
+    stats = []
+    first, second = np.triu_indices(L, 1)
 
     def exact_jacobians():
-        for J, *block_stats in _overlap_blocks(params, pis, sched, t, Xb):
-            stats.append(block_stats)
-            yield J
+        for r, A, B in _jacobian_blocks(params, pis, sched, t, Xb, params.d * params.dim):
+            pairs = r[:, first] * r[:, second]
+            xi = pairs.sum(axis=1)
+            mask = xi > XI_FLOOR
+            ratios = [np.max(np.linalg.norm(B[:, :, sl], axis=(1, 2))[mask] / xi[mask],
+                             initial=0.0) for sl in _mu_U_slices(params)]
+            stats.append((np.max(pairs, initial=0.0), pairs.sum(axis=0), ratios))
+            yield np.add(A, B, out=A)
 
     hess = _finish_report(params, pis, sched, t, *_gram_moments(exact_jacobians(), params.dim))
     maxima, sums, ratios = zip(*stats)
@@ -564,7 +566,6 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
         lambda_base=float(lambda_base),
         constants=consts,
         alpha_eff=alpha_eff,
-        lambda_min_H=hess.lambda_min,
         lambda_min_Hdiag=lam_diag,
         delta_norm=delta_norm,
         weyl_gap=float(weyl_gap),

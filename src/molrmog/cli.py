@@ -41,7 +41,7 @@ from .objective import (
 )
 from .optimizer import GDConfig, contraction_check, gd_train, init_near
 from .sampler import SamplerConfig, model_score_fn, reverse_sample, sample_quality
-from .schedule import make_schedule
+from .schedule import DEFAULT_T_MAX, DEFAULT_T_MIN, make_schedule
 from .score import (
     SymmetricParams,
     ambient_log_density,
@@ -144,8 +144,8 @@ def _schedule_from(cfg: dict):
     rate = "g0" if kind == "constant_drift" else "beta"
     if rate not in block:
         raise ConfigParseError(f"schedule block missing rate for kind {kind!r}")
-    return make_schedule(kind, _num(block, rate, None), _num(block, "t_min", 0.01),
-                         _num(block, "t_max", 1.0))
+    return make_schedule(kind, _num(block, rate, None), _num(block, "t_min", DEFAULT_T_MIN),
+                         _num(block, "t_max", DEFAULT_T_MAX))
 
 
 def _model_from(cfg: dict):
@@ -306,7 +306,7 @@ def cmd_overlap(cfg, seed, out: Path) -> list[str]:
         "mode": rep.mode, "xi_max": rep.xi_max, "eps_overlap": rep.eps_overlap,
         "eps_total": None if rep.eps_total is None else list(map(float, rep.eps_total)),
         "lambda_base": rep.lambda_base, "alpha_eff": rep.alpha_eff,
-        "lambda_min_H": rep.lambda_min_H, "lambda_min_Hdiag": rep.lambda_min_Hdiag,
+        "lambda_min_H": rep.hessian.lambda_min, "lambda_min_Hdiag": rep.lambda_min_Hdiag,
         "delta_norm": rep.delta_norm, "weyl_gap": rep.weyl_gap,
         "C": rep.constants.C, "S_mu": rep.constants.S_mu, "S_U": rep.constants.S_U})
     return ["overlap_summary.json"]

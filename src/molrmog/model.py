@@ -11,7 +11,6 @@ forward process at t > 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +111,6 @@ class LabeledDataset:
     k: np.ndarray  # (n,) subspace labels
     l: np.ndarray  # (n,) component labels
     x: np.ndarray  # (n, D) ambient points
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -246,14 +242,6 @@ def encode(sub: Subspace, x: np.ndarray) -> np.ndarray:
     return x @ sub.A
 
 
-def decode(sub: Subspace, z: np.ndarray) -> np.ndarray:
-    """Lift latent points to ambient space: A z."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != sub.A.shape[1]:
-        raise DimensionMismatch(f"expected latent length {sub.A.shape[1]}, got {z.shape[-1]}")
-    return z @ sub.A.T
-
-
 def mixture_moments(means, factors, weights, s: float, gamma: float) -> EquivalentGaussian:
     """First two moments of the noised mixture sum_l w_l N(s m_l, s^2 W_l W_l^T
     + gamma^2 I), in whichever coordinates the means m_l and factors W_l are."""
@@ -274,29 +262,3 @@ def moment_match(sub: Subspace, sched: DiffusionSchedule, t: float) -> Equivalen
     comps = sub.components
     return mixture_moments([c.mu for c in comps], [c.U for c in comps],
                            [c.pi for c in comps], s, gamma)
-
-
-def support_radius(model: MoLRMoGModel, mass: float) -> float:
-    """Conservative radius R with Pr(|x| <= R) >= mass for noiseless data.
-
-    Per component: |A mu| plus an integer-sigma inflation of the largest
-    covariance-factor singular value, z = ceil(sqrt(chi2 quantile at rank)).
-    The chi2 quantile is 2 * gammaincinv(df / 2, mass), the expression
-    scipy.stats.chi2.ppf evaluates, without importing scipy.stats.
-    """
-    from scipy.special import gammaincinv
-
-    if not (0 < mass < 1):
-        raise ValidationError(f"mass must be in (0,1), got {mass}")
-    R = 0.0
-    for sub in model.subspaces:
-        for comp in sub.components:
-            center = float(np.linalg.norm(sub.A @ comp.mu))
-            smax = float(np.linalg.svd(comp.U, compute_uv=False)[0]) if comp.U.size else 0.0
-            if smax == 0.0:
-                R = max(R, center)
-                continue
-            df = max(comp.U.shape[1], 1)
-            z = math.ceil(math.sqrt(2.0 * gammaincinv(df / 2, mass)))
-            R = max(R, center + z * smax)
-    return R

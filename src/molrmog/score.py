@@ -202,6 +202,8 @@ class LatentParams(_FlatParams):
         )
         object.__setattr__(self, "components", comps)
         d = comps[0][0].shape[0]
+        if d == 0:
+            raise DimensionMismatch("need a mean of length >= 1, got length 0")
         for mu, U in comps:
             if mu.shape[0] != d or U.shape[0] != d:
                 raise DimensionMismatch("inconsistent component dimensions")
@@ -238,9 +240,10 @@ class SymmetricParams(_FlatParams):
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
         object.__setattr__(self, "U", _as_factor(self.U))
-        if self.mu.ndim != 1 or self.U.ndim != 2 or self.U.shape[0] != len(self.mu):
-            raise DimensionMismatch(f"need a mean vector and a factor with as many rows, got "
-                                    f"shapes {self.mu.shape} and {self.U.shape}")
+        if (self.mu.ndim != 1 or len(self.mu) == 0 or self.U.ndim != 2
+                or self.U.shape[0] != len(self.mu)):
+            raise DimensionMismatch(f"need a nonempty mean vector and a factor with as many rows, "
+                                    f"got shapes {self.mu.shape} and {self.U.shape}")
 
     @property
     def blocks(self):

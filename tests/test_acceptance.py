@@ -247,7 +247,7 @@ def test_acceptance_06_jacobian_dominance():
         for gap in (2.0, 4.0, 8.0, 16.0):
             mu = np.array([gap * gamma / 2.0, 0.0])
             x = np.array([mu[0] + q * gamma, 0.0])
-            termA, termB = jacobian_terms(SymmetricParams(mu=mu, U=U), None, CONST, 1.0, x)[2:]
+            termA, termB = jacobian_terms(SymmetricParams(mu=mu, U=U), None, CONST, 1.0, x)[1:]
             ratios.append(float(np.linalg.norm(termB[0]) / np.linalg.norm(termA[0])))
         assert all(b <= a for a, b in zip(ratios, ratios[1:])), ratios
         assert ratios[-1] <= 1e-6

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import dense_gaussian_logpdf
 
+from molrmog import calculus
 from molrmog.calculus import (
     BLOCK_ELEMENTS,
     XI_FLOOR,
@@ -29,6 +30,7 @@ from molrmog.schedule import coefficients
 from molrmog.score import (
     LatentParams,
     SymmetricParams,
+    mixture_kernel,
     responsibilities,
     symmetric_responsibilities,
 )
@@ -82,10 +84,10 @@ def test_general_jacobian_matches_fd(unit_sched):
 def test_exact_terms_sum_and_blocks(unit_sched):
     p = SymmetricParams(mu=[2.0, -0.5], U=[[0.9], [0.4]])
     x = np.array([0.8, 0.1])
-    termA, termB = jacobian_terms(p, None, unit_sched, 1.0, x)[2:]
+    termA, termB = jacobian_terms(p, None, unit_sched, 1.0, x)[1:]
     full = termA[0] + termB[0]
     assert full == pytest.approx(jacobian_fd(p, None, unit_sched, 1.0, x).full, abs=5e-7)
-    simp = jacobian_terms(p, None, unit_sched, 1.0, x)[2]
+    simp = jacobian_terms(p, None, unit_sched, 1.0, x)[1]
     assert np.array_equal(simp, termA)
     # block shapes: one mean block (d, d) and one factor block (d, d*r)
     (mu_cols, U_cols), = p.columns
@@ -102,7 +104,7 @@ def test_simplified_jacobian_accurate_when_modes_separate(unit_sched):
         mu = np.array([gap / 2, 0.0])
         x = mu + np.array([1.0, 0.3])  # one noise unit off the + mode
         exact = exact_jacobian(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, x)[0]
-        simp = jacobian_terms(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, x)[2][0]
+        simp = jacobian_terms(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, x)[1][0]
         errs.append(np.max(np.abs(exact - simp)))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-8
@@ -117,7 +119,7 @@ def test_cross_term_suppression_sweep(unit_sched):
     for gap in (2.0, 4.0, 8.0):
         mu = np.array([gap * gamma / 2, 0.0])
         x = np.array([mu[0] + gamma, 0.0])
-        termA, termB = jacobian_terms(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, x)[2:]
+        termA, termB = jacobian_terms(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, x)[1:]
         ratios.append(np.linalg.norm(termB[0]) / np.linalg.norm(termA[0]))
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 1e-4
@@ -257,6 +259,26 @@ def test_hessian_memory_bounded(unit_sched):
         assert peak <= bound_mb * 2 ** 20, (params.dim, n, peak)
 
 
+def test_kernel_factored_once_per_reduction(unit_sched, monkeypatch):
+    """One Hessian and one overlap analysis over several row blocks each
+    factor the mixture's kernel once, not once per block."""
+    params, pis = _free_rank_one(4, 2)
+    n = 3000
+    assert n > 2 * (BLOCK_ELEMENTS // (params.d * params.dim))
+    X = sample_noised(params, pis, unit_sched, 1.0, n, 31)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mixture_kernel(*args)
+
+    monkeypatch.setattr(calculus, "mixture_kernel", counted)
+    hessian_from_samples(params, pis, unit_sched, 1.0, X)
+    assert len(calls) == 1
+    overlap_analysis(params, pis, unit_sched, 1.0, X, mode="two_mode_sup")
+    assert len(calls) == 2
+
+
 def test_hessian_fd_mode_agrees_with_exact(unit_sched):
     """The Hessian of the exact Jacobian equals mean F^T F for F the FD Jacobian."""
     p = SymmetricParams(mu=[2.0, 0.5], U=[[0.8], [0.1]])
@@ -283,7 +305,6 @@ def test_overlap_analysis_two_mode(unit_sched):
     assert rep.xi_max == pytest.approx(float(np.max(r[:, 0] * r[:, 1])), abs=1e-15)
     # Weyl: lambda_min(H) >= lambda_min(H_diag) - |Delta|
     assert rep.weyl_gap >= -1e-8
-    assert rep.lambda_min_H == pytest.approx(rep.hessian.lambda_min)
     assert rep.constants.S_mu == pytest.approx(1.0)  # s / gamma^2 at s = gamma = 1
     assert rep.alpha_eff == pytest.approx(
         rep.lambda_base - rep.constants.C * rep.eps_overlap)
@@ -330,7 +351,7 @@ def test_overlap_analysis_matches_separate_reductions(unit_sched):
         np.testing.assert_allclose(rep.hessian.stderr, hess.stderr, rtol=1e-12, atol=0)
         # C1', C2': the largest |B_mu|_F / xi and |B_U|_F / xi from one
         # whole-batch pass, over points whose overlap xi is above XI_FLOOR
-        _, r, _, B = jacobian_terms(params, pis, unit_sched, 1.0, X)
+        r, _, B = jacobian_terms(params, pis, unit_sched, 1.0, X)
         first, second = np.triu_indices(r.shape[1], 1)
         xi = np.sum(r[:, first] * r[:, second], axis=1)
         keep = xi > XI_FLOOR
@@ -445,5 +466,5 @@ def test_self_cluster_term_matches_frozen_responsibility_fd(unit_sched, vp_sched
                     sm = _dense_frozen_score(params.unflatten(vec - e), pis, sched, t, x, r0)
                     cols.append((sp - sm) / (2.0 * h))
                 fd = np.stack(cols, axis=-1)
-                got = jacobian_terms(params, pis, sched, t, x)[2][0]
+                got = jacobian_terms(params, pis, sched, t, x)[1][0]
                 assert got == pytest.approx(fd, abs=5e-7)

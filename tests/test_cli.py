@@ -259,6 +259,17 @@ def test_explicit_step_writes_finite_summary(cfg_path, tmp_path):
     assert summary["first_violation"] is None
 
 
+def test_rank_zero_tied_overlap_writes_finite_summary(cfg_path, tmp_path):
+    """A rank-0 tied factor has no factor parameters: the Weyl split keeps
+    only the mean group and every reported number is finite."""
+    out = tmp_path / "out"
+    assert run("overlap", cfg_path, overrides=['overlap.symmetric={"mu":[4.0,0.0],"U":[[],[]]}'],
+               out_dir=str(out)) == 0
+    summary = json.loads((out / "overlap_summary.json").read_text())
+    assert all(np.isfinite(v) for k, v in summary.items() if k not in ("mode", "eps_total"))
+    assert summary["eps_total"] is None
+
+
 @pytest.mark.parametrize("g0", ["1e-100", "1e-160"])
 def test_floating_point_failure_exits_3(cfg_path, tmp_path, capsys, g0):
     """gamma^2 is in (0, inf), but the score residuals overflow: the run
@@ -381,6 +392,9 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("gen", "model.D=4.5"),
     ("estimation", "estimation.half_width=0"),
     ("estimation", "estimation.half_width=-0.25"),
+    ("hessian", 'hessian.symmetric={"mu":[],"U":[]}'),
+    ("overlap", 'overlap.symmetric={"mu":[],"U":[]}'),
+    ("train", 'train.symmetric={"mu":[],"U":[]}'),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2

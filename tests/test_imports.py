@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and none
+imports a scipy submodule."""
 
 import ast
 from pathlib import Path
@@ -24,3 +25,23 @@ def unused_imports(source: str) -> list[str]:
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def scipy_submodule_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+            if node.module == "scipy":
+                names += [f"scipy.{a.name}" for a in node.names]
+    return [name for name in names if name.startswith("scipy.")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_scipy_submodule_import(module):
+    """The top-level `import scipy` (for its version and install path) is the
+    only scipy import in the library."""
+    assert scipy_submodule_imports((SRC / module).read_text(encoding="utf-8")) == []
