@@ -12,8 +12,9 @@ Conventions fixed here and used everywhere:
   * H = E[J^T J] over x from the noised mixture at theta (p x p, PSD).  The
     loss is zero at every point when theta = theta*, so its Hessian there is
     exactly 2H; the factor is carried as a flag on reports, never folded in
-    silently.  `_gram_moments` is the one reduction that builds H, for the
-    Hessian report, the overlap analysis and the GD step size alike.
+    silently.  `_gram_mean` is the one reduction that builds H, for the
+    Hessian report, the overlap analysis and the GD step size alike, and the
+    report keeps H's whole spectrum, so no caller takes it again.
 
 There is one derivative code path, `_derivative_pass`.  It checks the batch,
 cuts it into row blocks, factors the kernel of the free mixture the parameters
@@ -59,8 +60,8 @@ from .score import (
 XI_FLOOR = 1e-300
 
 # numbers per temporary of a row-blocked reduction: a block of Jacobians
-# (rows d p), of per-sample products (rows p^2) or of what one kernel pass
-# allocates (rows (d L + d + L)), so memory is bounded in n and p
+# (rows d p) or of what one kernel pass allocates (rows (d L + d + L)), so
+# memory is bounded in n and p
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -145,7 +146,7 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
     Sinv, c, V, qU): the mean sign and the column slices of the block it is
     tied to; q = Sigma^{-1} (x - s mu) and c = -r (q + score), both (d, rows);
     its (rows,) responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1} U and
-    qU = U^T q, both None for a rank-0 factor.
+    qU = U^T q, zero-width for a rank-0 factor.
     """
     Xb, _ = _batch(X, params.d)
     free, weights = params.mixture(pis)
@@ -155,7 +156,7 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
     # per component, what no point changes: tie, column slices, Sinv, V and U
     fixed = []
     for m, ((_, U), (b, sign)) in enumerate(zip(free.components, params.tie)):
-        V = kern.solve(m, U.T).T if U.size else None  # Sigma_m^{-1} U_m, (d, r)
+        V = kern.solve(m, U.T).T  # Sigma_m^{-1} U_m, (d, r)
         fixed.append((sign, *cols[b], kern.solve(m, np.eye(free.d)), V, U))
 
     def pieces(qs, w, tmp):
@@ -168,7 +169,7 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
                 if l != m:
                     c += np.multiply(np.subtract(q, ql, out=tmp), w[l], out=tmp)
             c *= -rm
-            yield sign, mu_cols, U_cols, q, rm, Sinv, c, V, None if V is None else U.T @ q
+            yield sign, mu_cols, U_cols, q, rm, Sinv, c, V, U.T @ q
 
     for rows in _row_blocks(Xb, width):
         score, work, z, _ = kern._pass(rows, residuals=True)
@@ -202,14 +203,13 @@ def _terms(s: float, score: np.ndarray, pieces, p: int):
     for sign, mu_cols, U_cols, q, rm, Sinv, c, V, qU in pieces:
         A[:, mu_cols] += Sinv[:, :, None] * ((sign * s) * rm)
         B[:, mu_cols] += c[:, None, :] * ((sign * s) * q)
-        if V is not None:
-            k = V.size
-            # axes (i, c, j) flatten to column c d + j of the column-major U block
-            dq = (Sinv[:, None, :, None] * qU[None, :, None, :]
-                  + V[:, :, None, None] * q[None, None, :, :])
-            A[:, U_cols] += (dq * ((s * s) * rm)).reshape(d, k, n)
-            g_U = (s * s) * (qU[:, None, :] * q[None, :, :] - V.T[:, :, None])
-            B[:, U_cols] += c[:, None, :] * g_U.reshape(k, n)
+        k = V.size
+        # axes (i, c, j) flatten to column c d + j of the column-major U block
+        dq = (Sinv[:, None, :, None] * qU[None, :, None, :]
+              + V[:, :, None, None] * q[None, None, :, :])
+        A[:, U_cols] += (dq * ((s * s) * rm)).reshape(d, k, n)
+        g_U = (s * s) * (qU[:, None, :] * q[None, :, :] - V.T[:, :, None])
+        B[:, U_cols] += c[:, None, :] * g_U.reshape(k, n)
     return A.transpose(2, 0, 1), B.transpose(2, 0, 1)
 
 
@@ -247,9 +247,8 @@ def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
             Rm = R * rm
             e = np.einsum("in,in->n", R, c)
             g[mu_cols] += (sign * s) * (Sinv.T @ Rm.sum(axis=1) + q @ e)
-            if V is not None:
-                G = qU @ (Sinv.T @ Rm).T + (V.T @ Rm + qU * e) @ q.T - V.T * e.sum()
-                g[U_cols] += (s * s) * G.ravel()
+            G = qU @ (Sinv.T @ Rm).T + (V.T @ Rm + qU * e) @ q.T - V.T * e.sum()
+            g[U_cols] += (s * s) * G.ravel()
     return float(sq), g
 
 
@@ -267,16 +266,19 @@ def exact_jacobian(params, pis, sched: DiffusionSchedule, t: float,
 @dataclass
 class HessianReport:
     H: np.ndarray  # (p, p) Monte Carlo mean of J^T J
-    stderr: np.ndarray  # elementwise MC standard error of H
+    spectrum: np.ndarray  # eigenvalues of H, ascending
     mu_slice: slice
     U_slice: slice
-    lambda_min: float
     lambda_min_mumu: float
-    lambda_min_UU: float
+    lambda_min_UU: float | None  # None for a rank-0 factor block
     cross_norm: float  # spectral norm of the mu-U cross block
     alpha_formula: float | None
     corr_r: float
     factor2: bool = True  # loss Hessian equals 2 H
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self.spectrum[0])
 
     @property
     def H_mumu(self) -> np.ndarray:
@@ -296,26 +298,16 @@ def _mu_U_slices(params) -> tuple[slice, slice]:
     return slice(0, n_mu), slice(n_mu, params.dim)
 
 
-def _gram_moments(J_blocks, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(H, stderr) of the per-sample products J_n^T J_n over (rows, d, p) blocks.
-
-    A block's mean is one GEMM on its (rows d, p) reshape; squared deviations
-    are summed about it a few rows at a time and merged across blocks by the
-    pairwise update of Chan, Golub & LeVeque, so the variance never cancels.
-    """
-    n, H, M2 = 0, np.zeros((p, p)), np.zeros((p, p))
+def _gram_mean(J_blocks, p: int) -> np.ndarray:
+    """H, the mean of the per-sample products J_n^T J_n over (rows, d, p) blocks:
+    one GEMM per block on its (rows d, p) reshape, merged as a running mean."""
+    n, H = 0, np.zeros((p, p))
     for J in J_blocks:
         k = J.shape[0]
         flat = J.reshape(-1, p)
-        mean = flat.T @ flat / k
-        for Jr in _row_blocks(J, p * p):
-            dev = np.matmul(Jr.transpose(0, 2, 1), Jr) - mean
-            M2 += np.einsum("npq,npq->pq", dev, dev)
-        delta = mean - H
-        H += delta * (k / (n + k))
-        M2 += delta * delta * (n * k / (n + k))
+        H += (flat.T @ flat / k - H) * (k / (n + k))
         n += k
-    return 0.5 * (H + H.T), np.sqrt(M2) / n
+    return 0.5 * (H + H.T)
 
 
 def hessian_from_samples(params, pis, sched: DiffusionSchedule, t: float,
@@ -324,17 +316,15 @@ def hessian_from_samples(params, pis, sched: DiffusionSchedule, t: float,
     `starmap`, unlike a generator expression, holds no block's B once it is in A."""
     blocks = starmap(lambda _, A, B: np.add(A, B, out=A),
                      _jacobian_blocks(params, pis, sched, t, X, params.d * params.dim))
-    return _finish_report(params, pis, sched, t, *_gram_moments(blocks, params.dim))
+    return _finish_report(params, pis, sched, t, _gram_mean(blocks, params.dim))
 
 
-def _finish_report(params, pis, sched, t, H, stderr) -> HessianReport:
+def _finish_report(params, pis, sched, t, H) -> HessianReport:
     mu_sl, U_sl = _mu_U_slices(params)
-    evals = np.linalg.eigvalsh(H)
-    Hmm = H[mu_sl, mu_sl]
     Huu = H[U_sl, U_sl]
     Hcross = H[mu_sl, U_sl]
-    lam_mu = float(np.linalg.eigvalsh(Hmm)[0]) if Hmm.size else float("nan")
-    lam_uu = float(np.linalg.eigvalsh(Huu)[0]) if Huu.size else float("nan")
+    lam_mu = float(np.linalg.eigvalsh(H[mu_sl, mu_sl])[0])
+    lam_uu = float(np.linalg.eigvalsh(Huu)[0]) if Huu.size else None
     cross = float(np.linalg.norm(Hcross, 2)) if Hcross.size else 0.0
     corr_r = 0.0
     if Hcross.size and lam_mu > 0 and lam_uu > 0:
@@ -348,10 +338,9 @@ def _finish_report(params, pis, sched, t, H, stderr) -> HessianReport:
         alpha = None
     return HessianReport(
         H=H,
-        stderr=stderr,
+        spectrum=np.linalg.eigvalsh(H),
         mu_slice=mu_sl,
         U_slice=U_sl,
-        lambda_min=float(evals[0]),
         lambda_min_mumu=lam_mu,
         lambda_min_UU=lam_uu,
         cross_norm=cross,
@@ -516,7 +505,7 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
             stats.append((np.max(pairs, initial=0.0), pairs.sum(axis=0), ratios))
             yield np.add(A, B, out=A)
 
-    hess = _finish_report(params, pis, sched, t, *_gram_moments(exact_jacobians(), params.dim))
+    hess = _finish_report(params, pis, sched, t, _gram_mean(exact_jacobians(), params.dim))
     maxima, sums, ratios = zip(*stats)
     xi_pair_max = float(max(maxima))
     eps_total = None
@@ -543,7 +532,8 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
     # curvature floor before overlap degradation
     s, _, gamma = coefficients(sched, t)
     if mode == "two_mode_sup":
-        lambda_base = (1.0 - 4.0 * eps_overlap) * min(hess.lambda_min_mumu, hess.lambda_min_UU)
+        lambda_base = (1.0 - 4.0 * eps_overlap) * min(
+            lam for lam in (hess.lambda_min_mumu, hess.lambda_min_UU) if lam is not None)
     else:
         pis_arr = np.asarray(pis, dtype=float)
         lambda_base = np.inf

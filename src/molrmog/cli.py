@@ -51,10 +51,6 @@ from .score import (
     mixture_log_density,
 )
 
-SUBCOMMANDS = ("gen", "score-check", "estimation", "hessian", "overlap",
-               "train", "sample", "report")
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -275,15 +271,14 @@ def cmd_hessian(cfg, seed, out: Path) -> list[str]:
     params, pis = _params_from(block, model)
     rep = hessian_empirical(params, pis, sched, t, _num(block, "n_mc", 20000, int),
                             np.random.default_rng(seed))
-    evals = np.linalg.eigvalsh(rep.H)
     write_csv(out / "hessian_spectrum.csv", ["index", "eigenvalue"],
-              [(i, float(v)) for i, v in enumerate(evals)])
-    # the muU cross block is not symmetric, so it has no lambda_min
-    rows = [
-        ("mumu", float(np.linalg.norm(rep.H_mumu)), rep.lambda_min_mumu),
-        ("UU", float(np.linalg.norm(rep.H_UU)), rep.lambda_min_UU),
-        ("muU", float(np.linalg.norm(rep.H_muU)), float("nan")),
-    ]
+              [(i, float(v)) for i, v in enumerate(rep.spectrum)])
+    # the muU cross block is not symmetric, so it has no lambda_min; a rank-0
+    # factor leaves the UU and muU blocks empty, and they get no row
+    rows = [(name, float(np.linalg.norm(block)), lam) for name, block, lam in (
+        ("mumu", rep.H_mumu, rep.lambda_min_mumu),
+        ("UU", rep.H_UU, rep.lambda_min_UU),
+        ("muU", rep.H_muU, float("nan"))) if block.size]
     write_csv(out / "blocks.csv", ["block", "fro_norm", "lambda_min"], rows)
     write_json(out / "hessian_summary.json", {
         "alpha_formula": rep.alpha_formula, "lambda_min_H": rep.lambda_min,
@@ -420,6 +415,7 @@ DISPATCH = {
     "sample": cmd_sample,
     "report": cmd_report,
 }
+SUBCOMMANDS = tuple(DISPATCH)
 
 
 def run(subcommand: str, config_path: str | None, overrides=(), seed=None,

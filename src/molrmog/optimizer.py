@@ -114,8 +114,8 @@ def estimate_local_constants(truth, pis, sched: DiffusionSchedule, t: float,
     """(alpha_hat, L_hat): extreme eigenvalues of the empirical loss Hessian
     at the truth.  The residual is zero there at every point, so that Hessian
     is exactly the Gauss-Newton form 2 mean_n J_n^T J_n."""
-    evals = np.linalg.eigvalsh(2.0 * hessian_from_samples(truth, pis, sched, t, data).H)
-    return float(evals[0]), float(evals[-1])
+    spectrum = hessian_from_samples(truth, pis, sched, t, data).spectrum
+    return float(2.0 * spectrum[0]), float(2.0 * spectrum[-1])
 
 
 def gd_train(theta0, truth, pis, sched: DiffusionSchedule, t: float,

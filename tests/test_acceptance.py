@@ -15,6 +15,7 @@ from conftest import dense_gaussian_logpdf
 from molrmog.calculus import (
     alpha_symmetric,
     equivalent_gaussian_error,
+    exact_jacobian,
     hessian_empirical,
     mmtop_eigs,
     overlap_analysis,
@@ -213,7 +214,12 @@ def test_acceptance_04_strong_convexity():
     assert alpha == pytest.approx(0.25)
     assert rep.lambda_min_mumu == pytest.approx(0.25, rel=0.20)
     cross = float(np.linalg.norm(rep.H_muU))
-    cross_se = float(np.linalg.norm(rep.stderr[rep.mu_slice, rep.U_slice]))
+    # standard error of the cross block: the per-sample products J_mu^T J_U
+    # over the draws hessian_empirical makes, population std over sqrt(n)
+    J = exact_jacobian(SYM_TRUTH, None, CONST, 1.0,
+                       sample_noised(SYM_TRUTH, None, CONST, 1.0, 100000, 20260823))
+    M = np.matmul(J[:, :, rep.mu_slice].transpose(0, 2, 1), J[:, :, rep.U_slice])
+    cross_se = float(np.linalg.norm(np.std(M, axis=0) / np.sqrt(len(M))))
     assert cross <= 4.0 * cross_se
     assert rep.lambda_min >= 0.8 * alpha
     print(f"\nPASS strong convexity: lambda_min(H_mumu) {rep.lambda_min_mumu:.4f} "

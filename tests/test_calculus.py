@@ -199,7 +199,6 @@ def test_hessian_report_structure_and_oracle(unit_sched):
     assert rep.mu_slice == slice(0, 2) and rep.U_slice == slice(2, 4)
     assert rep.H_mumu.shape == (2, 2) and rep.H_muU.shape == (2, 2)
     assert rep.alpha_formula == pytest.approx(0.25)
-    assert np.all(rep.stderr >= 0)
     with pytest.raises(EmptyDataset):
         hessian_from_samples(p, None, unit_sched, 1.0, np.zeros((0, 2)))
 
@@ -212,9 +211,9 @@ def _free_rank_one(d, L):
     return params, np.full(L, 1.0 / L)
 
 
-def test_hessian_stderr_matches_centered_per_sample_oracle(unit_sched):
-    """H and its stderr against a two-pass centered sum over every sample's
-    J^T J, with n spanning several row blocks and a multiple of none."""
+def test_hessian_matches_per_sample_oracle(unit_sched):
+    """H against the mean of every sample's J^T J, with n spanning several
+    row blocks and a multiple of none."""
     tied = SymmetricParams(mu=[2.0, 0.5], U=[[0.8], [0.1]])
     for (params, pis), n in (((tied, None), 10007), (_free_rank_one(3, 2), 2001)):
         d, p = params.d, params.dim
@@ -225,20 +224,19 @@ def test_hessian_stderr_matches_centered_per_sample_oracle(unit_sched):
         J = exact_jacobian(params, pis, unit_sched, 1.0, X)
         M = np.einsum("ndp,ndq->npq", J, J)
         H = M.mean(axis=0)
-        se = np.sqrt(np.mean((M - H) ** 2, axis=0) / n)
-        np.testing.assert_allclose(rep.stderr, se, rtol=1e-10, atol=0)
         np.testing.assert_allclose(rep.H, 0.5 * (H + H.T), rtol=1e-10, atol=0)
 
 
-def test_hessian_mean_block_stderr_vanishes_for_one_component(unit_sched):
-    """With one component J_mu = s Sigma^{-1} at every x, so every per-sample
-    mean-block product is the same and its standard error is zero up to
-    rounding; a variance taken as S2/n - H^2 leaves cancellation noise."""
-    params = LatentParams((([1.0, -0.5], [[0.7], [0.2]]),))
+def test_hessian_mean_block_closed_form_for_one_component(unit_sched):
+    """With one component J_mu = s Sigma^{-1} at every x, so the mean block
+    of H is s^2 Sigma^{-2} whatever the samples."""
+    U = np.array([[0.7], [0.2]])
+    params = LatentParams((([1.0, -0.5], U),))
     X = sample_noised(params, [1.0], unit_sched, 1.0, 20000, 3)
     rep = hessian_from_samples(params, [1.0], unit_sched, 1.0, X)
-    mm = rep.stderr[rep.mu_slice, rep.mu_slice]
-    assert np.max(mm) <= 1e-14 * np.max(np.abs(rep.H))
+    s, _, gamma = coefficients(unit_sched, 1.0)
+    Sinv = np.linalg.inv(s * s * U @ U.T + gamma * gamma * np.eye(2))
+    np.testing.assert_allclose(rep.H_mumu, s * s * Sinv @ Sinv, rtol=1e-12, atol=0)
 
 
 def test_hessian_memory_bounded(unit_sched):
@@ -348,7 +346,6 @@ def test_overlap_analysis_matches_separate_reductions(unit_sched):
         rep = overlap_analysis(params, pis, unit_sched, 1.0, X, mode=mode)
         hess = hessian_from_samples(params, pis, unit_sched, 1.0, X)
         np.testing.assert_allclose(rep.hessian.H, hess.H, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(rep.hessian.stderr, hess.stderr, rtol=1e-12, atol=0)
         # C1', C2': the largest |B_mu|_F / xi and |B_U|_F / xi from one
         # whole-batch pass, over points whose overlap xi is above XI_FLOOR
         r, _, B = jacobian_terms(params, pis, unit_sched, 1.0, X)

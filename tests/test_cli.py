@@ -259,15 +259,24 @@ def test_explicit_step_writes_finite_summary(cfg_path, tmp_path):
     assert summary["first_violation"] is None
 
 
-def test_rank_zero_tied_overlap_writes_finite_summary(cfg_path, tmp_path):
+@pytest.mark.parametrize("sub", ["hessian", "overlap"])
+def test_rank_zero_tied_overlap_writes_finite_summary(cfg_path, tmp_path, sub):
     """A rank-0 tied factor has no factor parameters: the Weyl split keeps
-    only the mean group and every reported number is finite."""
+    only the mean group, the empty factor block has no lambda_min and no
+    row in blocks.csv, and no artifact holds a NaN."""
+    nulls = {"hessian": ("alpha_formula", "lambda_min_UU"), "overlap": ("eps_total",)}[sub]
     out = tmp_path / "out"
-    assert run("overlap", cfg_path, overrides=['overlap.symmetric={"mu":[4.0,0.0],"U":[[],[]]}'],
+    assert run(sub, cfg_path, overrides=[f'{sub}.symmetric={{"mu":[4.0,0.0],"U":[[],[]]}}'],
                out_dir=str(out)) == 0
-    summary = json.loads((out / "overlap_summary.json").read_text())
-    assert all(np.isfinite(v) for k, v in summary.items() if k not in ("mode", "eps_total"))
-    assert summary["eps_total"] is None
+    for name in json.loads((out / "manifest.json").read_text())["artifacts"]:
+        assert "nan" not in (out / name).read_text().lower(), name
+    summary = json.loads((out / f"{sub}_summary.json").read_text())
+    assert all(summary[k] is None for k in nulls)
+    assert all(np.isfinite(v) for k, v in summary.items()
+               if k not in nulls + ("mode", "factor2"))
+    if sub == "hessian":
+        assert [row.split(",")[0] for row in (out / "blocks.csv").read_text().split()] == [
+            "block", "mumu"]
 
 
 @pytest.mark.parametrize("g0", ["1e-100", "1e-160"])
