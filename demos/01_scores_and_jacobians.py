@@ -7,9 +7,9 @@ finite differences on the spot.
 
 import numpy as np
 
-from molrmog import make_schedule
+from molrmog.schedule import make_schedule
 from molrmog.calculus import exact_jacobian, jacobian_fd, jacobian_terms
-from molrmog.score import SymmetricParams, symmetric_responsibilities, symmetric_score
+from molrmog.score import SymmetricParams, latent_score, responsibilities
 
 sched = make_schedule("constant_drift", 1.0, 0.01, 1.0)
 t = 1.0  # s = 1, gamma = 1 here
@@ -19,12 +19,12 @@ print("tied two-mode model: modes at +/-", p.mu, "shared factor", p.U.ravel())
 
 # the score at the midpoint vanishes by symmetry
 x0 = np.zeros(2)
-print("score at the midpoint:", symmetric_score(p.mu, p.U, sched, t, x0))
-print("responsibilities there:", symmetric_responsibilities(p.mu, p.U, sched, t, x0))
+print("score at the midpoint:", latent_score(p, None, sched, t, x0))
+print("responsibilities there:", responsibilities(p, None, sched, t, x0))
 
 # near one mode the other mode barely matters
 x = np.array([3.5, 0.1])
-r = symmetric_responsibilities(p.mu, p.U, sched, t, x)
+r = responsibilities(p, None, sched, t, x)
 print("\nnear the + mode, r+ =", r[0], " r- =", r[1])
 
 # the exact parameter-Jacobian splits into a frozen-responsibility part

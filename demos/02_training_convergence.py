@@ -11,7 +11,7 @@ predicted bound.
 
 import numpy as np
 
-from molrmog import make_schedule
+from molrmog.schedule import make_schedule
 from molrmog.calculus import alpha_symmetric, hessian_empirical, sample_noised
 from molrmog.optimizer import GDConfig, contraction_check, gd_train, init_near
 from molrmog.score import SymmetricParams

@@ -7,7 +7,7 @@ and the step count of the Euler-Maruyama integrator.
 
 import numpy as np
 
-from molrmog import make_schedule
+from molrmog.schedule import make_schedule
 from molrmog.model import build_model, forward_noise, sample_data
 from molrmog.sampler import SamplerConfig, model_score_fn, reverse_sample, sample_quality
 

@@ -43,7 +43,7 @@ from itertools import starmap
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset, RankNotOne, SingleComponent
-from .model import Subspace, _as_factor, moment_match
+from .model import Subspace, _as_factor, mixture_moments
 from .schedule import DiffusionSchedule, coefficients
 from .score import (
     LatentParams,
@@ -589,7 +589,8 @@ def equivalent_gaussian_error(sub: Subspace, sched: DiffusionSchedule, t: float,
         for j in range(i + 1, len(comps)):
             eps = max(eps, float(np.linalg.norm(comps[i].U - comps[j].U)))
             delta = max(delta, float(np.linalg.norm(comps[i].mu - comps[j].mu)))
-    eq = moment_match(sub, sched, t)
+    s, _, gamma = coefficients(sched, t)
+    eq = mixture_moments([c.mu for c in comps], [c.U for c in comps], sub.weights, s, gamma)
     d = sub.d
     rng = np.random.default_rng(PROBE_SEED)
     dirs = rng.standard_normal((PROBE_DIRS, d))

@@ -165,6 +165,8 @@ def _num(block: dict, key: str, default, kind=float):
 
 def _params_from(cfg_block: dict, model):
     """Trainable parameters: a tied two-mode block or a model subspace."""
+    if "symmetric" in cfg_block and "subspace" in cfg_block:
+        raise ConfigParseError("give either symmetric or subspace, not both")
     if "symmetric" in cfg_block:
         sym = cfg_block["symmetric"]
         try:

@@ -254,11 +254,3 @@ def mixture_moments(means, factors, weights, s: float, gamma: float) -> Equivale
         cov += w * ((s * s) * W @ W.T + (gamma * gamma) * np.eye(D) + np.outer(m, m))
     cov -= np.outer(mean, mean)
     return EquivalentGaussian(mu_bar=mean, sigma_bar=cov)
-
-
-def moment_match(sub: Subspace, sched: DiffusionSchedule, t: float) -> EquivalentGaussian:
-    """First two latent moments of the noised mixture on one subspace."""
-    s, _, gamma = coefficients(sched, t)
-    comps = sub.components
-    return mixture_moments([c.mu for c in comps], [c.U for c in comps],
-                           [c.pi for c in comps], s, gamma)

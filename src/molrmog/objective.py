@@ -206,6 +206,9 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
     n_schedule = sorted(int(n) for n in n_schedule)
     if len(set(n_schedule)) < 2:
         raise ValidationError(f"the rate fit needs two distinct n, got {n_schedule}")
+    if not n_mc > n_schedule[-1]:
+        raise ValidationError(f"the population n_mc = {n_mc} must be larger than every n "
+                              f"under test, up to {n_schedule[-1]}")
     rng = np.random.default_rng(rng)
     subs = model.subspaces
     truth_set = tuple(from_model_subspace(sub)[0] for sub in subs)
@@ -219,20 +222,22 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
         data = sample_data(model, n, gen)
         return forward_noise(data.x, sched, t, gen)
 
-    def losses_on(X):
-        """(per-theta mean, per-theta variance) over the dataset."""
+    def losses_on(X, spread=False):
+        """(per-theta mean, per-theta variance) over the dataset; the variance
+        only with spread, since only the population's is read."""
         Zs = [encode(sub, X) for sub in subs]
         true_scores = [kern.score(Z) for kern, Z in zip(truth_kernels, Zs)]
         means = np.empty(len(theta_grid))
-        varis = np.empty(len(theta_grid))
+        varis = np.empty(len(theta_grid)) if spread else None
         for gi, kernels in enumerate(grid_kernels):
             ell = stacked_errors(kernels, Zs, true_scores)
             means[gi] = ell.mean()
-            varis[gi] = ell.var()
+            if spread:
+                varis[gi] = ell.var()
         return means, varis
 
     X_pop = noised_ambient(n_mc, rng)
-    pop_mean, pop_var = losses_on(X_pop)
+    pop_mean, pop_var = losses_on(X_pop, spread=True)
     sigma2 = float(np.max(pop_var))
     pop_stderr_max = float(np.max(np.sqrt(pop_var / n_mc)))
 

@@ -19,9 +19,10 @@ exact norms, for the log-joints by rho^T Sigma_l^{-1} rho = (|rho_l|^2 -
 |a_l|^2) / gamma^2, then the score -sum_l r_l q_l = (M^T [r; r_l a_l] - x) /
 gamma^2 by one GEMM against M = [s mu_1 ... s mu_L; W_1; ...; W_L]; only
 `evaluate` and the derivative pass also take q_l = (rho_l - W_l^T a_l) /
-gamma^2.  The latent, ambient (means A mu, factors A U) and tied two-mode
-functions below are thin wrappers over the kernel; a single component is the
-kernel with one component of weight 1.  Every function accepts a single point
+gamma^2.  The latent and ambient (means A mu, factors A U) functions below
+are thin wrappers over the kernel; the latent ones take the tied two-mode
+form too, through its free mixture, and a single component is the kernel with
+one component of weight 1.  Every function accepts a single point
 (d,) or a batch (n, d) and returns a matching shape; `_batch` reads both, and
 it is the one place that refuses a batch of zero rows (EmptyDataset), for the
 scores here and for every loss, gradient and curvature reduction built on them.
@@ -308,17 +309,6 @@ def latent_score(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
                  x: np.ndarray) -> np.ndarray:
     """Score of the noised latent mixture: -(1/gamma^2) sum_l r_l delta_l."""
     return mixture_kernel(params, pis, sched, t).score(x)
-
-
-def symmetric_responsibilities(mu, U, sched: DiffusionSchedule, t: float,
-                               x: np.ndarray) -> np.ndarray:
-    """(r_plus, r_minus) for the tied two-mode mixture; shape (n, 2) or (2,)."""
-    return responsibilities(*SymmetricParams(mu=mu, U=U).mixture(None), sched, t, x)
-
-
-def symmetric_score(mu, U, sched: DiffusionSchedule, t: float, x: np.ndarray) -> np.ndarray:
-    """Score of the tied two-mode mixture with modes at +/- s mu, shared Sigma."""
-    return latent_score(*SymmetricParams(mu=mu, U=U).mixture(None), sched, t, x)
 
 
 def ambient_kernel(model: MoLRMoGModel, sched: DiffusionSchedule, t: float) -> NoisedMixture:

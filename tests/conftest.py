@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,9 @@ def fd_gradient(f, x, h=1e-5):
         e[j] = h
         g[j] = (f(x + e) - f(x - e)) / (2 * h)
     return g
+
+
+def readme_tour() -> str:
+    """The README's library tour, its first python code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```python\n", 1)[1].split("```", 1)[0]

@@ -29,7 +29,7 @@ from molrmog.model import (
     Subspace,
     build_model,
     forward_noise,
-    moment_match,
+    mixture_moments,
     random_orthonormal,
     sample_data,
 )
@@ -42,7 +42,7 @@ from molrmog.objective import (
 )
 from molrmog.optimizer import GDConfig, contraction_check, gd_train, init_near
 from molrmog.sampler import SamplerConfig, model_score_fn, reverse_sample, sample_quality
-from molrmog.schedule import make_schedule
+from molrmog.schedule import coefficients, make_schedule
 from molrmog.score import (
     LatentParams,
     SymmetricParams,
@@ -50,7 +50,6 @@ from molrmog.score import (
     conditional_score,
     from_model_subspace,
     latent_score,
-    symmetric_score,
 )
 
 CONST = make_schedule("constant_drift", 1.0, 0.01, 1.0)
@@ -128,7 +127,8 @@ def test_acceptance_01_score_correctness():
             return logsumexp([np.log(0.5) + dense_gaussian_logpdf(y, s * mu_s, cov),
                               np.log(0.5) + dense_gaussian_logpdf(y, -s * mu_s, cov)])
 
-        err = _rel_err(symmetric_score(mu_s, U_s, CONST, t, x), _fd_grad(dense_sym, x))
+        err = _rel_err(latent_score(SymmetricParams(mu=mu_s, U=U_s), None, CONST, t, x),
+                       _fd_grad(dense_sym, x))
         max_err = max(max_err, err)
         checks += 1
 
@@ -298,7 +298,9 @@ def test_acceptance_08_moment_match_and_gaussian_error():
 
     # closed-form moments against Monte Carlo, 4-SE bands
     sub = sub_for(0.8)
-    eq = moment_match(sub, sched, t)
+    s, _, gamma = coefficients(sched, t)
+    eq = mixture_moments([c.mu for c in sub.components], [c.U for c in sub.components],
+                         sub.weights, s, gamma)
     rng = np.random.default_rng(5)
     n = 400000
     labels = rng.choice(2, size=n)

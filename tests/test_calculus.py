@@ -32,7 +32,6 @@ from molrmog.score import (
     SymmetricParams,
     mixture_kernel,
     responsibilities,
-    symmetric_responsibilities,
 )
 
 
@@ -299,7 +298,7 @@ def test_overlap_analysis_two_mode(unit_sched):
     rep = overlap_analysis(p, None, unit_sched, 1.0, X, mode="two_mode_sup")
     assert 0 <= rep.eps_overlap <= 0.25 + 1e-12
     # the pairwise overlap statistic matches a direct recomputation
-    r = symmetric_responsibilities(p.mu, p.U, unit_sched, 1.0, X)
+    r = responsibilities(p, None, unit_sched, 1.0, X)
     assert rep.xi_max == pytest.approx(float(np.max(r[:, 0] * r[:, 1])), abs=1e-15)
     # Weyl: lambda_min(H) >= lambda_min(H_diag) - |Delta|
     assert rep.weyl_gap >= -1e-8

@@ -404,6 +404,11 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("hessian", 'hessian.symmetric={"mu":[],"U":[]}'),
     ("overlap", 'overlap.symmetric={"mu":[],"U":[]}'),
     ("train", 'train.symmetric={"mu":[],"U":[]}'),
+    ("estimation", "estimation.n_mc=10"),
+    ("estimation", "estimation.n_mc=256"),
+    ("hessian", "hessian.subspace=0"),
+    ("overlap", "overlap.subspace=0"),
+    ("train", "train.subspace=0"),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import readme_tour
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -27,6 +29,4 @@ def test_demo_exits_0(demo):
 
 
 def test_readme_tour_exits_0():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
-    run_python(["-c", tour])
+    run_python(["-c", readme_tour()])

@@ -21,8 +21,7 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
-                                          if p.name != "__init__.py"))
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 

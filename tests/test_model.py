@@ -15,10 +15,11 @@ from molrmog.model import (
     component_weights,
     encode,
     forward_noise,
-    moment_match,
+    mixture_moments,
     random_orthonormal,
     sample_data,
 )
+from molrmog.schedule import coefficients
 
 
 def two_subspace_model(D=5, seed=3):
@@ -152,7 +153,9 @@ def test_moment_match_against_monte_carlo(unit_sched):
     model = two_subspace_model()
     sub = model.subspaces[0]
     t = 0.5
-    eq = moment_match(sub, unit_sched, t)
+    s, _, gamma = coefficients(unit_sched, t)
+    eq = mixture_moments([c.mu for c in sub.components], [c.U for c in sub.components],
+                         sub.weights, s, gamma)
     rng = np.random.default_rng(17)
     n = 400000
     labels = rng.choice(len(sub.components), size=n, p=sub.weights)

@@ -169,6 +169,15 @@ def test_estimation_gap_shrinks_with_n(unit_sched):
         estimation_gap_experiment(model, [], [64], 1, unit_sched, 0.25, 0, 100)
 
 
+def test_estimation_population_must_exceed_every_n(unit_sched):
+    model = small_model()
+    truth, _ = from_model_subspace(model.subspaces[0])
+    grid = make_theta_grid((truth,), half_width=0.25, count=2, seed=1)
+    with pytest.raises(ValidationError, match="n_mc"):
+        estimation_gap_experiment(model, grid, [64, 1024], trials=1, sched=unit_sched,
+                                  t=0.25, rng=0, n_mc=1024)
+
+
 def test_gap_bound_monotone_in_n():
     vals = [estimation_gap_bound(n, C1=1.0, L=2.0, L_l=3.0, sigma2=4.0, p=16)
             for n in (100, 400, 1600)]

@@ -19,8 +19,6 @@ from molrmog.score import (
     mixture_kernel,
     mixture_log_density,
     responsibilities,
-    symmetric_responsibilities,
-    symmetric_score,
 )
 
 
@@ -132,12 +130,13 @@ def test_symmetric_score_odd_and_matches_explicit_mixture(unit_sched):
     U = np.array([[0.8], [0.1]])
     rng = np.random.default_rng(8)
     X = rng.standard_normal((30, 2))
-    got = symmetric_score(mu, U, unit_sched, 1.0, X)
-    params, pis = SymmetricParams(mu=mu, U=U).mixture(None)
-    assert got == pytest.approx(latent_score(params, pis, unit_sched, 1.0, X), abs=1e-14)
+    tied = SymmetricParams(mu=mu, U=U)
+    got = latent_score(tied, None, unit_sched, 1.0, X)
+    explicit = LatentParams(((mu, U), (-mu, U)))
+    assert got == pytest.approx(latent_score(explicit, [0.5, 0.5], unit_sched, 1.0, X), abs=1e-14)
     # odd symmetry of the tied two-mode score
-    assert symmetric_score(mu, U, unit_sched, 1.0, -X) == pytest.approx(-got, abs=1e-12)
-    r = symmetric_responsibilities(mu, U, unit_sched, 1.0, np.zeros(2))
+    assert latent_score(tied, None, unit_sched, 1.0, -X) == pytest.approx(-got, abs=1e-12)
+    r = responsibilities(tied, None, unit_sched, 1.0, np.zeros(2))
     assert r == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
@@ -145,7 +144,7 @@ def test_score_at_midpoint_of_symmetric_pair_is_pulled_by_covariance(unit_sched)
     # at x = 0 the mean terms cancel, leaving only the shared-covariance pull
     mu = np.array([3.0, 0.0])
     U = np.array([[1.0], [0.0]])
-    sc = symmetric_score(mu, U, unit_sched, 1.0, np.zeros(2))
+    sc = latent_score(SymmetricParams(mu=mu, U=U), None, unit_sched, 1.0, np.zeros(2))
     assert sc == pytest.approx(np.zeros(2), abs=1e-14)
 
 
