@@ -43,14 +43,14 @@ from itertools import starmap
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset, RankNotOne, SingleComponent
-from .model import Subspace, _as_factor, mixture_moments
+from .model import Subspace, mixture_moments
 from .schedule import DiffusionSchedule, coefficients
 from .score import (
     LatentParams,
     SymmetricParams,
+    _as_factor,
     _batch,
     _lower_solve,
-    from_model_subspace,
     latent_score,
     mixture_kernel,
     mixture_log_density,
@@ -599,8 +599,7 @@ def equivalent_gaussian_error(sub: Subspace, sched: DiffusionSchedule, t: float,
     radii = np.linspace(0.0, probe_radius, PROBE_RADII + 1)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d) + eq.mu_bar
 
-    params, pis = from_model_subspace(sub)
-    log_p = mixture_log_density(params, pis, sched, t, pts)
+    log_p = mixture_log_density(sub, sub.weights, sched, t, pts)
     # Gaussian log-density of the moment match via a dense Cholesky
     cf = np.linalg.cholesky(eq.sigma_bar)
     y = _lower_solve(cf, (pts - eq.mu_bar).T).T

@@ -29,12 +29,12 @@ from .calculus import (
 from .errors import (
     ConfigParseError,
     NoArtifactsFound,
+    NonPositiveAlpha,
     NumericalError,
     UnknownSubcommand,
     ValidationError,
 )
-from .model import (ambient_components, as_numbers, build_model, forward_noise, mixture_moments,
-                    sample_data)
+from .model import as_numbers, build_model, forward_noise, mixture_moments, sample_data
 from .objective import (
     estimation_gap_experiment,
     make_theta_grid,
@@ -44,9 +44,9 @@ from .sampler import SamplerConfig, model_score_fn, reverse_sample, sample_quali
 from .schedule import DEFAULT_T_MAX, DEFAULT_T_MIN, make_schedule
 from .score import (
     SymmetricParams,
+    ambient_components,
     ambient_log_density,
     ambient_score,
-    from_model_subspace,
     latent_score,
     mixture_log_density,
 )
@@ -177,7 +177,7 @@ def _params_from(cfg_block: dict, model):
     k = _num(cfg_block, "subspace", 0, int)
     if not 0 <= k < len(model.subspaces):
         raise ConfigParseError(f"subspace {k} out of range for {len(model.subspaces)} subspaces")
-    return from_model_subspace(model.subspaces[k])
+    return model.subspaces[k], model.subspaces[k].weights
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +229,11 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
             X, h)
         rows += [["ambient", t, i, float(e)] for i, e in enumerate(errs)]
         for k, sub in enumerate(model.subspaces):
-            params, pis = from_model_subspace(sub)
-            Z = sample_noised(params, pis, sched, t, n_points, rng)
+            Z = sample_noised(sub, sub.weights, sched, t, n_points, rng)
             errs = _fd_score_err(
-                latent_score(params, pis, sched, t, Z),
-                lambda P, pa=params, pi=pis, tt=t: np.asarray(
-                    mixture_log_density(pa, pi, sched, tt, P)),
+                latent_score(sub, sub.weights, sched, t, Z),
+                lambda P, sb=sub, tt=t: np.asarray(
+                    mixture_log_density(sb, sb.weights, sched, tt, P)),
                 Z, h)
             rows += [[f"latent_k{k}", t, i, float(e)] for i, e in enumerate(errs)]
     write_csv(out / "score_fd_errors.csv", ["kind", "t", "index", "rel_err"], rows)
@@ -251,8 +250,7 @@ def cmd_estimation(cfg, seed, out: Path) -> list[str]:
     t = _num(block, "t", 0.5)
     trials = _num(block, "trials", 20, int)
     n_mc = _num(block, "n_mc", 1_000_000, int)
-    truth_set = tuple(from_model_subspace(sub)[0] for sub in model.subspaces)
-    grid = make_theta_grid(truth_set, _num(block, "half_width", 0.25),
+    grid = make_theta_grid(model.subspaces, _num(block, "half_width", 0.25),
                            _num(block, "grid", 64, int), seed)
     report = estimation_gap_experiment(
         model, grid,
@@ -316,13 +314,18 @@ def cmd_train(cfg, seed, out: Path) -> list[str]:
     t = _num(block, "t", 0.5)
     truth, pis = _params_from(block, model)
     rng = np.random.default_rng(seed)
-    X = sample_noised(truth, pis, sched, t, _num(block, "n", 10000, int), rng)
+    n = _num(block, "n", 10000, int)
+    X = sample_noised(truth, pis, sched, t, n, rng)
     theta0 = init_near(truth, _num(block, "init_radius", 0.1), rng)
     eta = block.get("eta")
     gd = GDConfig(eta=None if eta is None else _num(block, "eta", None),
                   m_max=_num(block, "m_max", 500, int), tol=_num(block, "tol", 1e-10))
     dist_floor = _num(block, "dist_floor", 0.0)
-    trace = gd_train(theta0, truth, pis, sched, t, X, gd)
+    try:
+        trace = gd_train(theta0, truth, pis, sched, t, X, gd)
+    except NonPositiveAlpha as exc:
+        raise NonPositiveAlpha(f"train.n = {n}: the loss Hessian at the truth estimated from "
+                               f"that many points is singular ({exc})") from None
     write_csv(out / "trace.csv", ["m", "loss", "grad_norm", "dist", "ratio"],
               [(r.m, r.loss, r.grad_norm, r.dist, r.ratio) for r in trace.rows])
     check = contraction_check(trace, trace.rho_bound, slack=0.05,
@@ -383,8 +386,10 @@ REPORT_CHECKS = {
     "overlap_summary.json": lambda s: (
         f"Weyl gap {s['weyl_gap']:.3e} >= 0", s["weyl_gap"] >= -1e-8),
     "train_summary.json": lambda s: (
-        f"contraction fraction {s.get('contraction_fraction', 0.0):.3f} vs rho+0.05 "
-        f"(rho {s['rho_bound']:.3f})", s.get("contraction_fraction", 0.0) >= 0.95),
+        (f"contraction fraction {s.get('contraction_fraction', 0.0):.3f} vs rho+0.05 "
+         f"(rho {s['rho_bound']:.3f})", s.get("contraction_fraction", 0.0) >= 0.95)
+        if s.get("contraction_fraction", 0.0) is not None
+        else (f"contraction fraction: no ratio checked (rho {s['rho_bound']:.3f})", None)),
     "quality.json": lambda s: (
         f"sampler max weight err {s['max_weight_err']:.4f} vs 0.01",
         s["max_weight_err"] <= 0.01),

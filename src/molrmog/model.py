@@ -7,6 +7,10 @@ pi_l, mean mu_l, and covariance U_l U_l^T (possibly rank deficient).  A
 noiseless sample is x = A_k (mu_l + U_l z) with z standard normal, so the
 data lies exactly on its subspace.  Full-rank noise enters only through the
 forward process at t > 0.
+
+A `Subspace` is a `score.LatentParams`, the type of a trained theta, so it is
+its own truth theta*.  It adds only the checks a model needs (orthonormal A,
+finite entries, r <= d, weights), which a diverging GD iterate must not fail.
 """
 
 from __future__ import annotations
@@ -22,47 +26,23 @@ from .errors import (
     WeightsNotNormalized,
 )
 from .schedule import DiffusionSchedule, coefficients
+from .score import LatentParams
 
 ORTHO_TOL = 1e-10
 
 
-def _as_factor(U) -> np.ndarray:
-    """U as a float array, a vector read as a single factor column."""
-    U = np.asarray(U, dtype=float)
-    return U[:, None] if U.ndim == 1 else U
-
-
 @dataclass(frozen=True)
-class MoGComponent:
-    pi: float
-    mu: np.ndarray  # (d,)
-    U: np.ndarray  # (d, r) with r <= d
+class Subspace(LatentParams):
+    """One subspace: the latent mixture (mu_l, U_l), the orthonormal basis A
+    (D x d) and the weights pi_l."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "U", _as_factor(self.U))
-        if self.mu.ndim != 1 or self.U.ndim != 2:
-            raise DimensionMismatch(f"need a mean vector and a factor matrix, got shapes "
-                                    f"{self.mu.shape} and {self.U.shape}")
-        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.U))):
-            raise ValidationError("component mean and factor must be finite")
-        d = self.mu.shape[0]
-        if self.U.shape[0] != d:
-            raise DimensionMismatch(f"U has {self.U.shape[0]} rows, mu has length {d}")
-        if self.U.shape[1] > d:
-            raise DimensionMismatch(f"U rank {self.U.shape[1]} exceeds latent dim {d}")
-        if not (self.pi > 0):
-            raise ValidationError(f"component weight must be positive, got {self.pi}")
-
-
-@dataclass(frozen=True)
-class Subspace:
     A: np.ndarray  # (D, d), orthonormal columns
-    components: tuple[MoGComponent, ...]
+    weights: np.ndarray  # (L,), positive, summing to 1
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.A.ndim != 2:
             raise DimensionMismatch(f"basis A must be a matrix, got {self.A.ndim}-D")
         d = self.A.shape[1]
@@ -70,20 +50,20 @@ class Subspace:
         # written so that a NaN deviation fails it too
         if not np.max(np.abs(gram - np.eye(d)), initial=0.0) <= ORTHO_TOL:
             raise NonOrthonormalBasis("A^T A deviates from identity beyond 1e-10")
-        total = sum(c.pi for c in self.components)
+        if self.d != d:
+            raise DimensionMismatch("component dimension differs from subspace dimension")
+        for mu, U in self.components:
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(U))):
+                raise ValidationError("component mean and factor must be finite")
+            if U.shape[1] > d:
+                raise DimensionMismatch(f"U rank {U.shape[1]} exceeds latent dim {d}")
+        if self.weights.shape != (len(self.components),):
+            raise DimensionMismatch(f"need one weight per component, got {self.weights.shape}")
+        if not np.all(self.weights > 0):
+            raise ValidationError(f"weights must be positive, got {self.weights.tolist()}")
+        total = float(sum(self.weights))
         if abs(total - 1.0) > 1e-9:
             raise WeightsNotNormalized(f"component weights sum to {total}")
-        for c in self.components:
-            if c.mu.shape[0] != d:
-                raise DimensionMismatch("component dimension differs from subspace dimension")
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.pi for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -165,11 +145,8 @@ def build_model(spec: dict) -> MoLRMoGModel:
     subspaces = []
     for i, ss in enumerate(sub_specs):
         try:
-            comps = tuple(
-                MoGComponent(pi=float(as_numbers(c["pi"])), mu=as_numbers(c["mu"]),
-                             U=as_numbers(c["U"]))
-                for c in ss["components"]
-            )
+            comps = [(as_numbers(c["mu"]), as_numbers(c["U"])) for c in ss["components"]]
+            weights = [float(as_numbers(c["pi"])) for c in ss["components"]]
             if "A" in ss:
                 A = as_numbers(ss["A"])
             else:
@@ -180,7 +157,7 @@ def build_model(spec: dict) -> MoLRMoGModel:
         except (TypeError, ValueError, OverflowError) as exc:
             msg = " ".join(str(exc).split())
             raise ValidationError(f"model subspace {i} is malformed: {msg}") from exc
-        subspaces.append(Subspace(A=A, components=comps))
+        subspaces.append(Subspace(components=comps, A=A, weights=weights))
     return MoLRMoGModel(D=D, subspaces=tuple(subspaces))
 
 
@@ -189,20 +166,9 @@ def component_weights(model: MoLRMoGModel) -> list[tuple[int, int, float]]:
     K = model.K
     out = []
     for k, sub in enumerate(model.subspaces):
-        for l, comp in enumerate(sub.components):
-            out.append((k, l, comp.pi / K))
+        for l, pi in enumerate(sub.weights.tolist()):
+            out.append((k, l, pi / K))
     return out
-
-
-def ambient_components(model: MoLRMoGModel) -> tuple[list, list, list]:
-    """The flat (k, l) components of the ambient mixture in `component_weights`
-    order: means A mu, low-rank factors A U and weights pi_l / K."""
-    means, factors = [], []
-    for sub in model.subspaces:
-        for comp in sub.components:
-            means.append(sub.A @ comp.mu)
-            factors.append(sub.A @ comp.U)
-    return means, factors, [w for _, _, w in component_weights(model)]
 
 
 def sample_data(model: MoLRMoGModel, n: int, rng) -> LabeledDataset:

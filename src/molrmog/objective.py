@@ -21,7 +21,7 @@ from .calculus import score_of
 from .errors import GridEmpty, ValidationError
 from .model import MoLRMoGModel, encode, forward_noise, sample_data
 from .schedule import DiffusionSchedule, coefficients
-from .score import conditional_score, from_model_subspace, mixture_kernel
+from .score import conditional_score, mixture_kernel
 
 
 def sm_errors(theta, truth, pis, sched: DiffusionSchedule, t: float,
@@ -211,11 +211,9 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
                               f"under test, up to {n_schedule[-1]}")
     rng = np.random.default_rng(rng)
     subs = model.subspaces
-    truth_set = tuple(from_model_subspace(sub)[0] for sub in subs)
-    pis_list = [sub.weights for sub in subs]
     # every kernel is fixed by (theta, t): factor each once, before any data
-    truth_kernels = [mixture_kernel(th, pis, sched, t) for th, pis in zip(truth_set, pis_list)]
-    grid_kernels = [[mixture_kernel(th, pis, sched, t) for th, pis in zip(th_set, pis_list)]
+    truth_kernels = [mixture_kernel(sub, sub.weights, sched, t) for sub in subs]
+    grid_kernels = [[mixture_kernel(th, sub.weights, sched, t) for th, sub in zip(th_set, subs)]
                     for th_set in theta_grid]
 
     def noised_ambient(n, gen):

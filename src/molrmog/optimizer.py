@@ -161,14 +161,15 @@ def gd_train(theta0, truth, pis, sched: DiffusionSchedule, t: float,
 
 @dataclass
 class ContractionReport:
-    fraction: float
+    fraction: float | None  # None when no ratio was checked
     first_violation: int | None
     checked: int
 
 
 def contraction_check(trace: TrainTrace, rho: float, slack: float = 0.05,
                       dist_floor: float = 0.0) -> ContractionReport:
-    """Fraction of recorded ratios at or below rho + slack, above the floor."""
+    """Fraction of recorded ratios at or below rho + slack, above the floor;
+    None when no ratio is checked, since no contraction was observed."""
     checked = 0
     ok = 0
     first_violation = None
@@ -180,6 +181,6 @@ def contraction_check(trace: TrainTrace, rho: float, slack: float = 0.05,
             ok += 1
         elif first_violation is None:
             first_violation = row.m
-    fraction = ok / checked if checked else 1.0
+    fraction = ok / checked if checked else None
     return ContractionReport(fraction=fraction, first_violation=first_violation,
                              checked=checked)

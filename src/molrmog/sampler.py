@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NaNDetected, ValidationError
-from .model import MoLRMoGModel, ambient_components, component_weights
+from .model import MoLRMoGModel, component_weights
 from .schedule import DiffusionSchedule
-from .score import ambient_responsibilities, ambient_score
+from .score import ambient_components, ambient_responsibilities, ambient_score
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,31 @@ one component of weight 1.  Every function accepts a single point
 (d,) or a batch (n, d) and returns a matching shape; `_batch` reads both, and
 it is the one place that refuses a batch of zero rows (EmptyDataset), for the
 scores here and for every loss, gradient and curvature reduction built on them.
+
+`LatentParams`, a tuple of `Component(mu, U)` records, is the one latent
+mixture type; a `model.Subspace` is one (its own theta*) with a basis A and
+weights.  `model` imports this module, so the ambient functions here read a
+model by attribute.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset, SingularNoise
-from .model import MoLRMoGModel, _as_factor, ambient_components
 from .schedule import DiffusionSchedule, coefficients
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _as_factor(U) -> np.ndarray:
+    """U as a float array, a vector read as a single factor column."""
+    U = np.asarray(U, dtype=float)
+    return U[:, None] if U.ndim == 1 else U
 
 
 def _require_noise(gamma: float) -> None:
@@ -191,23 +202,31 @@ class _FlatParams:
                 for (m, u), (_, U) in zip(self.columns, self.blocks)]
 
 
+class Component(NamedTuple):
+    """One latent component: mean mu (d,) and covariance factor U (d, r)."""
+    mu: np.ndarray
+    U: np.ndarray
+
+
 @dataclass(frozen=True)
 class LatentParams(_FlatParams):
-    """Trainable parameters (mu_l, U_l) of one subspace's free mixture."""
+    """Parameters (mu_l, U_l) of one subspace's free mixture: the trainable
+    type, and the latent part of a model subspace.  Checks shapes only: a
+    trained theta may hold non-finite entries, which GD reports itself."""
 
-    components: tuple[tuple[np.ndarray, np.ndarray], ...]
+    components: tuple[Component, ...]
 
     def __post_init__(self):
-        comps = tuple(
-            (np.asarray(mu, dtype=float), _as_factor(U)) for mu, U in self.components
-        )
+        comps = tuple(Component(np.asarray(mu, dtype=float), _as_factor(U))
+                      for mu, U in self.components)
         object.__setattr__(self, "components", comps)
-        d = comps[0][0].shape[0]
-        if d == 0:
-            raise DimensionMismatch("need a mean of length >= 1, got length 0")
+        if not comps:
+            raise DimensionMismatch("need at least one component, got none")
         for mu, U in comps:
-            if mu.shape[0] != d or U.shape[0] != d:
-                raise DimensionMismatch("inconsistent component dimensions")
+            # comps[0] is checked first, so len() reads a vector
+            if mu.ndim != 1 or U.ndim != 2 or not 0 < len(mu) == U.shape[0] == len(comps[0].mu):
+                raise DimensionMismatch(f"need nonempty mean vectors of one length and factors "
+                                        f"with as many rows, got shapes {mu.shape} and {U.shape}")
 
     @property
     def blocks(self):
@@ -239,12 +258,9 @@ class SymmetricParams(_FlatParams):
     U: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "U", _as_factor(self.U))
-        if (self.mu.ndim != 1 or len(self.mu) == 0 or self.U.ndim != 2
-                or self.U.shape[0] != len(self.mu)):
-            raise DimensionMismatch(f"need a nonempty mean vector and a factor with as many rows, "
-                                    f"got shapes {self.mu.shape} and {self.U.shape}")
+        [(mu, U)] = LatentParams(((self.mu, self.U),)).components
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "U", U)
 
     @property
     def blocks(self):
@@ -279,9 +295,9 @@ def _lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def from_model_subspace(sub) -> tuple[LatentParams, np.ndarray]:
-    """Extract (LatentParams, weights) from a model Subspace."""
-    params = LatentParams(tuple((c.mu, c.U) for c in sub.components))
-    return params, sub.weights
+    """(parameters, weights) of a model subspace, which is its own parameters;
+    the library passes `sub, sub.weights` itself, and the bench calls this."""
+    return sub, sub.weights
 
 
 def mixture_kernel(params, pis, sched: DiffusionSchedule, t: float) -> NoisedMixture:
@@ -311,26 +327,39 @@ def latent_score(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
     return mixture_kernel(params, pis, sched, t).score(x)
 
 
-def ambient_kernel(model: MoLRMoGModel, sched: DiffusionSchedule, t: float) -> NoisedMixture:
+def ambient_components(model) -> tuple[list, list, np.ndarray]:
+    """The flat (k, l) components of a `model.MoLRMoGModel`'s ambient mixture
+    in `model.component_weights` order: means A mu, low-rank factors A U and
+    weights pi_l / K."""
+    means, factors = [], []
+    for sub in model.subspaces:
+        for mu, U in sub.components:
+            means.append(sub.A @ mu)
+            factors.append(sub.A @ U)
+    weights = np.concatenate([sub.weights for sub in model.subspaces]) / len(model.subspaces)
+    return means, factors, weights
+
+
+def ambient_kernel(model, sched: DiffusionSchedule, t: float) -> NoisedMixture:
     """Kernel of the full ambient mixture over the flat (k, l) components:
     weights pi_l / K, mean directions A mu, low-rank factors A U."""
     s, _, gamma = coefficients(sched, t)
     return NoisedMixture(*ambient_components(model), s, gamma)
 
 
-def ambient_log_density(model: MoLRMoGModel, sched: DiffusionSchedule, t: float,
+def ambient_log_density(model, sched: DiffusionSchedule, t: float,
                         x: np.ndarray) -> np.ndarray | float:
     """log p_t(x) of the full ambient mixture, via low-rank factors A U."""
     return ambient_kernel(model, sched, t).log_density(x)
 
 
-def ambient_responsibilities(model: MoLRMoGModel, sched: DiffusionSchedule, t: float,
+def ambient_responsibilities(model, sched: DiffusionSchedule, t: float,
                              x: np.ndarray) -> np.ndarray:
     """Posterior over flat (k, l) components for ambient points."""
     return ambient_kernel(model, sched, t).responsibilities(x)
 
 
-def ambient_score(model: MoLRMoGModel, sched: DiffusionSchedule, t: float,
+def ambient_score(model, sched: DiffusionSchedule, t: float,
                   x: np.ndarray) -> np.ndarray:
     """Score of the ambient mixture sum_{k,l} (1/K) pi_l N(s A mu, s^2 (AU)(AU)^T + gamma^2 I)."""
     return ambient_kernel(model, sched, t).score(x)

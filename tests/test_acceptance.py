@@ -24,7 +24,6 @@ from molrmog.calculus import (
 )
 from molrmog.cli import run
 from molrmog.model import (
-    MoGComponent,
     MoLRMoGModel,
     Subspace,
     build_model,
@@ -48,7 +47,6 @@ from molrmog.score import (
     SymmetricParams,
     ambient_score,
     conditional_score,
-    from_model_subspace,
     latent_score,
 )
 
@@ -135,8 +133,8 @@ def test_acceptance_01_score_correctness():
         # ambient score on a one-subspace lift of the same mixture
         D = d + int(rng.integers(1, 3))
         A = random_orthonormal(D, d, int(rng.integers(0, 1000)))
-        model = MoLRMoGModel(D=D, subspaces=(Subspace(A=A, components=tuple(
-            MoGComponent(pi=pi, mu=mu, U=U) for pi, mu, U in zip(pis, mus, Us))),))
+        model = MoLRMoGModel(D=D, subspaces=(
+            Subspace(components=tuple(zip(mus, Us)), A=A, weights=pis),))
         xa = rng.standard_normal(D)
 
         def dense_amb(y):
@@ -184,8 +182,7 @@ def test_acceptance_02_eigenvalue_closed_form():
 def test_acceptance_03_estimation_rate():
     model = build_model(TWO_SUBSPACE_SPEC)
     t = 1.0
-    truth_set = tuple(from_model_subspace(sub)[0] for sub in model.subspaces)
-    grid = make_theta_grid(truth_set, half_width=0.25, count=64, seed=0)
+    grid = make_theta_grid(model.subspaces, half_width=0.25, count=64, seed=0)
     n_schedule = [2 ** k for k in range(7, 14)]
     rep = estimation_gap_experiment(model, grid, n_schedule, trials=20,
                                     sched=CONST, t=t, rng=123, n_mc=400000)
@@ -291,10 +288,10 @@ def test_acceptance_08_moment_match_and_gaussian_error():
     e = np.array([[0.05], [-0.025]])
 
     def sub_for(delta):
-        return Subspace(A=np.eye(2), components=(
-            MoGComponent(pi=0.5, mu=[delta / 2.0, 0.0], U=u0 + e),
-            MoGComponent(pi=0.5, mu=[-delta / 2.0, 0.0], U=u0 - e),
-        ))
+        return Subspace(components=(
+            ([delta / 2.0, 0.0], u0 + e),
+            ([-delta / 2.0, 0.0], u0 - e),
+        ), A=np.eye(2), weights=[0.5, 0.5])
 
     # closed-form moments against Monte Carlo, 4-SE bands
     sub = sub_for(0.8)
@@ -334,7 +331,8 @@ def test_acceptance_08_moment_match_and_gaussian_error():
 
 def test_acceptance_09_dsm_equals_sm():
     model = build_model(SAMPLER_SPEC)
-    truth, pis = from_model_subspace(model.subspaces[0])
+    truth = model.subspaces[0]
+    pis = truth.weights
     t = 0.5
     rng = np.random.default_rng(6)
     n = 100000

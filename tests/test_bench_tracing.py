@@ -7,7 +7,6 @@ from pathlib import Path
 from molrmog import calculus, model, objective, optimizer, score
 from molrmog.model import build_model
 from molrmog.objective import estimation_gap_experiment, make_theta_grid
-from molrmog.score import from_model_subspace
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -37,8 +36,7 @@ def test_tracer_wraps_every_traced_name_and_restores_it(unit_sched):
         sub = {"d": 2, "A_seed": 7, "components": [
             {"pi": 1.0, "mu": [1.0, 0.0], "U": [[0.5], [0.1]]}]}
         mix = build_model({"D": 3, "subspaces": [sub]})
-        truth = tuple(from_model_subspace(s)[0] for s in mix.subspaces)
-        grid = make_theta_grid(truth, 0.25, 2, 3)
+        grid = make_theta_grid(mix.subspaces, 0.25, 2, 3)
         estimation_gap_experiment(mix, grid, [16, 32], 1, unit_sched, 0.25, 5, n_mc=64)
         # one call per grid point on the population set and on each dataset
         assert tracer.metrics(1)["objective.stacked_errors.calls"] == 2 * 3

@@ -25,7 +25,7 @@ from molrmog.errors import (
     RankNotOne,
     SingleComponent,
 )
-from molrmog.model import MoGComponent, Subspace, random_orthonormal
+from molrmog.model import Subspace, random_orthonormal
 from molrmog.schedule import coefficients
 from molrmog.score import (
     LatentParams,
@@ -380,20 +380,20 @@ def test_perturbation_constants_scales(unit_sched):
 
 def test_equivalent_gaussian_error_degenerate_and_generic(unit_sched):
     A = random_orthonormal(4, 2, 5)
-    same = MoGComponent(pi=0.5, mu=[1.0, 0.0], U=[[0.5], [0.0]])
-    sub_same = Subspace(A=A, components=(same, MoGComponent(pi=0.5, mu=[1.0, 0.0], U=[[0.5], [0.0]])))
+    same = ([1.0, 0.0], [[0.5], [0.0]])
+    sub_same = Subspace(components=(same, ([1.0, 0.0], [[0.5], [0.0]])), A=A, weights=[0.5, 0.5])
     eps, delta, err = equivalent_gaussian_error(sub_same, unit_sched, 0.25, probe_radius=1.0)
     assert eps == 0.0 and delta == 0.0
     assert err < 1e-10  # identical components: the mixture is Gaussian
-    sub_diff = Subspace(A=A, components=(
-        MoGComponent(pi=0.5, mu=[1.0, 0.0], U=[[0.5], [0.0]]),
-        MoGComponent(pi=0.5, mu=[-1.0, 0.0], U=[[0.3], [0.1]]),
-    ))
+    sub_diff = Subspace(components=(
+        ([1.0, 0.0], [[0.5], [0.0]]),
+        ([-1.0, 0.0], [[0.3], [0.1]]),
+    ), A=A, weights=[0.5, 0.5])
     eps2, delta2, err2 = equivalent_gaussian_error(sub_diff, unit_sched, 0.25, probe_radius=1.0)
     assert delta2 == pytest.approx(2.0)
     assert err2 > err
     with pytest.raises(SingleComponent):
-        only = Subspace(A=A, components=(MoGComponent(pi=1.0, mu=[0.0, 0.0], U=[[1.0], [0.0]]),))
+        only = Subspace(components=(([0.0, 0.0], [[1.0], [0.0]]),), A=A, weights=[1.0])
         equivalent_gaussian_error(only, unit_sched, 0.25, probe_radius=1.0)
 
 

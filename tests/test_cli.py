@@ -259,6 +259,28 @@ def test_explicit_step_writes_finite_summary(cfg_path, tmp_path):
     assert summary["first_violation"] is None
 
 
+def test_train_without_checked_ratio_reports_no_verdict(cfg_path, tmp_path):
+    """With no GD step there is no ratio to check: the summary writes a null
+    fraction and the report line carries no PASS or FAIL."""
+    out = tmp_path / "out"
+    assert run("train", cfg_path, overrides=["train.m_max=0"], out_dir=str(out)) == 0
+    summary = json.loads((out / "train_summary.json").read_text())
+    assert summary["iterations"] == 0 and summary["contraction_fraction"] is None
+    assert run("report", None, out_dir=str(out)) == 0
+    line = (out / "report.md").read_text().splitlines()[-1]
+    assert line.startswith("- contraction fraction: no ratio checked")
+    assert "PASS" not in line and "FAIL" not in line
+
+
+def test_train_on_too_few_points_names_train_n(cfg_path, tmp_path, capsys):
+    """One point cannot give a nonsingular loss Hessian; the message says so
+    and names the key, instead of a bare alpha."""
+    assert run("train", cfg_path, overrides=["train.n=1"], out_dir=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: train.n = 1: ") and err.count("\n") == 1
+    assert "singular" in err
+
+
 @pytest.mark.parametrize("sub", ["hessian", "overlap"])
 def test_rank_zero_tied_overlap_writes_finite_summary(cfg_path, tmp_path, sub):
     """A rank-0 tied factor has no factor parameters: the Weyl split keeps
@@ -318,6 +340,7 @@ def _assert_one_line_error(capsys):
     (("components", 1, "U"), [[[0.2]], [[0.4]]]),
     (("A",), [[float("nan"), 0.0], [0.0, 1.0], [0.0, 0.0]]),
     (("components", 0, "pi"), "0.5"),
+    (("components",), []),
 ])
 def test_malformed_model_subspace_exits_2(tmp_path, capsys, path, value):
     cfg = json.loads(json.dumps(MINI_CFG))

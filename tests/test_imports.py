@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, and none
-imports a scipy submodule."""
+"""Every name a library module imports is used in that module, none imports
+a scipy submodule, and the modules import one another in one direction."""
 
 import ast
 from pathlib import Path
@@ -44,3 +44,37 @@ def test_no_scipy_submodule_import(module):
     """The top-level `import scipy` (for its version and install path) is the
     only scipy import in the library."""
     assert scipy_submodule_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+# each module imports only from modules before it; a model subspace is a
+# score.LatentParams, so score comes before model
+LAYERS = ("errors", "schedule", "score", "model", "calculus", "objective", "optimizer",
+          "sampler", "cli")
+
+
+def package_imports(source: str) -> list[str]:
+    """The package modules a module imports from (relative or absolute);
+    `from . import x` reads the package root, `__init__`."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or "__init__"
+            if node.level == 1:
+                names.append(module)
+            elif node.level == 0 and module.startswith("molrmog."):
+                names.append(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names += [a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("molrmog.")]
+    return names
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS + ("__init__",)) == sorted(p.stem for p in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_follow_layer_order(module):
+    allowed = set(LAYERS[:LAYERS.index(module)]) | {"__init__"}
+    imported = package_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert [name for name in imported if name not in allowed] == []

@@ -8,7 +8,6 @@ from molrmog.errors import (
     WeightsNotNormalized,
 )
 from molrmog.model import (
-    MoGComponent,
     MoLRMoGModel,
     Subspace,
     build_model,
@@ -20,6 +19,7 @@ from molrmog.model import (
     sample_data,
 )
 from molrmog.schedule import coefficients
+from molrmog.score import LatentParams
 
 
 def two_subspace_model(D=5, seed=3):
@@ -27,10 +27,10 @@ def two_subspace_model(D=5, seed=3):
     for k, d in enumerate((2, 3)):
         A = random_orthonormal(D, d, seed + k)
         comps = (
-            MoGComponent(pi=0.4, mu=np.arange(1, d + 1, dtype=float), U=0.5 * np.eye(d)[:, :1]),
-            MoGComponent(pi=0.6, mu=-np.ones(d), U=0.3 * np.eye(d)[:, :2] if d > 1 else 0.3 * np.eye(d)),
+            (np.arange(1, d + 1, dtype=float), 0.5 * np.eye(d)[:, :1]),
+            (-np.ones(d), 0.3 * np.eye(d)[:, :2] if d > 1 else 0.3 * np.eye(d)),
         )
-        subs.append(Subspace(A=A, components=comps))
+        subs.append(Subspace(components=comps, A=A, weights=[0.4, 0.6]))
     return MoLRMoGModel(D=D, subspaces=tuple(subs))
 
 
@@ -42,38 +42,41 @@ def test_random_orthonormal_is_orthonormal_and_deterministic():
 
 
 def test_component_promotes_vector_factor():
-    c = MoGComponent(pi=1.0, mu=[0.0, 0.0], U=[1.0, 2.0])
-    assert c.U.shape == (2, 1)
+    sub = Subspace(components=(([0.0, 0.0], [1.0, 2.0]),), A=random_orthonormal(4, 2, 0),
+                   weights=[1.0])
+    assert sub.components[0].U.shape == (2, 1)
 
 
 def test_validation_errors():
     A = random_orthonormal(4, 2, 0)
-    good = MoGComponent(pi=1.0, mu=[0.0, 0.0], U=[[1.0], [0.0]])
+    good = ([0.0, 0.0], [[1.0], [0.0]])
     with pytest.raises(NonOrthonormalBasis):
-        Subspace(A=1.1 * A, components=(good,))
+        Subspace(components=(good,), A=1.1 * A, weights=[1.0])
     with pytest.raises(WeightsNotNormalized):
-        Subspace(A=A, components=(MoGComponent(pi=0.7, mu=[0.0, 0.0], U=[[1.0], [0.0]]),))
+        Subspace(components=(good,), A=A, weights=[0.7])
     with pytest.raises(DimensionMismatch):
-        MoGComponent(pi=1.0, mu=[0.0, 0.0], U=np.eye(3))
+        Subspace(components=(([0.0, 0.0], np.eye(3)),), A=A, weights=[1.0])
     with pytest.raises(DimensionMismatch):
-        MoGComponent(pi=1.0, mu=[0.0, 0.0], U=np.ones((2, 3)))
+        Subspace(components=(([0.0, 0.0], np.ones((2, 3))),), A=A, weights=[1.0])
     with pytest.raises(ValidationError):
-        MoGComponent(pi=0.0, mu=[0.0], U=[[1.0]])
+        Subspace(components=(([0.0], [[1.0]]),), A=random_orthonormal(4, 1, 0), weights=[0.0])
     with pytest.raises(DimensionMismatch):
-        MoLRMoGModel(D=5, subspaces=(Subspace(A=A, components=(good,)),))
+        MoLRMoGModel(D=5, subspaces=(Subspace(components=(good,), A=A, weights=[1.0]),))
     with pytest.raises(ValidationError):
         MoLRMoGModel(D=4, subspaces=())
+    with pytest.raises(DimensionMismatch):
+        Subspace(components=(good, good), A=A, weights=[1.0])
 
 
 def test_non_numeric_spec_rejected():
     A = random_orthonormal(4, 2, 0)
-    good = MoGComponent(pi=1.0, mu=[0.0, 0.0], U=[[1.0], [0.0]])
+    good = ([0.0, 0.0], [[1.0], [0.0]])
     with pytest.raises(ValidationError):
-        MoGComponent(pi=1.0, mu=[np.nan, 0.0], U=[[1.0], [0.0]])
+        Subspace(components=(([np.nan, 0.0], [[1.0], [0.0]]),), A=A, weights=[1.0])
     with pytest.raises(ValidationError):
-        MoGComponent(pi=1.0, mu=[0.0, 0.0], U=[[[0.6]], [[0.1]]])
+        Subspace(components=(([0.0, 0.0], [[[0.6]], [[0.1]]]),), A=A, weights=[1.0])
     with pytest.raises(ValidationError):
-        Subspace(A=np.where(A == A[0, 0], np.nan, A), components=(good,))
+        Subspace(components=(good,), A=np.where(A == A[0, 0], np.nan, A), weights=[1.0])
     spec = {"D": 4, "subspaces": [{"d": 2, "A_seed": 7, "components": [
         {"pi": True, "mu": [2.0, 0.0], "U": [[0.6], [0.1]]}]}]}
     with pytest.raises(ValidationError):
@@ -99,6 +102,12 @@ def test_build_model_matches_manual_construction():
     assert np.array_equal(model.subspaces[0].A, random_orthonormal(4, 2, 7))
     ws = component_weights(model)
     assert [w for _, _, w in ws] == [0.5, 0.5]
+    # a subspace is its own latent parameters, read as pairs or by field
+    sub = model.subspaces[0]
+    assert isinstance(sub, LatentParams) and sub.d == 2
+    assert np.array_equal(sub.weights, [0.5, 0.5])
+    (mu, _), second = sub.components
+    assert np.array_equal(mu, [2.0, 0.0]) and np.array_equal(second.U, [[0.2], [0.5]])
     with pytest.raises(ValidationError):
         build_model({"subspaces": []})
 

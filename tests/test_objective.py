@@ -16,7 +16,7 @@ from molrmog.objective import (
     sm_errors,
     unflatten_theta_set,
 )
-from molrmog.score import LatentParams, SymmetricParams, from_model_subspace, latent_score
+from molrmog.score import LatentParams, SymmetricParams, latent_score
 
 
 def small_model():
@@ -34,14 +34,16 @@ def small_model():
 
 
 def test_loss_time_outside_schedule(unit_sched):
-    truth, pis = from_model_subspace(small_model().subspaces[0])
+    truth = small_model().subspaces[0]
+    pis = truth.weights
     X = np.random.default_rng(0).standard_normal((20, 2))
     with pytest.raises(TimeOutOfRange):
         empirical_loss(truth, truth, pis, unit_sched, 2.0, X)
 
 
 def test_loss_zero_at_truth_and_positive_away(unit_sched):
-    truth, pis = from_model_subspace(small_model().subspaces[0])
+    truth = small_model().subspaces[0]
+    pis = truth.weights
     X = np.random.default_rng(0).standard_normal((200, 2))
     t = 0.5
     assert empirical_loss(truth, truth, pis, unit_sched, t, X) == 0.0
@@ -56,7 +58,8 @@ def test_dsm_equals_sm_up_to_constant(unit_sched):
     """The denoising and score-matching losses differ by a theta-free shift:
     paired differences across parameter values agree on a common dataset."""
     model = small_model()
-    truth, pis = from_model_subspace(model.subspaces[0])
+    truth = model.subspaces[0]
+    pis = truth.weights
     t = 0.5
     rng = np.random.default_rng(2)
     n = 60000
@@ -101,7 +104,8 @@ def test_lipschitz_constant_audited_by_random_probes(unit_sched):
     """L_l must dominate the observed per-sample loss increments, and L the
     observed score increments, over random pairs inside the quoted box."""
     model = small_model()
-    truth, pis = from_model_subspace(model.subspaces[0])
+    truth = model.subspaces[0]
+    pis = truth.weights
     R = 1.5
     box = ParameterBox(B_mu=3.0, B_U=1.0, counts=((2, 2),))
     rep = lipschitz_constants(box, unit_sched, 1.0, R=R)
@@ -119,7 +123,7 @@ def test_lipschitz_constant_audited_by_random_probes(unit_sched):
 
 
 def test_theta_grid_shape_and_bounds():
-    truth, _ = from_model_subspace(small_model().subspaces[0])
+    truth = small_model().subspaces[0]
     grid = make_theta_grid((truth,), half_width=0.25, count=16, seed=0)
     assert len(grid) == 16
     center = flatten_theta_set((truth,))
@@ -146,7 +150,7 @@ def test_scrambled_sobol_equals_scipy(d):
 
 
 def test_flatten_theta_set_roundtrip():
-    truth, _ = from_model_subspace(small_model().subspaces[0])
+    truth = small_model().subspaces[0]
     other = SymmetricParams(mu=[1.0, 2.0], U=[[0.5], [0.1]])
     vec = flatten_theta_set((truth, other))
     back = unflatten_theta_set((truth, other), vec)
@@ -156,7 +160,7 @@ def test_flatten_theta_set_roundtrip():
 
 def test_estimation_gap_shrinks_with_n(unit_sched):
     model = small_model()
-    truth, _ = from_model_subspace(model.subspaces[0])
+    truth = model.subspaces[0]
     grid = make_theta_grid((truth,), half_width=0.25, count=8, seed=1)
     rep = estimation_gap_experiment(model, grid, [64, 1024], trials=4,
                                     sched=unit_sched, t=0.25,
@@ -171,7 +175,7 @@ def test_estimation_gap_shrinks_with_n(unit_sched):
 
 def test_estimation_population_must_exceed_every_n(unit_sched):
     model = small_model()
-    truth, _ = from_model_subspace(model.subspaces[0])
+    truth = model.subspaces[0]
     grid = make_theta_grid((truth,), half_width=0.25, count=2, seed=1)
     with pytest.raises(ValidationError, match="n_mc"):
         estimation_gap_experiment(model, grid, [64, 1024], trials=1, sched=unit_sched,
@@ -197,9 +201,7 @@ def test_estimation_gaps_match_direct_stacked_errors(unit_sched):
         {"d": 2, "A_seed": 8, "components": [
             {"pi": 1.0, "mu": [0.0, 1.0], "U": [[0.3, 0.0], [0.1, 0.4]]}]},
     ]})
-    truth_set = tuple(from_model_subspace(sub)[0] for sub in model.subspaces)
-    pis_list = [sub.weights for sub in model.subspaces]
-    grid = make_theta_grid(truth_set, half_width=0.25, count=8, seed=3)
+    grid = make_theta_grid(model.subspaces, half_width=0.25, count=8, seed=3)
     t, n_mc, n_schedule, trials = 0.25, 3000, [64, 256], 2
     rep = estimation_gap_experiment(model, grid, n_schedule, trials, unit_sched, t,
                                     rng=5, n_mc=n_mc)
@@ -208,9 +210,8 @@ def test_estimation_gaps_match_direct_stacked_errors(unit_sched):
 
     def mean_var(n):
         X = forward_noise(sample_data(model, n, rng).x, unit_sched, t, rng)
-        ell = np.stack([sum(sm_errors(th_k, truth_k, pis_k, unit_sched, t, encode(sub, X))
-                            for th_k, truth_k, pis_k, sub in zip(th, truth_set, pis_list,
-                                                                 model.subspaces))
+        ell = np.stack([sum(sm_errors(th_k, sub, sub.weights, unit_sched, t, encode(sub, X))
+                            for th_k, sub in zip(th, model.subspaces))
                         for th in grid])
         return ell.mean(axis=1), ell.var(axis=1)
 

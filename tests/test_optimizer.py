@@ -254,3 +254,6 @@ def test_contraction_check_counts():
     assert rep.checked == 2
     assert rep.fraction == pytest.approx(0.5)
     assert rep.first_violation == 2
+    # no ratio checked is no evidence of contraction, not a fraction of 1
+    rep = contraction_check(trace, rho=0.6, slack=0.05, dist_floor=1.0)
+    assert rep.checked == 0 and rep.fraction is None and rep.first_violation is None

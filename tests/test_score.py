@@ -4,7 +4,7 @@ from scipy.special import logsumexp
 
 from conftest import dense_gaussian_logpdf, fd_gradient
 from molrmog.errors import DimensionMismatch, EmptyDataset, SingularNoise
-from molrmog.model import MoGComponent, Subspace, random_orthonormal, MoLRMoGModel
+from molrmog.model import Subspace, random_orthonormal, MoLRMoGModel
 from molrmog.score import (
     _lower_solve,
     LatentParams,
@@ -14,7 +14,6 @@ from molrmog.score import (
     ambient_responsibilities,
     ambient_score,
     conditional_score,
-    from_model_subspace,
     latent_score,
     mixture_kernel,
     mixture_log_density,
@@ -84,6 +83,8 @@ def test_flatten_unflatten_roundtrip_and_order():
     assert vec[6] == U0[0, 0] and vec[7] == U0[1, 0] and vec[9] == U0[0, 1]
     with pytest.raises(DimensionMismatch):
         params.unflatten(np.zeros(params.dim + 1))
+    with pytest.raises(DimensionMismatch):
+        LatentParams(())
 
 
 def test_symmetric_params_roundtrip_and_expansion():
@@ -151,10 +152,10 @@ def test_score_at_midpoint_of_symmetric_pair_is_pulled_by_covariance(unit_sched)
 def test_ambient_score_matches_fd_and_latent_reduction(unit_sched):
     A = random_orthonormal(4, 2, 7)
     comps = (
-        MoGComponent(pi=0.5, mu=[2.0, 0.0], U=[[0.6], [0.1]]),
-        MoGComponent(pi=0.5, mu=[-2.0, 0.5], U=[[0.2], [0.5]]),
+        ([2.0, 0.0], [[0.6], [0.1]]),
+        ([-2.0, 0.5], [[0.2], [0.5]]),
     )
-    model = MoLRMoGModel(D=4, subspaces=(Subspace(A=A, components=comps),))
+    model = MoLRMoGModel(D=4, subspaces=(Subspace(components=comps, A=A, weights=[0.5, 0.5]),))
     rng = np.random.default_rng(9)
     t = 0.5
     for _ in range(4):
@@ -165,14 +166,14 @@ def test_ambient_score_matches_fd_and_latent_reduction(unit_sched):
     assert np.sum(r, axis=1) == pytest.approx(np.ones(5), abs=1e-12)
     # single-subspace ambient density equals the latent density plus the
     # off-subspace Gaussian part (orthogonal complement is pure noise)
-    params, pis = from_model_subspace(model.subspaces[0])
+    sub = model.subspaces[0]
     x = rng.standard_normal(4)
     z = A.T @ x
     perp = x - A @ z
     gamma = unit_sched.gamma(t)
     off = -0.5 * (2 * np.log(2 * np.pi * gamma**2) + np.sum(perp**2) / gamma**2)
     assert ambient_log_density(model, unit_sched, t, x) == pytest.approx(
-        mixture_log_density(params, pis, unit_sched, t, z) + off, rel=1e-10
+        mixture_log_density(sub, sub.weights, unit_sched, t, z) + off, rel=1e-10
     )
 
 
@@ -251,19 +252,19 @@ def _highdim_model():
     subs = []
     for k in range(4):
         rng = np.random.default_rng(30 + k)
-        comps = tuple(MoGComponent(pi=0.5, mu=rng.normal(0.0, 3.5, 2), U=0.5 * rng.standard_normal((2, 1)))
+        comps = tuple((rng.normal(0.0, 3.5, 2), 0.5 * rng.standard_normal((2, 1)))
                       for _ in range(2))
-        subs.append(Subspace(A=random_orthonormal(64, 2, 40 + k), components=comps))
+        subs.append(Subspace(components=comps, A=random_orthonormal(64, 2, 40 + k),
+                             weights=[0.5, 0.5]))
     return MoLRMoGModel(D=64, subspaces=tuple(subs))
 
 
 def test_ambient_kernel_matches_dense_cholesky(vp_sched):
-    comps_a = (MoGComponent(pi=0.3, mu=[2.0, 0.0], U=[[0.6], [0.1]]),
-               MoGComponent(pi=0.7, mu=[-2.0, 0.5], U=np.zeros((2, 0))))
-    comps_b = (MoGComponent(pi=1.0, mu=[0.0, 1.5, -1.0], U=0.4 * np.eye(3)),)
+    comps_a = (([2.0, 0.0], [[0.6], [0.1]]), ([-2.0, 0.5], np.zeros((2, 0))))
+    comps_b = (([0.0, 1.5, -1.0], 0.4 * np.eye(3)),)
     model = MoLRMoGModel(D=5, subspaces=(
-        Subspace(A=random_orthonormal(5, 2, 3), components=comps_a),
-        Subspace(A=random_orthonormal(5, 3, 4), components=comps_b)))
+        Subspace(components=comps_a, A=random_orthonormal(5, 2, 3), weights=[0.3, 0.7]),
+        Subspace(components=comps_b, A=random_orthonormal(5, 3, 4), weights=[1.0])))
     X = 2.0 * np.random.default_rng(13).standard_normal((9, 5))
     # D = 64 (K = 4, d = 2, L = 2), and at t_min points near its means, |x| ~ 5
     big = _highdim_model()
@@ -275,10 +276,11 @@ def test_ambient_kernel_matches_dense_cholesky(vp_sched):
              (big, 0.6 * rng.standard_normal((6, 64)), (0.5, vp_sched.t_max)),
              (big, np.array(near), (vp_sched.t_min,))]
     for model, X, times in cases:
-        flat = [(sub, c) for sub in model.subspaces for c in sub.components]
-        weights = [c.pi / model.K for _, c in flat]
-        means = [sub.A @ c.mu for sub, c in flat]
-        factors = [sub.A @ c.U for sub, c in flat]
+        flat = [(sub, c, pi) for sub in model.subspaces
+                for c, pi in zip(sub.components, sub.weights)]
+        weights = [pi / model.K for _, _, pi in flat]
+        means = [sub.A @ c.mu for sub, c, _ in flat]
+        factors = [sub.A @ c.U for sub, c, _ in flat]
         for t in times:
             want_score, want_r, want_logp = dense_mixture(
                 weights, means, factors, vp_sched.s(t), vp_sched.gamma(t), X)
