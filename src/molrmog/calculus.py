@@ -2,11 +2,11 @@
 
 Conventions fixed here and used everywhere:
 
-  * Flatten order of theta is the one `LatentParams` and `SymmetricParams`
-    share: the means of every block first, then every covariance factor,
-    block-major, U column-major.  A free mixture has one block per
-    component; the tied two-mode form has the single block (mu, U).  Each
-    block's (mean, factor) column slices come from `_FlatParams.columns`.
+  * Flatten order of theta is the one of `LatentParams`: the means of every
+    component first, then every covariance factor, component-major, U
+    column-major.  The tied two-mode form `SymmetricParams` is a
+    `LatentParams` with the single component (mu, U).  Each component's
+    (mean, factor) column slices come from `LatentParams.columns`.
   * A Jacobian J(x) is d x p: row i is the derivative of score coordinate i
     with respect to the flattened theta.  Batched forms are (n, d, p).
   * H = E[J^T J] over x from the noised mixture at theta (p x p, PSD).  The
@@ -77,7 +77,7 @@ def _row_blocks(X: np.ndarray, width: int | None):
 
 def score_of(params, pis, sched: DiffusionSchedule, t: float, x: np.ndarray) -> np.ndarray:
     """Evaluate the score under either parameterization."""
-    return latent_score(*params.mixture(pis), sched, t, x)
+    return latent_score(params, pis, sched, t, x)
 
 
 def sample_noised(params, pis, sched: DiffusionSchedule, t: float, n: int, rng) -> np.ndarray:
@@ -105,14 +105,9 @@ def sample_noised(params, pis, sched: DiffusionSchedule, t: float, n: int, rng) 
 
 @dataclass(frozen=True)
 class JacobianPair:
-    """Per-block derivative blocks of the score at one point."""
+    """The score's Jacobian at one point."""
 
-    J_mu: tuple[np.ndarray, ...]  # each (d, d)
-    J_U: tuple[np.ndarray, ...]  # each (d, d * r), columns U-column-major
-
-    @property
-    def full(self) -> np.ndarray:
-        return np.hstack(list(self.J_mu) + list(self.J_U))
+    full: np.ndarray  # (d, p), columns in the flatten order of theta
 
 
 def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
@@ -129,9 +124,7 @@ def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
         sp = score_of(theta.unflatten(vec + e), pis, sched, t, x)
         sm = score_of(theta.unflatten(vec - e), pis, sched, t, x)
         cols.append((sp - sm) / (2.0 * h))
-    full = np.stack(cols, axis=-1)
-    return JacobianPair(J_mu=tuple(full[:, m] for m, _ in theta.columns),
-                        J_U=tuple(full[:, u] for _, u in theta.columns))
+    return JacobianPair(np.stack(cols, axis=-1))
 
 
 def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray,
@@ -334,7 +327,7 @@ def _finish_report(params, pis, sched, t, H) -> HessianReport:
             alpha = alpha_symmetric(params.mu, params.U, sched, t)
         else:
             alpha = alpha_asymmetric(params, pis, sched, t)
-    except (RankNotOne, SingleComponent):
+    except RankNotOne:
         alpha = None
     return HessianReport(
         H=H,
@@ -400,10 +393,13 @@ def mmtop_eigs(a: np.ndarray, b: np.ndarray) -> MMTopEigs:
 
 def _rank_one_floor(mu, U, s: float, gamma: float) -> float:
     """min(s^2/(s^2 + gamma^2)^2, lambda_min(M M^T)) for a rank-one factor U:
-    the closed-form curvature floor of one mode's mean and factor blocks."""
+    the closed-form curvature floor of one mode's mean and factor blocks.  The
+    closed form exists for rank one and d >= 2 only; RankNotOne otherwise."""
     U = _as_factor(U)
-    if U.shape[1] != 1:
-        raise RankNotOne(f"closed-form curvature needs a rank-1 factor, got rank {U.shape[1]}")
+    d, r = U.shape
+    if r != 1 or d < 2:
+        raise RankNotOne(f"closed-form curvature needs a rank-1 factor and d >= 2, "
+                         f"got rank {r} at d = {d}")
     return min(s * s / (s * s + gamma * gamma) ** 2, mmtop_eigs(U.ravel(), mu).lambda_min)
 
 
@@ -526,7 +522,7 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
     delta = H.copy()
     for g in groups:
         delta[np.ix_(g, g)] = 0.0
-    delta_norm = float(np.linalg.norm(delta, 2)) if delta.size else 0.0
+    delta_norm = float(np.linalg.norm(delta, 2))
     weyl_gap = hess.lambda_min - (lam_diag - delta_norm)
 
     # curvature floor before overlap degradation

@@ -137,9 +137,11 @@ def _block(cfg: dict, key: str) -> dict:
 def _schedule_from(cfg: dict):
     block = _block(cfg, "schedule")
     kind = block.get("kind", "constant_drift")
-    rate = "g0" if kind == "constant_drift" else "beta"
+    rate, other = ("g0", "beta") if kind == "constant_drift" else ("beta", "g0")
     if rate not in block:
         raise ConfigParseError(f"schedule block missing rate for kind {kind!r}")
+    if other in block:
+        raise ConfigParseError(f"schedule kind {kind!r} takes {rate}, not {other}")
     return make_schedule(kind, _num(block, rate, None), _num(block, "t_min", DEFAULT_T_MIN),
                          _num(block, "t_max", DEFAULT_T_MAX))
 
@@ -381,14 +383,14 @@ REPORT_CHECKS = {
     "hessian_summary.json": lambda s: (
         (f"lambda_min(H) {s['lambda_min_H']:.4f} vs 0.8*alpha {0.8 * s['alpha_formula']:.4f}",
          s["lambda_min_H"] >= 0.8 * s["alpha_formula"])
-        if s.get("alpha_formula")
+        if s["alpha_formula"]
         else (f"lambda_min(H) {s['lambda_min_H']:.4f} (no closed-form alpha)", None)),
     "overlap_summary.json": lambda s: (
         f"Weyl gap {s['weyl_gap']:.3e} >= 0", s["weyl_gap"] >= -1e-8),
     "train_summary.json": lambda s: (
-        (f"contraction fraction {s.get('contraction_fraction', 0.0):.3f} vs rho+0.05 "
-         f"(rho {s['rho_bound']:.3f})", s.get("contraction_fraction", 0.0) >= 0.95)
-        if s.get("contraction_fraction", 0.0) is not None
+        (f"contraction fraction {s['contraction_fraction']:.3f} vs rho+0.05 "
+         f"(rho {s['rho_bound']:.3f})", s["contraction_fraction"] >= 0.95)
+        if s["contraction_fraction"] is not None
         else (f"contraction fraction: no ratio checked (rho {s['rho_bound']:.3f})", None)),
     "quality.json": lambda s: (
         f"sampler max weight err {s['max_weight_err']:.4f} vs 0.01",

@@ -134,8 +134,9 @@ def build_model(spec: dict) -> MoLRMoGModel:
 
     spec = {"D": int, "subspaces": [{"d": int, "A_seed": int | "A": [[..]],
             "components": [{"pi": num, "mu": [..], "U": [[..]]}]}]}
-    Every number is read by `as_numbers`; int() and float() of what it
-    returns refuse a list where one number belongs.
+    A subspace gives either A_seed or A, and a d beside A must be its column
+    count.  Every number is read by `as_numbers`; int() and float() of what
+    it returns refuse a list where one number belongs.
     """
     try:
         D = int(as_numbers(spec["D"], integer=True))
@@ -149,6 +150,10 @@ def build_model(spec: dict) -> MoLRMoGModel:
             weights = [float(as_numbers(c["pi"])) for c in ss["components"]]
             if "A" in ss:
                 A = as_numbers(ss["A"])
+                if "A_seed" in ss:
+                    raise ValueError("give either A or A_seed, not both")
+                if "d" in ss and A.shape[1:] != (int(as_numbers(ss["d"], integer=True)),):
+                    raise ValueError(f"d = {ss['d']!r} but A has shape {A.shape}")
             else:
                 A = random_orthonormal(D, int(as_numbers(ss["d"], integer=True)),
                                        int(as_numbers(ss["A_seed"], integer=True)))

@@ -28,9 +28,10 @@ it is the one place that refuses a batch of zero rows (EmptyDataset), for the
 scores here and for every loss, gradient and curvature reduction built on them.
 
 `LatentParams`, a tuple of `Component(mu, U)` records, is the one latent
-mixture type; a `model.Subspace` is one (its own theta*) with a basis A and
-weights.  `model` imports this module, so the ambient functions here read a
-model by attribute.
+mixture type and owns the one flat layout; a `model.Subspace` is one (its own
+theta*) with a basis A and weights, and the tied two-mode `SymmetricParams` is
+one with the single component (mu, U).  `model` imports this module, so the
+ambient functions here read a model by attribute.
 """
 
 from __future__ import annotations
@@ -168,40 +169,6 @@ class NoisedMixture:
         return float(out[0]) if single else out
 
 
-class _FlatParams:
-    """Flatten order shared by both parameterizations: the means of every
-    block first, then every factor, block-major, each U raveled column-major."""
-
-    @property
-    def d(self) -> int:
-        return self.blocks[0][0].shape[0]
-
-    @property
-    def dim(self) -> int:
-        return sum(mu.size + U.size for mu, U in self.blocks)
-
-    def flatten(self) -> np.ndarray:
-        mus = [mu for mu, _ in self.blocks]
-        us = [U.ravel(order="F") for _, U in self.blocks]
-        return np.concatenate(mus + us)
-
-    @property
-    def columns(self) -> list[tuple[slice, slice]]:
-        """(mean columns, factor columns) of each block in the flat layout."""
-        out, m, u = [], 0, sum(mu.size for mu, _ in self.blocks)
-        for mu, U in self.blocks:
-            out.append((slice(m, m + mu.size), slice(u, u + U.size)))
-            m, u = m + mu.size, u + U.size
-        return out
-
-    def _split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatch(f"expected flat vector of length {self.dim}")
-        return [(vec[m], vec[u].reshape(U.shape, order="F"))
-                for (m, u), (_, U) in zip(self.columns, self.blocks)]
-
-
 class Component(NamedTuple):
     """One latent component: mean mu (d,) and covariance factor U (d, r)."""
     mu: np.ndarray
@@ -209,7 +176,7 @@ class Component(NamedTuple):
 
 
 @dataclass(frozen=True)
-class LatentParams(_FlatParams):
+class LatentParams:
     """Parameters (mu_l, U_l) of one subspace's free mixture: the trainable
     type, and the latent part of a model subspace.  Checks shapes only: a
     trained theta may hold non-finite entries, which GD reports itself."""
@@ -229,8 +196,34 @@ class LatentParams(_FlatParams):
                                         f"with as many rows, got shapes {mu.shape} and {U.shape}")
 
     @property
-    def blocks(self):
-        return self.components
+    def d(self) -> int:
+        return self.components[0].mu.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return sum(mu.size + U.size for mu, U in self.components)
+
+    def flatten(self) -> np.ndarray:
+        """Every component's mean, then every factor, each U raveled column-major."""
+        mus = [mu for mu, _ in self.components]
+        us = [U.ravel(order="F") for _, U in self.components]
+        return np.concatenate(mus + us)
+
+    @property
+    def columns(self) -> list[tuple[slice, slice]]:
+        """(mean columns, factor columns) of each component in the flat layout."""
+        out, m, u = [], 0, sum(mu.size for mu, _ in self.components)
+        for mu, U in self.components:
+            out.append((slice(m, m + mu.size), slice(u, u + U.size)))
+            m, u = m + mu.size, u + U.size
+        return out
+
+    def _split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.dim,):
+            raise DimensionMismatch(f"expected flat vector of length {self.dim}")
+        return [(vec[m], vec[u].reshape(U.shape, order="F"))
+                for (m, u), (_, U) in zip(self.columns, self.components)]
 
     def unflatten(self, vec: np.ndarray) -> "LatentParams":
         return LatentParams(tuple(self._split(vec)))
@@ -241,30 +234,29 @@ class LatentParams(_FlatParams):
 
     @property
     def tie(self) -> tuple[tuple[int, float], ...]:
-        """(block, mean sign) each free-mixture component comes from."""
+        """(component, mean sign) each free-mixture component comes from."""
         return tuple((m, 1.0) for m in range(len(self.components)))
 
 
-@dataclass(frozen=True)
-class SymmetricParams(_FlatParams):
-    """Tied two-mode parameterization: means at +/- s mu, shared factor U.
+class SymmetricParams(LatentParams):
+    """Tied two-mode parameterization: means at +/- s mu, shared factor U,
+    held as the one component (mu, U).
 
     It is the free mixture (mu, -mu, U, U) with weights (1/2, 1/2); the tie
     theta_free = T (mu, U) is linear, so derivatives pull back as J T:
     J_mu = J_mu+ - J_mu-, J_U = J_U+ + J_U-.
     """
 
-    mu: np.ndarray
-    U: np.ndarray
-
-    def __post_init__(self):
-        [(mu, U)] = LatentParams(((self.mu, self.U),)).components
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "U", U)
+    def __init__(self, mu, U):
+        super().__init__(((mu, U),))
 
     @property
-    def blocks(self):
-        return ((self.mu, self.U),)
+    def mu(self) -> np.ndarray:
+        return self.components[0].mu
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.components[0].U
 
     def unflatten(self, vec: np.ndarray) -> "SymmetricParams":
         return SymmetricParams(*self._split(vec)[0])
@@ -276,8 +268,8 @@ class SymmetricParams(_FlatParams):
 
     @property
     def tie(self) -> tuple[tuple[int, float], ...]:
-        """(block, mean sign) each free-mixture component comes from: both
-        modes share the one block, the minus mode with its mean negated."""
+        """(component, mean sign) each free-mixture component comes from: both
+        modes share the one component, the minus mode with its mean negated."""
         return ((0, 1.0), (0, -1.0))
 
 

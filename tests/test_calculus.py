@@ -158,6 +158,9 @@ def test_alpha_symmetric_values_and_errors(unit_sched):
     assert alpha_symmetric([0.0, 4.0], [[1.0], [0.0]], unit_sched, 1.0) == 0.0
     with pytest.raises(RankNotOne):
         alpha_symmetric([1.0, 0.0], np.eye(2), unit_sched, 1.0)
+    # no closed form in one dimension either
+    with pytest.raises(RankNotOne, match="rank 1 at d = 1"):
+        alpha_symmetric([4.0], [[1.0]], unit_sched, 1.0)
 
 
 def test_alpha_asymmetric_reduces_and_weights(unit_sched):

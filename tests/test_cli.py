@@ -281,6 +281,21 @@ def test_train_on_too_few_points_names_train_n(cfg_path, tmp_path, capsys):
     assert "singular" in err
 
 
+@pytest.mark.parametrize("sub", ["hessian", "overlap", "train"])
+def test_one_dimensional_tied_form_has_no_closed_form_alpha(cfg_path, tmp_path, sub):
+    """The closed-form alpha needs d >= 2: a d = 1 tied form still gets its
+    Hessian, overlap and GD run, with a null alpha and no verdict on it."""
+    out = tmp_path / "out"
+    override = f'{sub}.symmetric={{"mu":[4.0],"U":[[1.0]]}}'
+    assert run(sub, cfg_path, overrides=[override], out_dir=str(out)) == 0
+    if sub == "hessian":
+        summary = json.loads((out / "hessian_summary.json").read_text())
+        assert summary["alpha_formula"] is None and summary["lambda_min_H"] > 0
+        assert run("report", None, out_dir=str(out)) == 0
+        line = (out / "report.md").read_text().splitlines()[-1]
+        assert line.endswith("(no closed-form alpha)")
+
+
 @pytest.mark.parametrize("sub", ["hessian", "overlap"])
 def test_rank_zero_tied_overlap_writes_finite_summary(cfg_path, tmp_path, sub):
     """A rank-0 tied factor has no factor parameters: the Weyl split keeps
@@ -341,6 +356,7 @@ def _assert_one_line_error(capsys):
     (("A",), [[float("nan"), 0.0], [0.0, 1.0], [0.0, 0.0]]),
     (("components", 0, "pi"), "0.5"),
     (("components",), []),
+    (("A",), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
 ])
 def test_malformed_model_subspace_exits_2(tmp_path, capsys, path, value):
     cfg = json.loads(json.dumps(MINI_CFG))
@@ -432,6 +448,10 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("hessian", "hessian.subspace=0"),
     ("overlap", "overlap.subspace=0"),
     ("train", "train.subspace=0"),
+    ("hessian", "schedule.beta=-5"),
+    ("sample", "sampler.schedule.g0=3"),
+    ("gen", 'model.subspaces=[{"d":3,"A":[[1.0,0.0],[0.0,1.0],[0.0,0.0]],'
+            '"components":[{"pi":1.0,"mu":[1.0,0.0],"U":[[0.5],[0.1]]}]}]'),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2
@@ -458,6 +478,8 @@ def test_unknown_config_key_exits_2_naming_it(cfg_path, tmp_path, capsys, sub, o
     ("estimation_summary.json", '{"slope": "x"}'),
     ("train_summary.json", "[]"),
     ("quality.json", "not json"),
+    ("train_summary.json", '{"rho_bound": 0.5}'),
+    ("hessian_summary.json", '{"lambda_min_H": 1.0}'),
 ])
 def test_malformed_summary_report_exits_2(tmp_path, capsys, name, text):
     (tmp_path / name).write_text(text, encoding="utf-8")

@@ -108,6 +108,8 @@ def test_build_model_matches_manual_construction():
     assert np.array_equal(sub.weights, [0.5, 0.5])
     (mu, _), second = sub.components
     assert np.array_equal(mu, [2.0, 0.0]) and np.array_equal(second.U, [[0.2], [0.5]])
+    # a trained iterate skips the model checks: it is plain latent parameters
+    assert type(sub.unflatten(sub.flatten())) is LatentParams
     with pytest.raises(ValidationError):
         build_model({"subspaces": []})
 

@@ -95,6 +95,12 @@ def test_symmetric_params_roundtrip_and_expansion():
     assert np.array_equal(pis, [0.5, 0.5])
     assert np.array_equal(latent.components[1][0], -p.mu)
     assert np.array_equal(latent.components[1][1], p.U)
+    # the tied form is a one-component LatentParams with the same flat layout
+    assert isinstance(p, LatentParams) and type(q) is SymmetricParams
+    [(mu, U)] = p.components
+    assert mu is p.mu and U is p.U
+    assert np.array_equal(p.flatten(), LatentParams(((p.mu, p.U),)).flatten())
+    assert np.array_equal(SymmetricParams([4.0, 0.0], [[1.0], [0.0]]).flatten(), p.flatten())
 
 
 def test_responsibilities_sum_to_one_and_limits(unit_sched):

@@ -40,6 +40,8 @@ ALLOWLIST = {
     "calculus.PROBE_DIRS": "probe grid of equivalent_gaussian_error (acceptance 08)",
     "calculus.PROBE_RADII": "probe grid of equivalent_gaussian_error (acceptance 08)",
     "calculus.PROBE_SEED": "probe grid of equivalent_gaussian_error (acceptance 08)",
+    "errors.SingleComponent": "raised only by equivalent_gaussian_error, in "
+                              "test_calculus.py::test_equivalent_gaussian_error_degenerate_and_generic",
 }
 
 
