@@ -165,10 +165,10 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
             yield sign, mu_cols, U_cols, q, rm, Sinv, c, V, U.T @ q
 
     for rows in _row_blocks(Xb, width):
-        score, work, z, _ = kern._pass(rows, residuals=True)
-        L = len(work) - 2
-        # x^T, free once the pass is done, is the pieces' scratch
-        yield s, score.T, z[:L].T, pieces(work[:L], z[:L], work[L])
+        xt, work, z, _ = kern._pass(rows, residuals=True)
+        score, L = kern._score(xt, work), len(free.components)
+        # x^T, free once the score is taken, is the pieces' scratch
+        yield s, score, z[:L, 0].T, pieces(work[:L, 0], z[:L, 0], xt)
 
 
 def _jacobian_blocks(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray,

@@ -383,7 +383,7 @@ REPORT_CHECKS = {
     "hessian_summary.json": lambda s: (
         (f"lambda_min(H) {s['lambda_min_H']:.4f} vs 0.8*alpha {0.8 * s['alpha_formula']:.4f}",
          s["lambda_min_H"] >= 0.8 * s["alpha_formula"])
-        if s["alpha_formula"]
+        if s["alpha_formula"] is not None
         else (f"lambda_min(H) {s['lambda_min_H']:.4f} (no closed-form alpha)", None)),
     "overlap_summary.json": lambda s: (
         f"Weyl gap {s['weyl_gap']:.3e} >= 0", s["weyl_gap"] >= -1e-8),

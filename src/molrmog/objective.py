@@ -6,6 +6,16 @@ of this family is exactly zero and every gap measured here is pure
 estimation error.  The denoising variant regresses against the conditional
 score of the forward kernel and differs from the score-matching loss only by
 a parameter-independent constant.
+
+The estimation-gap experiment evaluates its theta grid in tiles of g grid
+points by nb rows, sized by `calculus.BLOCK_ELEMENTS` over the kernel width
+L + R, through one kernel of all grid points per subspace
+(`score.mixture_kernel` on a list).  The score is (M^T z - x^T) / gamma^2, so
+against the target x^T + gamma^2 s*^T of the true score s* the per-sample
+loss is |M^T z - target|^2 / gamma^4, formed in the kernel pass's own scratch
+by `stacked_errors`.  Block means, and the population's variances, merge by
+the pairwise update of Chan, Golub & LeVeque (1983), so memory is bounded in
+the population size.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .calculus import score_of
+from .calculus import BLOCK_ELEMENTS, score_of
 from .errors import GridEmpty, ValidationError
 from .model import MoLRMoGModel, encode, forward_noise, sample_data
 from .schedule import DiffusionSchedule, coefficients
@@ -180,13 +190,22 @@ def make_theta_grid(truth_set, half_width: float, count: int, seed: int):
     return [unflatten_theta_set(truth_set, center + off) for off in offsets]
 
 
-def stacked_errors(kernels, Zs, true_scores) -> np.ndarray:
-    """Per-sample loss summed over subspaces, sum_k |kernels[k].score(Zs[k]) -
-    true_scores[k]|^2: kernel k is prebuilt at one theta and t, and Zs[k]
-    holds the ambient points encoded in subspace k."""
-    ell = np.zeros(Zs[0].shape[0])
-    for kern, Z, s_true in zip(kernels, Zs, true_scores):
-        ell += np.sum((kern.score(Z) - s_true) ** 2, axis=-1)
+def stacked_errors(kernels, Zs, targets, sets: slice = slice(None)) -> np.ndarray:
+    """Per-sample loss of the grid points `sets` on one row block, summed over
+    subspaces, (g, rows): sum_k |s_theta(z_k) - s*(z_k)|^2.  kernels[k] holds
+    every grid point's parameters of subspace k at one t, Zs[k] is the row
+    block encoded in subspace k, and targets[k] = Zs[k]^T + gamma^2 s*^T
+    (d, rows) for the true score s* there.  The score is (M^T z - x^T) /
+    gamma^2 (`score.NoisedMixture`), so the gap is |M^T z - target|^2 /
+    gamma^4, formed in the pass's own M^T z scratch with the points on the
+    last axis."""
+    ell = 0.0
+    for kern, Z, target in zip(kernels, Zs, targets):
+        mz = kern._pass(Z, sets=sets)[1][-1]
+        mz -= target
+        np.square(mz, out=mz)
+        ell += mz.sum(axis=1) / (kern.g2 * kern.g2)
+        del mz  # one pass's scratch alive at a time
     return ell
 
 
@@ -198,6 +217,14 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
     The population loss per grid point is a Monte Carlo estimate on n_mc
     fresh samples, strictly larger than every n under test; the sup runs
     over the finite grid, and the rate is the fitted log-log slope.
+
+    Each dataset's losses come in tiles of g grid points by nb rows, one
+    `stacked_errors` call each, sized by `calculus.BLOCK_ELEMENTS` over the
+    kernel width L + R: nb = min(n, BLOCK_ELEMENTS // (L + R)) and g =
+    BLOCK_ELEMENTS // ((L + R) nb).  A small dataset takes the whole grid in
+    one call, and the population one grid point per row block, so memory is
+    bounded in n_mc.  The per-block means, and the population's variances,
+    merge by the pairwise update of Chan, Golub & LeVeque (1983).
     """
     if not theta_grid:
         raise GridEmpty("theta grid is empty")
@@ -211,10 +238,12 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
                               f"under test, up to {n_schedule[-1]}")
     rng = np.random.default_rng(rng)
     subs = model.subspaces
-    # every kernel is fixed by (theta, t): factor each once, before any data
+    # every kernel is fixed by (theta, t): factor each once, before any data,
+    # the grid's as one kernel of len(theta_grid) parameter sets per subspace
     truth_kernels = [mixture_kernel(sub, sub.weights, sched, t) for sub in subs]
-    grid_kernels = [[mixture_kernel(th, sub.weights, sched, t) for th, sub in zip(th_set, subs)]
-                    for th_set in theta_grid]
+    grid_kernels = [mixture_kernel([th_set[k] for th_set in theta_grid], sub.weights, sched, t)
+                    for k, sub in enumerate(subs)]
+    width = max(kern.M.shape[1] for kern in grid_kernels)
 
     def noised_ambient(n, gen):
         data = sample_data(model, n, gen)
@@ -223,16 +252,27 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
     def losses_on(X, spread=False):
         """(per-theta mean, per-theta variance) over the dataset; the variance
         only with spread, since only the population's is read."""
-        Zs = [encode(sub, X) for sub in subs]
-        true_scores = [kern.score(Z) for kern, Z in zip(truth_kernels, Zs)]
-        means = np.empty(len(theta_grid))
-        varis = np.empty(len(theta_grid)) if spread else None
-        for gi, kernels in enumerate(grid_kernels):
-            ell = stacked_errors(kernels, Zs, true_scores)
-            means[gi] = ell.mean()
-            if spread:
-                varis[gi] = ell.var()
-        return means, varis
+        nb = max(1, min(len(X), BLOCK_ELEMENTS // width))
+        g = max(1, BLOCK_ELEMENTS // (width * nb))
+        means, m2 = np.zeros(len(theta_grid)), np.zeros(len(theta_grid))
+        for start in range(0, len(X), nb):
+            # column-major encodings, so each pass's x^T is a contiguous copy
+            blocks = [np.asfortranarray(encode(sub, X[start:start + nb])) for sub in subs]
+            targets = [Z.T + kern.g2 * kern.score(Z).T for kern, Z in zip(truth_kernels, blocks)]
+            rows = len(blocks[0])
+            for first in range(0, len(theta_grid), g):
+                sets = slice(first, first + g)
+                ell = stacked_errors(grid_kernels, blocks, targets, sets)
+                # Chan et al.'s update of the running (count start, mean,
+                # M2) by this block's (rows, mean, M2); exact on the first block
+                mean = ell.mean(axis=1)
+                delta = mean - means[sets]
+                means[sets] += delta * (rows / (start + rows))
+                if spread:
+                    ell -= mean[:, None]
+                    m2[sets] += np.square(ell, out=ell).sum(axis=1) + (
+                        np.square(delta) * (start * rows / (start + rows)))
+        return means, (m2 / len(X) if spread else None)
 
     X_pop = noised_ambient(n_mc, rng)
     pop_mean, pop_var = losses_on(X_pop, spread=True)

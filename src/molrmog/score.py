@@ -19,7 +19,12 @@ exact norms, for the log-joints by rho^T Sigma_l^{-1} rho = (|rho_l|^2 -
 |a_l|^2) / gamma^2, then the score -sum_l r_l q_l = (M^T [r; r_l a_l] - x) /
 gamma^2 by one GEMM against M = [s mu_1 ... s mu_L; W_1; ...; W_L]; only
 `evaluate` and the derivative pass also take q_l = (rho_l - W_l^T a_l) /
-gamma^2.  The latent and ambient (means A mu, factors A U) functions below
+gamma^2.  The kernel has a leading parameter-set axis: `mixture_kernel` on a
+list of G parameters of one shape factors all G at once (one batched Cholesky
+and forward substitution), and one pass evaluates any slice of the sets, each
+with the bits its own one-set kernel gives; the estimation experiment's grid
+is the one caller, and every other caller builds and reads a single set.  The
+latent and ambient (means A mu, factors A U) functions below
 are thin wrappers over the kernel; the latent ones take the tied two-mode
 form too, through its free mixture, and a single component is the kernel with
 one component of weight 1.  Every function accepts a single point
@@ -36,6 +41,7 @@ ambient functions here read a model by attribute.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,61 +80,79 @@ def _batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
 
 class NoisedMixture:
     """sum_l pi_l N(s mu_l, s^2 U_l U_l^T + gamma^2 I) with every component's
-    solve and log-determinant factored once (see the module docstring)."""
+    solve and log-determinant factored once (see the module docstring).
+
+    The kernel holds a leading parameter-set axis: means (L, d) and factors
+    (d, r_l) build one set, means (G, L, d) and factors (G, d, r_l) build G
+    sets of one shape at once, sharing the weights.  The per-point methods
+    read the first set; `_pass` reads any slice of them."""
 
     def __init__(self, means, factors, weights, s: float, gamma: float):
         _require_noise(gamma)
-        self.centers = s * np.array(means, dtype=float)  # (L, d)
-        self.d = d = self.centers.shape[1]
-        self.g2 = gamma * gamma
+        centers = s * np.array(means, dtype=float)
         Us = [_as_factor(U) for U in factors]
-        ranks = [U.shape[1] for U in Us]
-        # the factors side by side, U = [U_1 ... U_L]; G sums each component's
-        # columns and G^T G keeps the diagonal blocks of U^T U, so one Cholesky
-        # and one forward substitution give every W_l, stacked under the means
-        # in M = [s mu_1 ... s mu_L; W_1; ...; W_L]
-        U = np.hstack(Us)
+        if centers.ndim == 2:
+            centers, Us = centers[None], [U[None] for U in Us]
+        self.centers = centers  # (G, L, d)
+        self.d = d = centers.shape[2]
+        self.g2 = gamma * gamma
+        ranks = [U.shape[2] for U in Us]
+        # per set, the factors side by side, U = [U_1 ... U_L]; G sums each
+        # component's columns and G^T G keeps the diagonal blocks of U^T U, so
+        # one Cholesky and one forward substitution give every W_l, stacked
+        # under the means in M = [s mu_1 ... s mu_L; W_1; ...; W_L]
+        Ut = np.concatenate(Us, axis=2).transpose(0, 2, 1)
         self.G = np.repeat(np.eye(len(Us)), ranks, axis=1)
-        chol = np.linalg.cholesky(self.g2 * np.eye(U.shape[1])
-                                  + (s * s) * ((U.T @ U) * (self.G.T @ self.G)))
-        self.M = np.vstack([self.centers, s * _lower_solve(chol, U.T)])
-        self.rows = [slice(e - r, e) for r, e in zip(ranks, len(ranks) + np.cumsum(ranks))]
-        self.W = [self.M[rows] for rows in self.rows]  # per component, (r, d)
+        chol = np.linalg.cholesky(self.g2 * np.eye(Ut.shape[1])
+                                  + (s * s) * ((Ut @ Ut.transpose(0, 2, 1)) * (self.G.T @ self.G)))
+        self.M = np.concatenate([centers, s * _lower_solve(chol, Ut)], axis=1)  # (G, L + R, d)
+        ends = list(itertools.accumulate(ranks, initial=len(ranks)))
+        self.rows = [slice(b, e) for b, e in zip(ends, ends[1:])]
         logdet = (2.0 * (d - np.array(ranks)) * math.log(gamma)
-                  + self.G @ (2.0 * np.log(chol.diagonal())))
+                  + (self.G @ (2.0 * np.log(chol.diagonal(axis1=1, axis2=2)))[:, :, None])[:, :, 0])
         self.const = np.log(np.asarray(weights, dtype=float)) - 0.5 * (d * LOG_2PI + logdet)
 
     def solve(self, l: int, v: np.ndarray) -> np.ndarray:
         """Sigma_l^{-1} v for v of shape (..., d)."""
-        W = self.W[l]
+        W = self.M[0, self.rows[l]]
         return (v - (v @ W.T) @ W) / self.g2
 
-    def _pass(self, x: np.ndarray, residuals: bool = False):
-        """(score, work, z, (top, total)) for x (n, d), points on the last axis
-        so numpy's inner loops are long: work is (k + 2, d, n), the q_l if asked
-        for (k = L, else 0), x^T and the scratch rho_l; z, in the same single
-        allocation (fewer page faults), is the weights (L, n) over every r_l a_l;
-        the log density is top + log(total)."""
-        L, d, n = len(self.W), self.d, len(x)
+    def _pass(self, x: np.ndarray, residuals: bool = False, sets: slice = slice(None)):
+        """(xt, work, z, (top, total)) for x (n, d) and the g parameter sets
+        `sets`, in one allocation (fewer page faults) with the points on the
+        last axis so numpy's inner loops are long: xt (d, n) is x^T; work
+        (k + 1, g, d, n) holds the q_l if asked for (k = L, else 0) and then
+        M^T z, the score's GEMM; z (L + R, g, n) is the weights (L, g, n) over
+        every r_l a_l, the sets inside each row so that an operation on a
+        whole row runs over g n contiguous numbers; the log density is top +
+        log(total), both (g, n)."""
+        L, d, n = len(self.rows), self.d, len(x)
         k = L if residuals else 0
-        buf = np.empty(((k + 2) * d + len(self.M), n))
-        work, z = buf[:(k + 2) * d].reshape(k + 2, d, n), buf[(k + 2) * d:]
-        xt, rho, logj, a_rows = work[-2], work[-1], z[:L], [z[rows] for rows in self.rows]
+        centers, M = self.centers[sets], self.M[sets]
+        g, width = M.shape[:2]
+        buf = np.empty((d + g * ((k + 1) * d + width)) * n)
+        xt = buf[:d * n].reshape(d, n)
+        work = buf[d * n:(1 + g * (k + 1)) * d * n].reshape(k + 1, g, d, n)
+        z = buf[(1 + g * (k + 1)) * d * n:].reshape(width, g, n)
+        rho, logj, a_rows = work[k], z[:L], [z[rows] for rows in self.rows]
         np.copyto(xt, x.T)
-        for l, (c, W, a) in enumerate(zip(self.centers, self.W, a_rows)):
-            np.subtract(xt, c[:, None], out=rho)
-            np.matmul(W, rho, out=a)
+        for l, (rows, a) in enumerate(zip(self.rows, a_rows)):
+            W = M[:, rows]
+            np.subtract(xt, centers[:, l, :, None], out=rho)
+            np.matmul(W, rho, out=a.transpose(1, 0, 2))
             if residuals:
+                q = work[l]
                 # rank one: one exact product per entry, faster than matmul's k = 1
-                np.dot(W.T, a, out=work[l])
-                np.subtract(rho, work[l], out=work[l])
-                work[l] /= self.g2
-            np.einsum("in,in->n", rho, rho, out=logj[l])
+                for i in range(g):
+                    np.dot(W[i].T, a[:, i], out=q[i])
+                np.subtract(rho, q, out=q)
+                q /= self.g2
+            np.einsum("gin,gin->gn", rho, rho, out=logj[l])
         # the exact norms, never the expanded |x|^2 - 2 c.x + |c|^2, whose
         # rounding error grows with |x|^2 / gamma^2
-        logj -= self.G @ np.square(z[L:])
+        logj -= (self.G @ np.square(z[L:]).reshape(width - L, g * n)).reshape(L, g, n)
         logj *= -0.5 / self.g2
-        logj += self.const[:, None]
+        logj += self.const[sets].T[:, :, None]
         top = logj.max(axis=0)
         logj -= top
         w = np.exp(logj, out=logj)
@@ -136,36 +160,41 @@ class NoisedMixture:
         w /= total
         for wl, a in zip(w, a_rows):
             a *= wl
-        # the score by one GEMM (module docstring), into its own array so that a
-        # caller who keeps it keeps nothing else of the pass
-        np.matmul(self.M.T, z, out=rho)
-        out = np.subtract(rho, xt)
+        # the score's GEMM (module docstring) into the scratch rho
+        np.matmul(M.transpose(0, 2, 1), z.transpose(1, 0, 2), out=rho)
+        return xt, work, z, (top, total)
+
+    def _score(self, xt: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The first set's score (M^T z - x^T) / gamma^2 from a pass, (d, n),
+        into its own array so that a caller who keeps it keeps nothing else of
+        the pass."""
+        out = np.subtract(work[-1, 0], xt)
         out /= self.g2
-        return out.T, work, z, (top, total)
+        return out
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One pass over x of shape (n, d): residuals q (L, n, d),
         responsibilities r (n, L) and the mixture log density (n,)."""
         _, work, z, (top, total) = self._pass(x, residuals=True)
-        return work[:-2].transpose(0, 2, 1), z[:len(self.W)].T, top + np.log(total)
+        return work[:-1, 0].transpose(0, 2, 1), z[:len(self.rows), 0].T, top[0] + np.log(total[0])
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """The score, a fresh (n, d) array."""
         xb, single = _batch(x, self.d)
-        out = self._pass(xb)[0]
+        out = self._score(*self._pass(xb)[:2]).T
         return out[0] if single else out
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities, max-shifted before exp."""
         xb, single = _batch(x, self.d)
-        r = self._pass(xb)[2][:len(self.W)].T
+        r = self._pass(xb)[2][:len(self.rows), 0].T
         return r[0] if single else r
 
     def log_density(self, x: np.ndarray) -> np.ndarray | float:
         """log of the mixture density, max-shifted log-sum-exp of the log-joints."""
         xb, single = _batch(x, self.d)
         top, total = self._pass(xb)[3]
-        out = top + np.log(total)
+        out = top[0] + np.log(total[0])
         return float(out[0]) if single else out
 
 
@@ -274,15 +303,18 @@ class SymmetricParams(LatentParams):
 
 
 def _lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """chol^{-1} b for a lower-triangular chol (r, r) and b (r, m), by forward
-    substitution over the r rows.  Each row is scaled by the reciprocal pivot,
-    as LAPACK's dtrtrs scales a row of two or more columns, so for r = 1 and
-    m >= 2 the result has the bits `scipy.linalg.solve_triangular` gives, and
-    otherwise it agrees with them to rounding error.  r is a factor rank, so
-    the loop is short."""
+    """chol^{-1} b for lower-triangular chol (..., r, r) and b (..., r, m),
+    by forward substitution over the r rows, every leading index at once.
+    Each row is scaled by the reciprocal pivot, as LAPACK's dtrtrs scales a
+    row of two or more columns, so for r = 1 and m >= 2 the result has the
+    bits `scipy.linalg.solve_triangular` gives, and otherwise it agrees with
+    them to rounding error.  r is a factor rank, so the loop is short."""
     x = np.empty(b.shape)
-    for i in range(len(chol)):
-        x[i] = (b[i] - chol[i, :i] @ x[:i]) * (1.0 / chol[i, i])
+    pivots = 1.0 / chol.diagonal(axis1=-2, axis2=-1)[..., None]
+    for i in range(chol.shape[-1]):
+        # row 0 subtracts an empty product, exactly 0
+        rest = (chol[..., i, None, :i] @ x[..., :i, :])[..., 0, :] if i else 0.0
+        x[..., i, :] = (b[..., i, :] - rest) * pivots[..., i, :]
     return x
 
 
@@ -294,11 +326,18 @@ def from_model_subspace(sub) -> tuple[LatentParams, np.ndarray]:
 
 def mixture_kernel(params, pis, sched: DiffusionSchedule, t: float) -> NoisedMixture:
     """Kernel of the noised mixture params define (the tied form expands to
-    its two-component equivalent)."""
-    params, pis = params.mixture(pis)
+    its two-component equivalent); a list of parameters of one shape gives one
+    kernel of that many parameter sets, in order, sharing the weights pis."""
     s, _, gamma = coefficients(sched, t)
-    return NoisedMixture([mu for mu, _ in params.components],
-                         [U for _, U in params.components], pis, s, gamma)
+    if not isinstance(params, list):
+        params, pis = params.mixture(pis)
+        return NoisedMixture([mu for mu, _ in params.components],
+                             [U for _, U in params.components], pis, s, gamma)
+    sets = [p.mixture(pis) for p in params]
+    comps = [p.components for p, _ in sets]
+    return NoisedMixture(np.array([[mu for mu, _ in c] for c in comps]),
+                         [np.stack(Us) for Us in zip(*([U for _, U in c] for c in comps))],
+                         sets[0][1], s, gamma)
 
 
 def responsibilities(params: LatentParams, pis, sched: DiffusionSchedule, t: float,

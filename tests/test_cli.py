@@ -296,6 +296,19 @@ def test_one_dimensional_tied_form_has_no_closed_form_alpha(cfg_path, tmp_path, 
         assert line.endswith("(no closed-form alpha)")
 
 
+def test_zero_closed_form_alpha_still_gets_a_verdict(cfg_path, tmp_path):
+    """A tied form with its mean along an axis the factor misses has closed-form
+    alpha exactly 0; the report checks lambda_min(H) against 0.8 x 0 instead of
+    reading the 0 as no alpha."""
+    out = tmp_path / "out"
+    override = 'hessian.symmetric={"mu":[0.0,4.0],"U":[[1.0],[0.0]]}'
+    assert run("hessian", cfg_path, overrides=[override], out_dir=str(out)) == 0
+    assert json.loads((out / "hessian_summary.json").read_text())["alpha_formula"] == 0.0
+    assert run("report", None, out_dir=str(out)) == 0
+    line = (out / "report.md").read_text().splitlines()[-1]
+    assert "vs 0.8*alpha 0.0000" in line and line.endswith(": PASS")
+
+
 @pytest.mark.parametrize("sub", ["hessian", "overlap"])
 def test_rank_zero_tied_overlap_writes_finite_summary(cfg_path, tmp_path, sub):
     """A rank-0 tied factor has no factor parameters: the Weyl split keeps

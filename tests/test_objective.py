@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from molrmog import objective
+from molrmog.calculus import BLOCK_ELEMENTS
 from molrmog.errors import EmptyDataset, GridEmpty, TimeOutOfRange, ValidationError
 from molrmog.model import build_model, encode, forward_noise, sample_data
 from molrmog.objective import (
@@ -16,7 +18,17 @@ from molrmog.objective import (
     sm_errors,
     unflatten_theta_set,
 )
-from molrmog.score import LatentParams, SymmetricParams, latent_score
+from molrmog.score import LatentParams, SymmetricParams, latent_score, mixture_kernel
+from test_acceptance import TWO_SUBSPACE_SPEC
+
+# one L = 2 subspace of rank-one factors and one L = 1 subspace of rank two
+MIXED_SPEC = {"D": 4, "subspaces": [
+    {"d": 2, "A_seed": 7, "components": [
+        {"pi": 0.4, "mu": [2.0, 0.0], "U": [[0.6], [0.1]]},
+        {"pi": 0.6, "mu": [-2.0, 0.5], "U": [[0.2], [0.5]]}]},
+    {"d": 2, "A_seed": 8, "components": [
+        {"pi": 1.0, "mu": [0.0, 1.0], "U": [[0.3, 0.0], [0.1, 0.4]]}]},
+]}
 
 
 def small_model():
@@ -221,3 +233,89 @@ def test_estimation_gaps_match_direct_stacked_errors(unit_sched):
     gaps = np.array([[np.max(np.abs(pop_mean - mean_var(n)[0])) for n in n_schedule]
                      for _ in range(trials)])
     assert [g for _, g, _ in rep.rows] == pytest.approx(gaps.mean(axis=0), rel=1e-12)
+
+
+def _direct_moments(model, grid, sched, t, X):
+    """Per-grid-point mean and variance over X of the loss summed over
+    subspaces, by sm_errors, which builds its own kernels on every call."""
+    ell = np.stack([sum(sm_errors(th_k, sub, sub.weights, sched, t, encode(sub, X))
+                        for th_k, sub in zip(th, model.subspaces))
+                    for th in grid])
+    return ell.mean(axis=1), ell.var(axis=1)
+
+
+@pytest.mark.parametrize("spec, count, t", [(TWO_SUBSPACE_SPEC, 64, 1.0), (MIXED_SPEC, 8, 0.25)])
+def test_stacked_kernel_equals_single_kernels_bit_for_bit(unit_sched, spec, count, t):
+    """One kernel built from G parameter sets holds each set's M and constants
+    and gives each set's score with the bits of that set's own kernel, on the
+    benchmark's grid and on a model mixing rank-one and rank-two subspaces."""
+    model = build_model(spec)
+    grid = make_theta_grid(model.subspaces, half_width=0.25, count=count, seed=3)
+    X = forward_noise(sample_data(model, 200, 4).x, unit_sched, t, 5)
+    for k, sub in enumerate(model.subspaces):
+        thetas = [th[k] for th in grid]
+        stacked = mixture_kernel(thetas, sub.weights, unit_sched, t)
+        Z = encode(sub, X)
+        xt, work, z, (top, total) = stacked._pass(Z)
+        for i, th in enumerate(thetas):
+            one = mixture_kernel(th, sub.weights, unit_sched, t)
+            assert np.array_equal(stacked.M[i], one.M[0])
+            assert np.array_equal(stacked.const[i], one.const[0])
+            want = one.score(Z)
+            assert np.array_equal(stacked._score(*stacked._pass(Z, sets=slice(i, i + 1))[:2]).T,
+                                  want)
+            assert np.array_equal((work[-1, i] - xt) / stacked.g2, want.T)
+            one_xt, one_work, one_z, (one_top, one_total) = one._pass(Z)
+            assert np.array_equal(z[:, i], one_z[:, 0])
+            assert np.array_equal(top[i], one_top[0]) and np.array_equal(total[i], one_total[0])
+
+
+def test_estimation_tiles_across_grid_and_row_boundaries(unit_sched):
+    """A population one row past a row block and a grid that the tile's grid
+    count does not divide give the direct per-point moments and gaps."""
+    model = build_model(MIXED_SPEC)
+    grid = make_theta_grid(model.subspaces, half_width=0.25, count=10, seed=3)
+    width = 4  # L + R of the first subspace, the widest
+    n_mc, n_schedule, t = BLOCK_ELEMENTS // width + 1, [1000, 4096], 0.25
+    # 10 grid points in tiles of 4 at n = 4096
+    assert len(grid) % (BLOCK_ELEMENTS // (width * n_schedule[1])) != 0
+    rep = estimation_gap_experiment(model, grid, n_schedule, 1, unit_sched, t, rng=6, n_mc=n_mc)
+
+    rng = np.random.default_rng(6)
+    draw = lambda n: forward_noise(sample_data(model, n, rng).x, unit_sched, t, rng)
+    pop_mean, pop_var = _direct_moments(model, grid, unit_sched, t, draw(n_mc))
+    assert rep.sigma2 == pytest.approx(np.max(pop_var), rel=1e-12)
+    assert rep.pop_stderr_max == pytest.approx(np.max(np.sqrt(pop_var / n_mc)), rel=1e-12)
+    gaps = [np.max(np.abs(pop_mean - _direct_moments(model, grid, unit_sched, t, draw(n))[0]))
+            for n in n_schedule]
+    assert [g for _, g, _ in rep.rows] == pytest.approx(gaps, rel=1e-12)
+
+
+def test_estimation_memory_is_bounded_in_population_size(unit_sched, monkeypatch):
+    """Once the population is drawn, the experiment's traced peak above it (its
+    encodings, tile scratch and the trial datasets) is the same at n_mc =
+    20 000 and 200 000: the losses run in bounded tiles."""
+    import tracemalloc
+
+    model = small_model()
+    grid = make_theta_grid(model.subspaces, half_width=0.25, count=2, seed=3)
+    mark = {}
+
+    def encode_marked(sub, x):
+        if not mark:  # the population's first encoding: its draws are all that grew
+            mark["base"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        return encode(sub, x)
+
+    monkeypatch.setattr(objective, "encode", encode_marked)
+    above = []
+    for n_mc in (20_000, 200_000):
+        mark.clear()
+        tracemalloc.start()
+        try:
+            estimation_gap_experiment(model, grid, [16, 32], 1, unit_sched, 0.25, 7, n_mc=n_mc)
+            above.append(tracemalloc.get_traced_memory()[1] - mark["base"])
+        finally:
+            tracemalloc.stop()
+    # the population alone is 5.8 MB larger at 200 000 rows
+    assert above[1] - above[0] < 2 ** 18, above

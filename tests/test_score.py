@@ -327,7 +327,8 @@ def test_residuals_equal_woodbury_product_exactly(vp_sched):
         kern = mixture_kernel(params, pis, vp_sched, 0.4)
         X = rng.standard_normal((50, d)) * 3.0
         q = kern.evaluate(X)[0]
-        for l, (c, W) in enumerate(zip(kern.centers, kern.W)):
+        for l, (c, rows) in enumerate(zip(kern.centers[0], kern.rows)):
+            W = kern.M[0, rows]
             rho = np.ascontiguousarray(X.T) - c[:, None]
             want = (rho - W.T @ (W @ rho)) / kern.g2
             assert np.array_equal(q[l], want.T), (rank, d, l)
@@ -363,3 +364,30 @@ def test_lower_solve_matches_scipy_triangular_solve():
             got = _lower_solve(chol, U.T)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (r, d)
     assert _lower_solve(np.zeros((0, 0)), np.zeros((0, 4))).shape == (0, 4)
+
+
+def test_one_set_kernel_keeps_its_bits(vp_sched):
+    """A one-set kernel gives the score, evaluate and log-density bits it gave
+    before the kernel took a parameter-set axis (values stored from that
+    code, rank-one and rank-two components, this numpy and BLAS build)."""
+    params = LatentParams((
+        (np.array([1.0, -0.5, 0.25]), np.array([[0.6], [0.1], [-0.3]])),
+        (np.array([-1.0, 0.5, 0.0]), np.array([[0.2, 0.4], [0.5, -0.1], [0.0, 0.3]]))))
+    X = np.array([[0.4, -0.2, 0.9], [-0.7, 0.3, -0.1]])
+    kern = mixture_kernel(params, np.array([0.3, 0.7]), vp_sched, 0.4)
+    q, r, logp = kern.evaluate(X)
+    stored = {
+        "score": [-0.49368225721004905, 0.1695739978122181, -1.270557995792369,
+                  0.1591530098528942, -0.027130517632443174, 0.20208467476855183],
+        "q": [-0.252746934771795, 0.28513689249617047, 1.2109773897908696,
+              -2.0499173035412777, 1.2265187486605875, -0.7051850682443351,
+              1.5919368267290146, -0.8386104160762183, 1.3582215993849887,
+              -0.029910968485287834, -0.054852934185326024, -0.167695553880926],
+        "r": [0.5953619760958053, 0.40463802390419457, 0.06398100794274206, 0.9360189920572579],
+        "logp": [-3.2035311575166383, -2.364430942776515],
+        "log_density": [-3.2035311575166383, -2.364430942776515],
+    }
+    got = {"score": kern.score(X), "q": q, "r": r, "logp": logp,
+           "log_density": kern.log_density(X)}
+    for name, want in stored.items():
+        assert np.ravel(got[name]).tolist() == want, name
