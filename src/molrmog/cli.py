@@ -44,7 +44,6 @@ from .sampler import SamplerConfig, model_score_fn, reverse_sample, sample_quali
 from .schedule import DEFAULT_T_MAX, DEFAULT_T_MIN, make_schedule
 from .score import (
     SymmetricParams,
-    ambient_components,
     ambient_log_density,
     ambient_score,
     latent_score,
@@ -343,7 +342,7 @@ def cmd_train(cfg, seed, out: Path) -> list[str]:
 
 def _ambient_moment_init(model, sched, n, rng):
     """Draws from the Gaussian matching the ambient mixture at t_max."""
-    eq = mixture_moments(*ambient_components(model), sched.s(sched.t_max),
+    eq = mixture_moments(*model.ambient_components, sched.s(sched.t_max),
                          sched.gamma(sched.t_max))
     cf = np.linalg.cholesky(eq.sigma_bar + 1e-12 * np.eye(model.D))
     return eq.mu_bar + rng.standard_normal((n, model.D)) @ cf.T

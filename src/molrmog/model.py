@@ -15,6 +15,7 @@ finite entries, r <= d, weights), which a diverging GD iterate must not fail.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,23 @@ class MoLRMoGModel:
     @property
     def K(self) -> int:
         return len(self.subspaces)
+
+    @functools.cached_property
+    def ambient_components(self) -> tuple[tuple, tuple, np.ndarray]:
+        """The flat (k, l) components of the ambient mixture in
+        `component_weights` order: means A mu, low-rank factors A U and
+        weights pi_l / K.  Formed on the first read and kept, read-only, since
+        every caller shares them: the reverse sampler builds an ambient kernel
+        every step."""
+        means, factors = [], []
+        for sub in self.subspaces:
+            for mu, U in sub.components:
+                means.append(sub.A @ mu)
+                factors.append(sub.A @ U)
+        weights = np.concatenate([sub.weights for sub in self.subspaces]) / self.K
+        for a in (*means, *factors, weights):
+            a.setflags(write=False)
+        return tuple(means), tuple(factors), weights
 
 
 @dataclass

@@ -5,17 +5,26 @@ integrated backward on a uniform grid from t_max to t_min.  Any callable
 score works: the exact mixture score, a trained parameter set wrapped into a
 score, or a deliberately wrong one for stress tests.
 
-Each step does the plain Euler-Maruyama arithmetic in the same order, in two
-buffers the sampler owns (drift and noise), and writes its result into one
-fresh state array.  `reverse_sample` therefore never modifies the array it
-hands to score_fn, nor the array score_fn returns: a callback may cache
-either or return a view of its input.  The exact score it usually calls
-(`score.NoisedMixture.score`) makes one allocation per call, holds no
+Each step does the plain Euler-Maruyama arithmetic in the same order, in
+buffers the sampler owns (drift, g^2 score and noise), and writes its result
+into one fresh state array.  `reverse_sample` therefore never modifies the
+array it hands to score_fn, nor the array score_fn returns: a callback may
+cache either or return a view of its input.  The exact score it usually
+calls (`score.NoisedMixture.score`) makes one allocation per call, holds no
 per-component residual, and returns the score in the state's (n, D) layout.
+
+The Gaussian draws do not depend on the state, only their order does.  With
+a second CPU, a worker thread therefore draws and scales step i + 1's noise
+into one of two buffers while the main thread computes step i's score; the
+generator's fill and the scaling release the interpreter lock.  The draws
+keep their serial order, so every sample keeps its bits.  The worker calls
+no molrmog function, and it is stopped and joined on every exit.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +32,7 @@ import numpy as np
 from .errors import DimensionMismatch, NaNDetected, ValidationError
 from .model import MoLRMoGModel, component_weights
 from .schedule import DiffusionSchedule
-from .score import ambient_components, ambient_responsibilities, ambient_score
+from .score import ambient_responsibilities, ambient_score
 
 
 @dataclass(frozen=True)
@@ -39,12 +48,86 @@ class SamplerConfig:
             raise ValidationError("need at least one sample")
 
 
+def _two_cpus() -> bool:
+    """True when this process may run on at least two CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+class _StepNoise:
+    """The scaled noise scales[i] * xi_i of every step i, drawn from rng in
+    step order.
+
+    A step may use `scratch` until it calls `add_to`.  On one CPU `add_to`
+    draws inline, into `scratch`, as the serial loop did.  Otherwise a worker
+    thread, started on entry and stopped and joined on exit, fills two other
+    buffers in turn up to two steps ahead of the step that adds them: `free`
+    counts the buffers it may fill, `ready` the buffers filled.
+    """
+
+    def __init__(self, rng: np.random.Generator, scales: list, shape: tuple):
+        self._rng = rng
+        self._scales = scales
+        self._worker = None
+        if _two_cpus():
+            self._free, self._ready = threading.Semaphore(2), threading.Semaphore(0)
+            self._stop = threading.Event()
+            self._failed = None  # (step, exception) of a failed draw
+            self._worker = threading.Thread(target=self._fill, daemon=True,
+                                            name="molrmog-sampler-noise")
+        self.scratch = np.empty(shape)
+        self._buffers = ([np.empty(shape), np.empty(shape)] if self._worker
+                         else [self.scratch])
+
+    def _draw(self, i: int) -> np.ndarray:
+        noise = self._buffers[i % len(self._buffers)]
+        self._rng.standard_normal(out=noise)
+        noise *= self._scales[i]
+        return noise
+
+    def _fill(self) -> None:
+        try:
+            for i in range(len(self._scales)):
+                self._free.acquire()
+                if self._stop.is_set():
+                    return
+                self._draw(i)
+                self._ready.release()
+        except Exception as exc:  # raised by add_to at that step
+            self._failed = (i, exc)
+            self._ready.release()
+
+    def add_to(self, y: np.ndarray, i: int) -> None:
+        """y += the scaled noise of step i; steps come in order."""
+        if self._worker is None:
+            y += self._draw(i)
+            return
+        self._ready.acquire()
+        if self._failed is not None and self._failed[0] == i:
+            raise self._failed[1]
+        y += self._buffers[i % 2]
+        self._free.release()
+
+    def __enter__(self):
+        if self._worker is not None:
+            self._worker.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._worker is not None:
+            self._stop.set()
+            self._free.release()
+            self._worker.join()
+
+
 def reverse_sample(score_fn, sched: DiffusionSchedule, cfg: SamplerConfig,
                    init: np.ndarray | None = None, dim: int | None = None) -> np.ndarray:
     """Integrate the reverse SDE from t_max down to t_min.
 
     init defaults to N(0, gamma(t_max)^2 I) draws (the marginal of zero-mean
     data at the horizon); pass moment-matched draws for non-centered models.
+    A given init must hold cfg.n rows, and dim columns if dim is given.
     """
     rng = np.random.default_rng(cfg.seed)
     if init is None:
@@ -55,29 +138,29 @@ def reverse_sample(score_fn, sched: DiffusionSchedule, cfg: SamplerConfig,
         y = np.array(init, dtype=float, copy=True)
         if y.ndim != 2:
             raise DimensionMismatch("init must be an (n, dim) array")
+        if y.shape[0] != cfg.n or (dim is not None and y.shape[1] != dim):
+            want = f"({cfg.n}, {'dim' if dim is None else dim})"
+            raise DimensionMismatch(f"init has shape {y.shape}, need {want}")
     if cfg.steps == 0:
         return y
     times = np.linspace(sched.t_max, sched.t_min, cfg.steps + 1)
     dt = (sched.t_max - sched.t_min) / cfg.steps
     sqrt_dt = np.sqrt(dt)
+    gs = [sched.g(float(t)) for t in times[:-1]]
     drift = np.empty(y.shape)
-    noise = np.empty(y.shape)
-    for i in range(cfg.steps):
-        t = float(times[i])
-        f = sched.f(t)
-        g = sched.g(t)
-        # y - dt (f y - g^2 score) + g sqrt(dt) xi in the out-of-place
-        # loop's operation order, into a fresh state (module docstring)
-        np.multiply(f, y, out=drift)
-        np.multiply(g * g, score_fn(y, t), out=noise)
-        drift -= noise
-        drift *= dt
-        y = y - drift
-        rng.standard_normal(out=noise)
-        noise *= g * sqrt_dt
-        y += noise
-        if not np.all(np.isfinite(y)):
-            raise NaNDetected(f"non-finite state at reverse step {i}")
+    with _StepNoise(rng, [g * sqrt_dt for g in gs], y.shape) as noise:
+        for i, g in enumerate(gs):
+            t = float(times[i])
+            # y - dt (f y - g^2 score) + g sqrt(dt) xi in the out-of-place
+            # loop's operation order, into a fresh state (module docstring)
+            np.multiply(sched.f(t), y, out=drift)
+            np.multiply(g * g, score_fn(y, t), out=noise.scratch)
+            drift -= noise.scratch
+            drift *= dt
+            y = y - drift
+            noise.add_to(y, i)
+            if not np.all(np.isfinite(y)):
+                raise NaNDetected(f"non-finite state at reverse step {i}")
     return y
 
 
@@ -120,7 +203,7 @@ def sample_quality(samples: np.ndarray, model: MoLRMoGModel,
     s = sched.s(t_min)
     gamma = sched.gamma(t_min)
     rows = []
-    flat = zip(component_weights(model), *ambient_components(model)[:2])
+    flat = zip(component_weights(model), *model.ambient_components[:2])
     for ci, ((k, l, w), mean, W) in enumerate(flat):
         pts = samples[assign == ci]
         weight_emp = pts.shape[0] / samples.shape[0]

@@ -358,24 +358,12 @@ def latent_score(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
     return mixture_kernel(params, pis, sched, t).score(x)
 
 
-def ambient_components(model) -> tuple[list, list, np.ndarray]:
-    """The flat (k, l) components of a `model.MoLRMoGModel`'s ambient mixture
-    in `model.component_weights` order: means A mu, low-rank factors A U and
-    weights pi_l / K."""
-    means, factors = [], []
-    for sub in model.subspaces:
-        for mu, U in sub.components:
-            means.append(sub.A @ mu)
-            factors.append(sub.A @ U)
-    weights = np.concatenate([sub.weights for sub in model.subspaces]) / len(model.subspaces)
-    return means, factors, weights
-
-
 def ambient_kernel(model, sched: DiffusionSchedule, t: float) -> NoisedMixture:
     """Kernel of the full ambient mixture over the flat (k, l) components:
-    weights pi_l / K, mean directions A mu, low-rank factors A U."""
+    weights pi_l / K, mean directions A mu, low-rank factors A U, which a
+    `model.MoLRMoGModel` forms once (`ambient_components`)."""
     s, _, gamma = coefficients(sched, t)
-    return NoisedMixture(*ambient_components(model), s, gamma)
+    return NoisedMixture(*model.ambient_components, s, gamma)
 
 
 def ambient_log_density(model, sched: DiffusionSchedule, t: float,

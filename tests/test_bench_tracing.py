@@ -2,9 +2,12 @@
 renaming one of them breaks only traced bench runs; this keeps them bound."""
 
 import importlib.util
+import os
 from pathlib import Path
 
-from molrmog import calculus, model, objective, optimizer, score
+import numpy as np
+
+from molrmog import calculus, model, objective, optimizer, sampler, score
 from molrmog.model import build_model
 from molrmog.objective import estimation_gap_experiment, make_theta_grid
 
@@ -47,3 +50,27 @@ def test_tracer_wraps_every_traced_name_and_restores_it(unit_sched):
         assert getattr(mod, attr) is orig
     for target, attr, orig in restore:
         assert (target[attr] if isinstance(target, dict) else getattr(target, attr)) is orig
+
+
+def test_sampler_worker_makes_no_traced_call(unit_sched, monkeypatch):
+    """The sampler's noise thread calls no molrmog function: with the worker
+    forced on, one reverse step makes exactly one traced ambient score and
+    one counted coefficient call, and every span closes on the main stack."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    sub = {"d": 2, "A_seed": 7, "components": [
+        {"pi": 0.5, "mu": [1.0, 0.0], "U": [[0.5], [0.1]]},
+        {"pi": 0.5, "mu": [-1.0, 0.5], "U": [[0.2], [0.4]]}]}
+    mix = build_model({"D": 3, "subspaces": [sub]})
+    steps = 25
+    tracer = load_tracer()
+    try:
+        tracer.install()
+        init = np.random.default_rng(4).standard_normal((200, mix.D))
+        sampler.reverse_sample(sampler.model_score_fn(mix, unit_sched), unit_sched,
+                               sampler.SamplerConfig(steps=steps, n=200, seed=2), init=init)
+        assert tracer._stack == []
+        metrics = tracer.metrics(1)
+    finally:
+        tracer.uninstall()
+    assert metrics["schedule.coefficients.calls"] == steps
+    assert metrics["score.ambient_score.calls"] == steps

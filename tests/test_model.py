@@ -110,6 +110,13 @@ def test_build_model_matches_manual_construction():
     assert np.array_equal(mu, [2.0, 0.0]) and np.array_equal(second.U, [[0.2], [0.5]])
     # a trained iterate skips the model checks: it is plain latent parameters
     assert type(sub.unflatten(sub.flatten())) is LatentParams
+    # the ambient components are formed once, read-only, in component order
+    means, factors, weights = model.ambient_components
+    assert model.ambient_components is model.ambient_components
+    assert np.array_equal(means[1], sub.A @ second.mu)
+    assert np.array_equal(factors[0], sub.A @ sub.components[0].U)
+    assert np.array_equal(weights, [0.5, 0.5])
+    assert not any(a.flags.writeable for a in (*means, *factors, weights))
     with pytest.raises(ValidationError):
         build_model({"subspaces": []})
 

@@ -1,6 +1,11 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from molrmog import sampler
 from molrmog.errors import DimensionMismatch, NaNDetected, ValidationError
 from molrmog.model import build_model
 from molrmog.sampler import (
@@ -10,6 +15,24 @@ from molrmog.sampler import (
     sample_quality,
 )
 from molrmog.schedule import make_schedule
+
+# os.sched_getaffinity results that select each noise path of reverse_sample
+CPUS = {"threaded": {0, 1}, "inline": {0}}
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Select the worker-thread path and list every thread started."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS["threaded"])
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
 
 
 def centered_gaussian_score(sched, var0):
@@ -29,20 +52,30 @@ def test_config_validation():
         SamplerConfig(steps=10, n=0)
 
 
-def test_zero_steps_returns_init(vp_sched):
+def test_zero_steps_returns_init(vp_sched, thread_starts):
     init = np.random.default_rng(0).standard_normal((5, 3))
     out = reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=0, n=5), init=init)
     assert np.array_equal(out, init)
     out[:] = 0.0
     assert not np.array_equal(out, init)  # returned array is a copy
+    assert thread_starts == []
 
 
-def test_init_validation(vp_sched):
+def test_init_validation(vp_sched, thread_starts):
     with pytest.raises(ValidationError):
         reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=1, n=5))
     with pytest.raises(DimensionMismatch):
         reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=1, n=5),
                        init=np.zeros(5))
+    # a given init must agree with cfg.n and with dim, before any draw or thread
+    for n, dim in ((10, None), (10, 3), (7, 4)):
+        with pytest.raises(DimensionMismatch, match=r"\(7, 3\)"):
+            reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=5, n=n),
+                           init=np.zeros((7, 3)), dim=dim)
+    assert thread_starts == []
+    out = reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=0, n=7),
+                         init=np.ones((7, 3)), dim=3)
+    assert np.array_equal(out, np.ones((7, 3)))
 
 
 def test_reproducible_for_fixed_seed(vp_sched):
@@ -89,6 +122,60 @@ def test_nan_detection(vp_sched):
 
     with pytest.raises(NaNDetected):
         reverse_sample(bad_score, vp_sched, SamplerConfig(steps=5, n=4), dim=2)
+
+
+class ScoreFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("path", sorted(CPUS))
+@pytest.mark.parametrize("failure", ["score_raises", "nan"])
+def test_failing_step_leaves_no_thread(vp_sched, monkeypatch, failure, path):
+    """A score that raises at step k, or turns the state non-finite there,
+    ends the call with its own exception and leaves no worker behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS[path])
+    before = threading.active_count()
+    during = []
+
+    def score_fn(x, t):
+        during.append(threading.active_count())
+        if len(during) == 4:
+            if failure == "score_raises":
+                raise ScoreFailed("step 3")
+            return np.full_like(x, np.nan)
+        return -x
+
+    expected = ScoreFailed if failure == "score_raises" else NaNDetected
+    with pytest.raises(expected, match="step 3"):
+        reverse_sample(score_fn, vp_sched, SamplerConfig(steps=20, n=50, seed=1), dim=2)
+    assert len(during) == 4
+    assert during[0] == before + (path == "threaded")
+    assert threading.active_count() == before
+
+
+def test_worker_failure_reaches_the_caller():
+    """An exception on the worker thread is raised by the step that waits
+    for its noise, after the steps drawn before it."""
+    outcome = []
+
+    def consume():
+        noise = sampler._StepNoise(np.random.default_rng(0), [1.0, 2.0, "x", 3.0], (4, 2))
+        y = np.zeros((4, 2))
+        try:
+            with noise:
+                for i in range(4):
+                    noise.add_to(y, i)
+                    outcome.append(i)
+        except TypeError as exc:
+            outcome.append(exc)
+
+    consumer = threading.Thread(target=consume)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: CPUS["threaded"])
+        consumer.start()
+        consumer.join(timeout=30)
+    assert not consumer.is_alive()
+    assert outcome[:2] == [0, 1] and isinstance(outcome[2], TypeError)
 
 
 def test_mixture_sampling_quality():
@@ -166,13 +253,26 @@ def out_of_place_reverse_sample(score_fn, sched, cfg, init):
     return y
 
 
-@pytest.mark.parametrize("kind", ["exact", "view_of_input", "cached"])
-def test_reverse_sample_bit_identical_to_out_of_place_loop(kind):
-    """The in-place step reproduces the out-of-place loop bit for bit, and
-    never writes into an array it handed to, or got from, score_fn."""
+def _bit_identity_cases():
+    """Every score kind on both noise paths at 1, 2 and 30 steps; the
+    30-step threaded cases keep the ids they had as the only cases."""
+    for steps in (30, 1, 2):
+        for path in ("threaded", "inline"):
+            for kind in ("exact", "view_of_input", "cached"):
+                plain = steps == 30 and path == "threaded"
+                yield pytest.param(kind, steps, CPUS[path],
+                                   id=kind if plain else f"{kind}-{path}-steps{steps}")
+
+
+@pytest.mark.parametrize("kind,steps,cpus", _bit_identity_cases())
+def test_reverse_sample_bit_identical_to_out_of_place_loop(kind, steps, cpus, monkeypatch):
+    """The in-place step reproduces the out-of-place loop bit for bit, on
+    the worker-thread and the inline noise path, and never writes into an
+    array it handed to, or got from, score_fn."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     model = build_model(TWO_SUBSPACES)
     sched = make_schedule("vp", 8.0, 0.01, 1.0)
-    cfg = SamplerConfig(steps=30, n=300, seed=5)
+    cfg = SamplerConfig(steps=steps, n=300, seed=5)
     init = np.random.default_rng(6).standard_normal((cfg.n, model.D))
     cached = np.random.default_rng(7).standard_normal((cfg.n, model.D))
     fn = {"exact": model_score_fn(model, sched),
@@ -196,3 +296,33 @@ def test_reverse_sample_bit_identical_to_out_of_place_loop(kind):
     for x, x_then, out, out_then in calls:
         assert np.array_equal(x, x_then)
         assert np.array_equal(out, out_then)
+
+
+def test_concurrent_samplers_keep_their_draw_order():
+    """Three reverse_sample calls at once, each with its own worker (more
+    threads than this machine's cores), under a 1 us switch interval: each
+    still reproduces the serial loop bit for bit."""
+    sched = make_schedule("vp", 8.0, 0.01, 1.0)
+    cfgs = [SamplerConfig(steps=300, n=3, seed=seed) for seed in range(3)]
+    init = np.random.default_rng(6).standard_normal((3, 2))
+    want = [out_of_place_reverse_sample(lambda x, t: -x, sched, cfg, init) for cfg in cfgs]
+    got = [None] * len(cfgs)
+
+    def run(j):
+        got[j] = reverse_sample(lambda x, t: -x, sched, cfgs[j], init=init)
+
+    interval = sys.getswitchinterval()
+    runners = [threading.Thread(target=run, args=(j,)) for j in range(len(cfgs))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: CPUS["threaded"])
+        sys.setswitchinterval(1e-6)
+        try:
+            for r in runners:
+                r.start()
+            for r in runners:
+                r.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(r.is_alive() for r in runners)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
