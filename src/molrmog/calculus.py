@@ -167,8 +167,9 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
     for rows in _row_blocks(Xb, width):
         xt, work, z, _ = kern._pass(rows, residuals=True)
         score, L = kern._score(xt, work), len(free.components)
-        # x^T, free once the score is taken, is the pieces' scratch
-        yield s, score, z[:L, 0].T, pieces(work[:L, 0], z[:L, 0], xt)
+        # M^T z, free once the score is taken, is the pieces' scratch (x^T
+        # may be a view of the caller's X)
+        yield s, score, z[:L, 0].T, pieces(work[:L, 0], z[:L, 0], work[-1, 0])
 
 
 def _jacobian_blocks(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray,

@@ -256,7 +256,7 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
         g = max(1, BLOCK_ELEMENTS // (width * nb))
         means, m2 = np.zeros(len(theta_grid)), np.zeros(len(theta_grid))
         for start in range(0, len(X), nb):
-            # column-major encodings, so each pass's x^T is a contiguous copy
+            # column-major encodings, so each pass reads its x^T in place
             blocks = [np.asfortranarray(encode(sub, X[start:start + nb])) for sub in subs]
             targets = [Z.T + kern.g2 * kern.score(Z).T for kern, Z in zip(truth_kernels, blocks)]
             rows = len(blocks[0])

@@ -9,9 +9,11 @@ Each step does the plain Euler-Maruyama arithmetic in the same order, in
 buffers the sampler owns (drift, g^2 score and noise), and writes its result
 into one fresh state array.  `reverse_sample` therefore never modifies the
 array it hands to score_fn, nor the array score_fn returns: a callback may
-cache either or return a view of its input.  The exact score it usually
-calls (`score.NoisedMixture.score`) makes one allocation per call, holds no
-per-component residual, and returns the score in the state's (n, D) layout.
+cache either or return a view of its input.  The state and those buffers are
+column-major (n, D) arrays, so the exact score it usually calls
+(`score.NoisedMixture.score`) reads the state's x^T in place and returns a
+column-major view of its (D, n) result, which the g^2 multiply reads
+contiguously.  The final state is returned as a C-ordered copy.
 
 The Gaussian draws do not depend on the state, only their order does.  With
 a second CPU, a worker thread therefore draws and scales step i + 1's noise
@@ -63,7 +65,10 @@ class _StepNoise:
     draws inline, into `scratch`, as the serial loop did.  Otherwise a worker
     thread, started on entry and stopped and joined on exit, fills two other
     buffers in turn up to two steps ahead of the step that adds them: `free`
-    counts the buffers it may fill, `ready` the buffers filled.
+    counts the buffers it may fill, `ready` the buffers filled.  The buffers
+    are column-major like the state; the generator fills a C-ordered one,
+    since `standard_normal(out=...)` fills in memory order and a column-major
+    out would put each draw on another entry, and the scaling copies it over.
     """
 
     def __init__(self, rng: np.random.Generator, scales: list, shape: tuple):
@@ -76,15 +81,15 @@ class _StepNoise:
             self._failed = None  # (step, exception) of a failed draw
             self._worker = threading.Thread(target=self._fill, daemon=True,
                                             name="molrmog-sampler-noise")
-        self.scratch = np.empty(shape)
-        self._buffers = ([np.empty(shape), np.empty(shape)] if self._worker
-                         else [self.scratch])
+        self.scratch = np.empty(shape, order="F")
+        self._buffers = ([np.empty(shape, order="F"), np.empty(shape, order="F")]
+                         if self._worker else [self.scratch])
+        self._drawn = np.empty(shape)
 
     def _draw(self, i: int) -> np.ndarray:
-        noise = self._buffers[i % len(self._buffers)]
-        self._rng.standard_normal(out=noise)
-        noise *= self._scales[i]
-        return noise
+        self._rng.standard_normal(out=self._drawn)
+        return np.multiply(self._drawn, self._scales[i],
+                           out=self._buffers[i % len(self._buffers)])
 
     def _fill(self) -> None:
         try:
@@ -135,19 +140,20 @@ def reverse_sample(score_fn, sched: DiffusionSchedule, cfg: SamplerConfig,
             raise ValidationError("need dim when init is omitted")
         y = sched.gamma(sched.t_max) * rng.standard_normal((cfg.n, dim))
     else:
-        y = np.array(init, dtype=float, copy=True)
+        y = np.array(init, dtype=float, order="F")
         if y.ndim != 2:
             raise DimensionMismatch("init must be an (n, dim) array")
         if y.shape[0] != cfg.n or (dim is not None and y.shape[1] != dim):
             want = f"({cfg.n}, {'dim' if dim is None else dim})"
             raise DimensionMismatch(f"init has shape {y.shape}, need {want}")
     if cfg.steps == 0:
-        return y
+        return np.ascontiguousarray(y)
     times = np.linspace(sched.t_max, sched.t_min, cfg.steps + 1)
     dt = (sched.t_max - sched.t_min) / cfg.steps
     sqrt_dt = np.sqrt(dt)
     gs = [sched.g(float(t)) for t in times[:-1]]
-    drift = np.empty(y.shape)
+    y = np.asfortranarray(y)  # column-major state (module docstring)
+    drift = np.empty(y.shape, order="F")
     with _StepNoise(rng, [g * sqrt_dt for g in gs], y.shape) as noise:
         for i, g in enumerate(gs):
             t = float(times[i])
@@ -161,7 +167,7 @@ def reverse_sample(score_fn, sched: DiffusionSchedule, cfg: SamplerConfig,
             noise.add_to(y, i)
             if not np.all(np.isfinite(y)):
                 raise NaNDetected(f"non-finite state at reverse step {i}")
-    return y
+    return np.ascontiguousarray(y)
 
 
 @dataclass

@@ -19,13 +19,17 @@ exact norms, for the log-joints by rho^T Sigma_l^{-1} rho = (|rho_l|^2 -
 |a_l|^2) / gamma^2, then the score -sum_l r_l q_l = (M^T [r; r_l a_l] - x) /
 gamma^2 by one GEMM against M = [s mu_1 ... s mu_L; W_1; ...; W_L]; only
 `evaluate` and the derivative pass also take q_l = (rho_l - W_l^T a_l) /
-gamma^2.  The kernel has a leading parameter-set axis: `mixture_kernel` on a
-list of G parameters of one shape factors all G at once (one batched Cholesky
-and forward substitution), and one pass evaluates any slice of the sets, each
+gamma^2.  The pass works on x^T with the points last, which it reads in
+place when x is column-major (the estimation encodings, the sampler's state)
+and copies otherwise, and never writes; when every factor has rank one,
+|a_l|^2 is one squared row, and the pass sums no rows per component.  The
+kernel has a leading parameter-set axis: `mixture_kernel` on a list of G
+parameters of one shape factors all G at once (one batched Cholesky and
+forward substitution), and one pass evaluates any slice of the sets, each
 with the bits its own one-set kernel gives; the estimation experiment's grid
-is the one caller, and every other caller builds and reads a single set.  The
-latent and ambient (means A mu, factors A U) functions below
-are thin wrappers over the kernel; the latent ones take the tied two-mode
+is the one caller, and every other caller builds and reads a single set.
+The latent and ambient (means A mu, factors A U) functions below are thin
+wrappers over the kernel; the latent ones take the tied two-mode
 form too, through its free mixture, and a single component is the kernel with
 one component of weight 1.  Every function accepts a single point
 (d,) or a batch (n, d) and returns a matching shape; `_batch` reads both, and
@@ -103,6 +107,8 @@ class NoisedMixture:
         # under the means in M = [s mu_1 ... s mu_L; W_1; ...; W_L]
         Ut = np.concatenate(Us, axis=2).transpose(0, 2, 1)
         self.G = np.repeat(np.eye(len(Us)), ranks, axis=1)
+        # every rank one: G is the identity, and the pass skips its GEMM
+        self.rank_one = all(r == 1 for r in ranks)
         chol = np.linalg.cholesky(self.g2 * np.eye(Ut.shape[1])
                                   + (s * s) * ((Ut @ Ut.transpose(0, 2, 1)) * (self.G.T @ self.G)))
         self.M = np.concatenate([centers, s * _lower_solve(chol, Ut)], axis=1)  # (G, L + R, d)
@@ -119,23 +125,23 @@ class NoisedMixture:
 
     def _pass(self, x: np.ndarray, residuals: bool = False, sets: slice = slice(None)):
         """(xt, work, z, (top, total)) for x (n, d) and the g parameter sets
-        `sets`, in one allocation (fewer page faults) with the points on the
-        last axis so numpy's inner loops are long: xt (d, n) is x^T; work
-        (k + 1, g, d, n) holds the q_l if asked for (k = L, else 0) and then
-        M^T z, the score's GEMM; z (L + R, g, n) is the weights (L, g, n) over
-        every r_l a_l, the sets inside each row so that an operation on a
-        whole row runs over g n contiguous numbers; the log density is top +
-        log(total), both (g, n)."""
+        `sets`, with the points on the last axis so numpy's inner loops are
+        long: xt (d, n) is x^T, read in place when x is column-major (a copy
+        otherwise) and never written; work (k + 1, g, d, n) holds the q_l if
+        asked for (k = L, else 0) and then M^T z, the score's GEMM; z (L + R,
+        g, n) is the weights (L, g, n) over every r_l a_l, the sets inside
+        each row so that an operation on a whole row runs over g n contiguous
+        numbers; work and z share one allocation (fewer page faults); the log
+        density is top + log(total), both (g, n)."""
         L, d, n = len(self.rows), self.d, len(x)
         k = L if residuals else 0
         centers, M = self.centers[sets], self.M[sets]
         g, width = M.shape[:2]
-        buf = np.empty((d + g * ((k + 1) * d + width)) * n)
-        xt = buf[:d * n].reshape(d, n)
-        work = buf[d * n:(1 + g * (k + 1)) * d * n].reshape(k + 1, g, d, n)
-        z = buf[(1 + g * (k + 1)) * d * n:].reshape(width, g, n)
+        xt = np.ascontiguousarray(x.T)
+        buf = np.empty(g * ((k + 1) * d + width) * n)
+        work = buf[:g * (k + 1) * d * n].reshape(k + 1, g, d, n)
+        z = buf[g * (k + 1) * d * n:].reshape(width, g, n)
         rho, logj, a_rows = work[k], z[:L], [z[rows] for rows in self.rows]
-        np.copyto(xt, x.T)
         for l, (rows, a) in enumerate(zip(self.rows, a_rows)):
             W = M[:, rows]
             np.subtract(xt, centers[:, l, :, None], out=rho)
@@ -150,7 +156,10 @@ class NoisedMixture:
             np.einsum("gin,gin->gn", rho, rho, out=logj[l])
         # the exact norms, never the expanded |x|^2 - 2 c.x + |c|^2, whose
         # rounding error grows with |x|^2 / gamma^2
-        logj -= (self.G @ np.square(z[L:]).reshape(width - L, g * n)).reshape(L, g, n)
+        if self.rank_one:
+            logj -= np.square(z[L:])
+        else:
+            logj -= (self.G @ np.square(z[L:]).reshape(width - L, g * n)).reshape(L, g, n)
         logj *= -0.5 / self.g2
         logj += self.const[sets].T[:, :, None]
         top = logj.max(axis=0)

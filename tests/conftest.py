@@ -29,6 +29,16 @@ def dense_gaussian_logpdf(x, mean, cov):
     return out if out.size > 1 else float(out[0])
 
 
+def read_only_layouts(X):
+    """Read-only C-ordered and column-major copies of X."""
+    out = []
+    for order in "CF":
+        a = np.array(X, order=order)
+        a.flags.writeable = False
+        out.append(a)
+    return out
+
+
 def fd_gradient(f, x, h=1e-5):
     """Central-difference gradient of a scalar function on R^d."""
     x = np.asarray(x, dtype=float)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import dense_gaussian_logpdf
+from conftest import dense_gaussian_logpdf, read_only_layouts
 
 from molrmog import calculus
 from molrmog.calculus import (
@@ -16,6 +16,7 @@ from molrmog.calculus import (
     jacobian_terms,
     mmtop_eigs,
     overlap_analysis,
+    residual_contraction,
     sample_noised,
     score_of,
 )
@@ -467,3 +468,25 @@ def test_self_cluster_term_matches_frozen_responsibility_fd(unit_sched, vp_sched
                 fd = np.stack(cols, axis=-1)
                 got = jacobian_terms(params, pis, sched, t, x)[1][0]
                 assert got == pytest.approx(fd, abs=5e-7)
+
+
+def test_point_layout_keeps_the_derivative_bits_and_the_points_unwritten(vp_sched):
+    """The derivative pass reads a column-major batch's x^T in place and
+    takes its own scratch: C-ordered and column-major read-only copies of the
+    same points give the same Jacobian and contraction bits (a write into
+    either raises), for the free mixture and the tied form."""
+    rng = np.random.default_rng(27)
+    d = 3
+    cases = [(LatentParams(((rng.standard_normal(d), rng.standard_normal((d, 1))),
+                            (rng.standard_normal(d), rng.standard_normal((d, 2))))),
+              np.array([0.4, 0.6])),
+             (SymmetricParams(mu=rng.standard_normal(d), U=rng.standard_normal((d, 1))), None)]
+    X = 2.0 * rng.standard_normal((30, d))
+    target = rng.standard_normal((30, d))
+    layouts = read_only_layouts(X)
+    for params, pis in cases:
+        c, f = (exact_jacobian(params, pis, vp_sched, 0.4, a) for a in layouts)
+        assert np.array_equal(c, f)
+        (sq_c, g_c), (sq_f, g_f) = (residual_contraction(params, pis, vp_sched, 0.4, a, target)
+                                    for a in layouts)
+        assert sq_c == sq_f and np.array_equal(g_c, g_f)

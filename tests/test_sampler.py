@@ -326,3 +326,23 @@ def test_concurrent_samplers_keep_their_draw_order():
     assert not any(r.is_alive() for r in runners)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_reverse_sample_returns_c_order_whatever_the_path_and_init_layout(monkeypatch):
+    """The state is column-major inside reverse_sample; what it returns is a
+    C-ordered array with the same bits on the worker-thread and the inline
+    noise path, from a C-ordered or a column-major init, at zero steps too."""
+    model = build_model(TWO_SUBSPACES)
+    sched = make_schedule("vp", 8.0, 0.01, 1.0)
+    init = np.random.default_rng(8).standard_normal((200, model.D))
+    for steps in (0, 20):
+        cfg = SamplerConfig(steps=steps, n=len(init), seed=9)
+        got = []
+        for cpus in CPUS.values():
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            for order in "CF":
+                got.append(reverse_sample(model_score_fn(model, sched), sched, cfg,
+                                          init=np.array(init, order=order)))
+        assert all(y.flags.c_contiguous for y in got)
+        assert all(np.array_equal(y, got[0]) for y in got[1:])
+        assert steps or np.array_equal(got[0], init)

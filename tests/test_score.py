@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import dense_gaussian_logpdf, fd_gradient
+from conftest import dense_gaussian_logpdf, fd_gradient, read_only_layouts
 from molrmog.errors import DimensionMismatch, EmptyDataset, SingularNoise
 from molrmog.model import Subspace, random_orthonormal, MoLRMoGModel
 from molrmog.score import (
@@ -391,3 +391,80 @@ def test_one_set_kernel_keeps_its_bits(vp_sched):
            "log_density": kern.log_density(X)}
     for name, want in stored.items():
         assert np.ravel(got[name]).tolist() == want, name
+
+
+def test_all_rank_one_kernel_keeps_its_bits(vp_sched):
+    """A kernel whose factors all have rank one skips the pass's GEMM against
+    the component-sum matrix and gives the bits it gave with it: the tied
+    form at d = 3 (values stored from the GEMM code, this numpy and BLAS
+    build)."""
+    params = SymmetricParams(np.array([0.8, -0.3, 0.5]), np.array([[0.4], [-0.2], [0.7]]))
+    X = np.array([[0.6, -0.1, 0.2], [-0.9, 0.4, -0.3]])
+    kern = mixture_kernel(params, None, vp_sched, 0.4)
+    assert kern.rank_one
+    q, r, logp = kern.evaluate(X)
+    stored = {
+        "score": [-0.5392448413761635, -0.032008887347460546, 0.04583539004130521,
+                  0.8218853328565108, -0.4075489852648873, -0.09041593022719711],
+        "q": [0.14963282121660604, 0.16664897749455146, -0.18616314592634117,
+              -2.1761491823599455, 0.8755484240538036, -0.39735343273860607,
+              1.726161060798829, -0.3781594301358313, 0.38165986389599255,
+              -0.5996209427777225, 0.3307400164234209, 0.17046957708372754],
+        "r": [0.7528670845358255, 0.2471329154641746, 0.1409834498985492, 0.8590165501014507],
+        "logp": [-2.5202523213595818, -2.7713218964946646],
+        "log_density": [-2.5202523213595818, -2.7713218964946646],
+    }
+    got = {"score": kern.score(X), "q": q, "r": r, "logp": logp,
+           "log_density": kern.log_density(X)}
+    for name, want in stored.items():
+        assert np.ravel(got[name]).tolist() == want, name
+
+
+def test_kernel_ranks_zero_and_two_match_dense_cholesky(vp_sched):
+    """Ranks (0, 2) and (2, 0) give as many factor rows as components, as an
+    all-rank-one mixture does, yet each component's two rows must be summed:
+    the kernel matches the dense oracle there too."""
+    d = 3
+    rng = np.random.default_rng(24)
+    pis = np.array([0.4, 0.6])
+    for ranks in ((0, 2), (2, 0)):
+        factors = [rng.standard_normal((d, r)) for r in ranks]
+        means = [2.0 * rng.standard_normal(d) for _ in ranks]
+        for t in (vp_sched.t_min, vp_sched.t_max):
+            s, gamma = vp_sched.s(t), vp_sched.gamma(t)
+            near = np.concatenate([s * mu + gamma * rng.standard_normal((4, d)) for mu in means])
+            X = np.vstack([near, 2.0 * rng.standard_normal((6, d))])
+            want_score, want_r, want_logp = dense_mixture(pis, means, factors, s, gamma, X)
+            kern = NoisedMixture(means, factors, pis, s, gamma)
+            assert not kern.rank_one
+            q, r, logp = kern.evaluate(X)
+            assert kern.score(X) == pytest.approx(want_score, rel=1e-9)
+            assert kern.responsibilities(X) == pytest.approx(want_r, rel=1e-9)
+            assert r == pytest.approx(want_r, rel=1e-9)
+            assert kern.log_density(X) == pytest.approx(want_logp, rel=1e-9)
+            assert logp == pytest.approx(want_logp, rel=1e-9)
+            for l, (mu, U) in enumerate(zip(means, factors)):
+                cov = s * s * U @ U.T + gamma * gamma * np.eye(d)
+                assert q[l] == pytest.approx(np.linalg.solve(cov, (X - s * mu).T).T, rel=1e-9)
+
+
+def test_point_layout_keeps_the_bits_and_the_points_unwritten(vp_sched):
+    """The pass reads a column-major batch's x^T in place and copies a
+    C-ordered one: both give the same bits, and neither is written (a write
+    into a read-only batch raises), on the rank-one and the general path."""
+    rng = np.random.default_rng(25)
+    cases = [random_params(3, 3, 1, seed=26),
+             (LatentParams(((rng.standard_normal(3), rng.standard_normal((3, 1))),
+                            (rng.standard_normal(3), rng.standard_normal((3, 2))))),
+              np.array([0.4, 0.6]))]
+    X = 2.0 * rng.standard_normal((40, 3))
+    for params, pis in cases:
+        kern = mixture_kernel(params, pis, vp_sched, 0.4)
+        c, f = ([kern.score(a), kern.responsibilities(a), kern.log_density(a), *kern.evaluate(a)]
+                for a in read_only_layouts(X))
+        for a, b in zip(c, f):
+            assert np.array_equal(a, b)
+    model = _highdim_model()
+    Y = 0.6 * rng.standard_normal((30, 64))
+    c, f = (ambient_score(model, vp_sched, 0.5, a) for a in read_only_layouts(Y))
+    assert np.array_equal(c, f)
