@@ -173,8 +173,10 @@ def build_model(spec: dict) -> MoLRMoGModel:
                 if "d" in ss and A.shape[1:] != (int(as_numbers(ss["d"], integer=True)),):
                     raise ValueError(f"d = {ss['d']!r} but A has shape {A.shape}")
             else:
-                A = random_orthonormal(D, int(as_numbers(ss["d"], integer=True)),
-                                       int(as_numbers(ss["A_seed"], integer=True)))
+                d = int(as_numbers(ss["d"], integer=True))
+                if d > D:  # a reduced QR would quietly return d = D columns
+                    raise ValueError(f"d = {d} exceeds D = {D}")
+                A = random_orthonormal(D, d, int(as_numbers(ss["A_seed"], integer=True)))
         except KeyError as exc:
             raise ValidationError(f"model subspace {i} is missing field {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

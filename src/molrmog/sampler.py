@@ -18,14 +18,16 @@ contiguously.  The final state is returned as a C-ordered copy.
 The Gaussian draws do not depend on the state, only their order does.  With
 a second CPU, a worker thread therefore draws and scales step i + 1's noise
 into one of two buffers while the main thread computes step i's score; the
-generator's fill and the scaling release the interpreter lock.  The draws
-keep their serial order, so every sample keeps its bits.  The worker calls
-no molrmog function, and it is stopped and joined on every exit.
+generator's fill and the scaling release the interpreter lock.  The buffers,
+and a failed draw's exception, pass between the threads on two queues.  The
+draws keep their serial order, so every sample keeps its bits.  The worker
+calls no molrmog function, and it is stopped and joined on every exit.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -61,58 +63,53 @@ class _StepNoise:
     """The scaled noise scales[i] * xi_i of every step i, drawn from rng in
     step order.
 
-    A step may use `scratch` until it calls `add_to`.  On one CPU `add_to`
-    draws inline, into `scratch`, as the serial loop did.  Otherwise a worker
-    thread, started on entry and stopped and joined on exit, fills two other
-    buffers in turn up to two steps ahead of the step that adds them: `free`
-    counts the buffers it may fill, `ready` the buffers filled.  The buffers
-    are column-major like the state; the generator fills a C-ordered one,
-    since `standard_normal(out=...)` fills in memory order and a column-major
-    out would put each draw on another entry, and the scaling copies it over.
+    A step may use `scratch` until it calls `add_to`.  Buffers go round two
+    queues: `_fill` takes one from `free` and puts it on `ready` filled, or
+    puts there the exception its draw raised; `add_to` raises that exception
+    or adds the buffer to the state and puts it back on `free`.  On one CPU
+    `add_to` fills `scratch` itself.  Otherwise a worker thread, started on
+    entry, fills two other buffers, and a None on `free` stops it on exit.
+    The buffers are column-major like the state; the generator fills a
+    C-ordered one, since `standard_normal(out=...)` fills in memory order
+    and a column-major out would put each draw on another entry, and the
+    scaling copies it over.
     """
 
     def __init__(self, rng: np.random.Generator, scales: list, shape: tuple):
         self._rng = rng
         self._scales = scales
+        self._drawn = np.empty(shape)
+        self.scratch = np.empty(shape, order="F")
+        self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
         self._worker = None
         if _two_cpus():
-            self._free, self._ready = threading.Semaphore(2), threading.Semaphore(0)
-            self._stop = threading.Event()
-            self._failed = None  # (step, exception) of a failed draw
-            self._worker = threading.Thread(target=self._fill, daemon=True,
-                                            name="molrmog-sampler-noise")
-        self.scratch = np.empty(shape, order="F")
-        self._buffers = ([np.empty(shape, order="F"), np.empty(shape, order="F")]
-                         if self._worker else [self.scratch])
-        self._drawn = np.empty(shape)
+            for _ in range(2):
+                self._free.put(np.empty(shape, order="F"))
+            self._worker = threading.Thread(target=self._fill, args=(range(len(scales)),),
+                                            daemon=True, name="molrmog-sampler-noise")
+        else:
+            self._free.put(self.scratch)
 
-    def _draw(self, i: int) -> np.ndarray:
-        self._rng.standard_normal(out=self._drawn)
-        return np.multiply(self._drawn, self._scales[i],
-                           out=self._buffers[i % len(self._buffers)])
-
-    def _fill(self) -> None:
+    def _fill(self, steps) -> None:
         try:
-            for i in range(len(self._scales)):
-                self._free.acquire()
-                if self._stop.is_set():
+            for i in steps:
+                out = self._free.get()
+                if out is None:
                     return
-                self._draw(i)
-                self._ready.release()
+                self._rng.standard_normal(out=self._drawn)
+                self._ready.put(np.multiply(self._drawn, self._scales[i], out=out))
         except Exception as exc:  # raised by add_to at that step
-            self._failed = (i, exc)
-            self._ready.release()
+            self._ready.put(exc)
 
     def add_to(self, y: np.ndarray, i: int) -> None:
         """y += the scaled noise of step i; steps come in order."""
         if self._worker is None:
-            y += self._draw(i)
-            return
-        self._ready.acquire()
-        if self._failed is not None and self._failed[0] == i:
-            raise self._failed[1]
-        y += self._buffers[i % 2]
-        self._free.release()
+            self._fill((i,))
+        noise = self._ready.get()
+        if isinstance(noise, Exception):
+            raise noise
+        y += noise
+        self._free.put(noise)
 
     def __enter__(self):
         if self._worker is not None:
@@ -121,8 +118,7 @@ class _StepNoise:
 
     def __exit__(self, *exc_info):
         if self._worker is not None:
-            self._stop.set()
-            self._free.release()
+            self._free.put(None)
             self._worker.join()
 
 

@@ -186,20 +186,25 @@ def test_hessian_blocks_csv_lambda_min(cfg_path, tmp_path):
 
 def test_import_loads_no_scipy_submodules():
     """Start-up loads scipy's top level only; each submodule is imported by
-    the function that uses it."""
+    the function that uses it.  Nor does it load logging or
+    concurrent.futures, which every CLI process would pay for."""
     code = ("import sys, molrmog, molrmog.cli; "
             "print(','.join(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
-            "if m in sys.modules))")
+            "if m in sys.modules)); "
+            "print(','.join(m for m in ('logging', 'concurrent.futures') if m in sys.modules))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert res.stdout.strip() == ""
+    scipy_loaded, others_loaded = res.stdout.splitlines()
+    assert scipy_loaded == ""
+    assert others_loaded == ""
 
 
 def test_subcommands_load_no_scipy_submodules(tmp_path):
     """All eight subcommands on configs/example.json, at small sizes, in one
-    fresh interpreter: none of them loads a scipy submodule."""
+    fresh interpreter: none of them loads a scipy submodule, logging or
+    concurrent.futures."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     config = os.path.join(root, "configs", "example.json")
     sizes = ["estimation.trials=1", "estimation.n_mc=2048", "estimation.grid=4",
@@ -210,14 +215,16 @@ def test_subcommands_load_no_scipy_submodules(tmp_path):
             f"print([run(sub, {config!r}, {sizes!r}, out_dir={str(tmp_path)!r}) "
             "for sub in SUBCOMMANDS])\n"
             "print(','.join(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
-            "if m in sys.modules))")
+            "if m in sys.modules))\n"
+            "print(','.join(m for m in ('logging', 'concurrent.futures') if m in sys.modules))")
     src = os.path.join(root, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    codes, loaded = res.stdout.splitlines()
+    codes, loaded, others_loaded = res.stdout.splitlines()
     assert codes == str([0] * 8)
     assert loaded == ""
+    assert others_loaded == ""
 
 
 def test_override_changes_behavior(cfg_path, tmp_path):
@@ -465,6 +472,8 @@ def test_non_numeric_schedule_exits_2(cfg_path, tmp_path, capsys):
     ("sample", "sampler.schedule.g0=3"),
     ("gen", 'model.subspaces=[{"d":3,"A":[[1.0,0.0],[0.0,1.0],[0.0,0.0]],'
             '"components":[{"pi":1.0,"mu":[1.0,0.0],"U":[[0.5],[0.1]]}]}]'),
+    ("gen", 'model.subspaces=[{"d":5,"A_seed":3,'
+            '"components":[{"pi":1.0,"mu":[2.0,0.0,0.0],"U":[[0.5],[0.0],[0.0]]}]}]'),
 ])
 def test_malformed_subcommand_field_exits_2(cfg_path, tmp_path, capsys, sub, override):
     assert run(sub, cfg_path, overrides=[override], out_dir=str(tmp_path / "out")) == 2

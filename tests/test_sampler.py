@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,37 +130,39 @@ class ScoreFailed(Exception):
 
 
 @pytest.mark.parametrize("path", sorted(CPUS))
-@pytest.mark.parametrize("failure", ["score_raises", "nan"])
+@pytest.mark.parametrize("failure", ["score_raises", "nan", "score_raises_at_0"])
 def test_failing_step_leaves_no_thread(vp_sched, monkeypatch, failure, path):
     """A score that raises at step k, or turns the state non-finite there,
-    ends the call with its own exception and leaves no worker behind."""
+    ends the call with its own exception and leaves no worker behind; at
+    step 0 the worker is still filling the steps ahead."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS[path])
     before = threading.active_count()
     during = []
+    k = 0 if failure == "score_raises_at_0" else 3
 
     def score_fn(x, t):
         during.append(threading.active_count())
-        if len(during) == 4:
-            if failure == "score_raises":
-                raise ScoreFailed("step 3")
+        if len(during) == k + 1:
+            if failure != "nan":
+                raise ScoreFailed(f"step {k}")
             return np.full_like(x, np.nan)
         return -x
 
-    expected = ScoreFailed if failure == "score_raises" else NaNDetected
-    with pytest.raises(expected, match="step 3"):
+    expected = ScoreFailed if failure != "nan" else NaNDetected
+    with pytest.raises(expected, match=f"step {k}"):
         reverse_sample(score_fn, vp_sched, SamplerConfig(steps=20, n=50, seed=1), dim=2)
-    assert len(during) == 4
+    assert len(during) == k + 1
     assert during[0] == before + (path == "threaded")
     assert threading.active_count() == before
 
 
 def test_worker_failure_reaches_the_caller():
     """An exception on the worker thread is raised by the step that waits
-    for its noise, after the steps drawn before it."""
-    outcome = []
-
-    def consume():
-        noise = sampler._StepNoise(np.random.default_rng(0), [1.0, 2.0, "x", 3.0], (4, 2))
+    for its noise, after the steps drawn before it, whether the failing draw
+    comes first, in the middle or last; the worker is joined either way."""
+    def consume(scales, outcome, workers):
+        noise = sampler._StepNoise(np.random.default_rng(0), scales, (4, 2))
+        workers.append(noise._worker)
         y = np.zeros((4, 2))
         try:
             with noise:
@@ -169,13 +172,35 @@ def test_worker_failure_reaches_the_caller():
         except TypeError as exc:
             outcome.append(exc)
 
-    consumer = threading.Thread(target=consume)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: CPUS["threaded"])
-        consumer.start()
-        consumer.join(timeout=30)
-    assert not consumer.is_alive()
-    assert outcome[:2] == [0, 1] and isinstance(outcome[2], TypeError)
+    for scales in ([1.0, 2.0, "x", 3.0], ["x", 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, "x"]):
+        outcome, workers = [], []
+        consumer = threading.Thread(target=consume, args=(scales, outcome, workers))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: CPUS["threaded"])
+            consumer.start()
+            consumer.join(timeout=30)
+        assert not consumer.is_alive()
+        failed = scales.index("x")
+        assert outcome[:failed] == list(range(failed))
+        assert isinstance(outcome[failed], TypeError) and len(outcome) == failed + 1
+        assert workers[0] is not None and not workers[0].is_alive()
+
+
+def test_memory_is_bounded_in_steps(vp_sched, thread_starts):
+    """The worker's buffers are reused, not kept per step: the traced peak
+    of a 400-step call exceeds that of a 4-step call by less than one (n, D)
+    buffer (the time and scale lists are the O(steps) part)."""
+    n, dim = 5000, 4
+    peaks = []
+    for steps in (4, 4, 400):  # the first call also makes one-time allocations
+        tracemalloc.start()
+        try:
+            reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=steps, n=n), dim=dim)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(thread_starts) == 3
+    assert peaks[2] - peaks[1] < n * dim * 8
 
 
 def test_mixture_sampling_quality():
