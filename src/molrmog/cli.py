@@ -342,8 +342,9 @@ def cmd_train(cfg, seed, out: Path) -> list[str]:
 
 def _ambient_moment_init(model, sched, n, rng):
     """Draws from the Gaussian matching the ambient mixture at t_max."""
-    eq = mixture_moments(*model.ambient_components, sched.s(sched.t_max),
-                         sched.gamma(sched.t_max))
+    mix = model.ambient_mixture
+    eq = mixture_moments(mix.means[0], [U[0] for U in mix.factors], mix.weights,
+                         sched.s(sched.t_max), sched.gamma(sched.t_max))
     cf = np.linalg.cholesky(eq.sigma_bar + 1e-12 * np.eye(model.D))
     return eq.mu_bar + rng.standard_normal((n, model.D)) @ cf.T
 

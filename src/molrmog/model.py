@@ -27,7 +27,7 @@ from .errors import (
     WeightsNotNormalized,
 )
 from .schedule import DiffusionSchedule, coefficients
-from .score import LatentParams
+from .score import FactoredMixture, LatentParams
 
 ORTHO_TOL = 1e-10
 
@@ -85,21 +85,19 @@ class MoLRMoGModel:
         return len(self.subspaces)
 
     @functools.cached_property
-    def ambient_components(self) -> tuple[tuple, tuple, np.ndarray]:
+    def ambient_mixture(self) -> FactoredMixture:
         """The flat (k, l) components of the ambient mixture in
-        `component_weights` order: means A mu, low-rank factors A U and
-        weights pi_l / K.  Formed on the first read and kept, read-only, since
-        every caller shares them: the reverse sampler builds an ambient kernel
-        every step."""
+        `component_weights` order, means A mu, low-rank factors A U and
+        weights pi_l / K, factored for every t (`score.FactoredMixture`) on
+        the first read and kept, read-only, since every caller shares it: the
+        reverse sampler rescales it at every step."""
         means, factors = [], []
         for sub in self.subspaces:
             for mu, U in sub.components:
                 means.append(sub.A @ mu)
                 factors.append(sub.A @ U)
         weights = np.concatenate([sub.weights for sub in self.subspaces]) / self.K
-        for a in (*means, *factors, weights):
-            a.setflags(write=False)
-        return tuple(means), tuple(factors), weights
+        return FactoredMixture(means, factors, weights)
 
 
 @dataclass

@@ -97,7 +97,9 @@ class _StepNoise:
                 if out is None:
                     return
                 self._rng.standard_normal(out=self._drawn)
-                self._ready.put(np.multiply(self._drawn, self._scales[i], out=out))
+                # through the transposes, so numpy's iterator needs no buffer
+                np.multiply(self._drawn.T, self._scales[i], out=out.T)
+                self._ready.put(out)
         except Exception as exc:  # raised by add_to at that step
             self._ready.put(exc)
 
@@ -161,7 +163,8 @@ def reverse_sample(score_fn, sched: DiffusionSchedule, cfg: SamplerConfig,
             drift *= dt
             y = y - drift
             noise.add_to(y, i)
-            if not np.all(np.isfinite(y)):
+            # a NaN passes through both reductions; no (n, D) mask
+            if not (np.isfinite(y.min()) and np.isfinite(y.max())):
                 raise NaNDetected(f"non-finite state at reverse step {i}")
     return np.ascontiguousarray(y)
 
@@ -205,7 +208,8 @@ def sample_quality(samples: np.ndarray, model: MoLRMoGModel,
     s = sched.s(t_min)
     gamma = sched.gamma(t_min)
     rows = []
-    flat = zip(component_weights(model), *model.ambient_components[:2])
+    mix = model.ambient_mixture
+    flat = zip(component_weights(model), mix.means[0], (U[0] for U in mix.factors))
     for ci, ((k, l, w), mean, W) in enumerate(flat):
         pts = samples[assign == ci]
         weight_emp = pts.shape[0] / samples.shape[0]

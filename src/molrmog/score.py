@@ -1,9 +1,11 @@
 """Exact score functions for noised low-rank Gaussian mixtures.
 
 Every quantity of a noised mixture sum_l pi_l N(s mu_l, Sigma_l) with
-Sigma_l = s^2 U_l U_l^T + gamma^2 I comes from one kernel, `NoisedMixture`,
-built once per (means, factors, weights, s, gamma).  Per component it caches
-the shifted mean s mu_l, the Woodbury factor
+Sigma_l = s^2 U_l U_l^T + gamma^2 I comes from one kernel, built in two
+stages: a `FactoredMixture` holds what does not depend on t (the factors side
+by side, their block-diagonal Gram matrix, the log weights), once per (means,
+factors, weights), and a `NoisedMixture` rescales it for one (s, gamma).  Per
+component the kernel caches the shifted mean s mu_l, the Woodbury factor
 
     W_l = s chol(gamma^2 I_r + s^2 U_l^T U_l)^{-1} U_l^T        (r x d)
 
@@ -25,16 +27,18 @@ and copies otherwise, and never writes; when every factor has rank one,
 |a_l|^2 is one squared row, and the pass sums no rows per component.  The
 kernel has a leading parameter-set axis: `mixture_kernel` on a list of G
 parameters of one shape factors all G at once (one batched Cholesky and
-forward substitution), and one pass evaluates any slice of the sets, each
-with the bits its own one-set kernel gives; the estimation experiment's grid
-is the one caller, and every other caller builds and reads a single set.
-The latent and ambient (means A mu, factors A U) functions below are thin
-wrappers over the kernel; the latent ones take the tied two-mode
-form too, through its free mixture, and a single component is the kernel with
-one component of weight 1.  Every function accepts a single point
-(d,) or a batch (n, d) and returns a matching shape; `_batch` reads both, and
-it is the one place that refuses a batch of zero rows (EmptyDataset), for the
-scores here and for every loss, gradient and curvature reduction built on them.
+forward substitution, in closed form when every rank is one), and one pass
+evaluates any slice of the sets, each with the bits its own one-set kernel
+gives; the estimation experiment's grid is the one caller, and every other
+caller builds and reads a single set.  The latent and ambient (means A mu,
+factors A U) functions below are thin wrappers over the kernel; the ambient
+ones rescale the model's cached `ambient_mixture`, so a reverse step factors
+nothing anew, and the latent ones take the tied two-mode form too, through
+its free mixture; a single component is the kernel with one component of
+weight 1.  Every function accepts a single point (d,) or a batch (n, d) and
+returns a matching shape; `_batch` reads both, and it is the one place that
+refuses a batch of zero rows (EmptyDataset), for the scores here and for
+every loss, gradient and curvature reduction built on them.
 
 `LatentParams`, a tuple of `Component(mu, U)` records, is the one latent
 mixture type and owns the one flat layout; a `model.Subspace` is one (its own
@@ -82,41 +86,58 @@ def _batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-class NoisedMixture:
-    """sum_l pi_l N(s mu_l, s^2 U_l U_l^T + gamma^2 I) with every component's
-    solve and log-determinant factored once (see the module docstring).
+class FactoredMixture:
+    """The part of a noised mixture that does not depend on (s, gamma), for
+    means (L, d) and factors (d, r_l), or G sets of them, (G, L, d) and
+    (G, d, r_l), sharing the weights; held with the set axis, read-only."""
 
-    The kernel holds a leading parameter-set axis: means (L, d) and factors
-    (d, r_l) build one set, means (G, L, d) and factors (G, d, r_l) build G
-    sets of one shape at once, sharing the weights.  The per-point methods
-    read the first set; `_pass` reads any slice of them."""
-
-    def __init__(self, means, factors, weights, s: float, gamma: float):
-        _require_noise(gamma)
-        centers = s * np.array(means, dtype=float)
-        Us = [_as_factor(U) for U in factors]
-        if centers.ndim == 2:
-            centers, Us = centers[None], [U[None] for U in Us]
-        self.centers = centers  # (G, L, d)
-        self.d = d = centers.shape[2]
-        self.g2 = gamma * gamma
-        ranks = [U.shape[2] for U in Us]
+    def __init__(self, means, factors, weights):
+        self.means = np.array(means, dtype=float, ndmin=3)  # (G, L, d)
+        self.factors = tuple(np.array(_as_factor(U), ndmin=3) for U in factors)
+        self.weights = np.array(weights, dtype=float)
+        self.log_weights = np.log(self.weights)
+        self.d = self.means.shape[2]
+        self.ranks = np.array([U.shape[2] for U in self.factors])
         # per set, the factors side by side, U = [U_1 ... U_L]; G sums each
-        # component's columns and G^T G keeps the diagonal blocks of U^T U, so
-        # one Cholesky and one forward substitution give every W_l, stacked
-        # under the means in M = [s mu_1 ... s mu_L; W_1; ...; W_L]
-        Ut = np.concatenate(Us, axis=2).transpose(0, 2, 1)
-        self.G = np.repeat(np.eye(len(Us)), ranks, axis=1)
-        # every rank one: G is the identity, and the pass skips its GEMM
-        self.rank_one = all(r == 1 for r in ranks)
-        chol = np.linalg.cholesky(self.g2 * np.eye(Ut.shape[1])
-                                  + (s * s) * ((Ut @ Ut.transpose(0, 2, 1)) * (self.G.T @ self.G)))
-        self.M = np.concatenate([centers, s * _lower_solve(chol, Ut)], axis=1)  # (G, L + R, d)
-        ends = list(itertools.accumulate(ranks, initial=len(ranks)))
+        # component's columns and G^T G keeps the diagonal blocks of U^T U
+        self.Ut = np.concatenate(self.factors, axis=2).transpose(0, 2, 1)
+        self.G = np.repeat(np.eye(len(self.factors)), self.ranks, axis=1)
+        self.gram = (self.Ut @ self.Ut.transpose(0, 2, 1)) * (self.G.T @ self.G)
+        # every rank one: G is the identity and the Gram diagonal
+        self.rank_one = bool(np.all(self.ranks == 1))
+        ends = list(itertools.accumulate(self.ranks.tolist(), initial=len(self.ranks)))
         self.rows = [slice(b, e) for b, e in zip(ends, ends[1:])]
-        logdet = (2.0 * (d - np.array(ranks)) * math.log(gamma)
-                  + (self.G @ (2.0 * np.log(chol.diagonal(axis1=1, axis2=2)))[:, :, None])[:, :, 0])
-        self.const = np.log(np.asarray(weights, dtype=float)) - 0.5 * (d * LOG_2PI + logdet)
+        for a in (self.means, *self.factors, self.weights, self.log_weights, self.ranks,
+                  self.Ut, self.G, self.gram):
+            a.setflags(write=False)
+
+
+class NoisedMixture:
+    """A `FactoredMixture` at one (s, gamma), with every component's solve and
+    log-determinant factored (see the module docstring).
+
+    The kernel keeps the mixture's leading parameter-set axis.  The per-point
+    methods read the first set; `_pass` reads any slice of them."""
+
+    def __init__(self, mix: FactoredMixture, s: float, gamma: float):
+        _require_noise(gamma)
+        self.d, self.rows, self.G, self.rank_one = mix.d, mix.rows, mix.G, mix.rank_one
+        self.centers = s * mix.means  # (G, L, d)
+        self.g2 = gamma * gamma
+        # one Cholesky of g2 I + s^2 Gram and one forward substitution give
+        # every W_l, stacked under the means in M; with every rank one it is
+        # diagonal: the same bits from its root and the reciprocal pivots
+        if self.rank_one:
+            pivots = np.sqrt(self.g2 + (s * s) * mix.gram.diagonal(axis1=1, axis2=2))
+            W = mix.Ut * (1.0 / pivots)[:, :, None]
+        else:
+            chol = np.linalg.cholesky(self.g2 * np.eye(mix.Ut.shape[1]) + (s * s) * mix.gram)
+            pivots = chol.diagonal(axis1=1, axis2=2)
+            W = _lower_solve(chol, mix.Ut)
+        self.M = np.concatenate([self.centers, s * W], axis=1)  # (G, L + R, d)
+        logdet = (2.0 * (self.d - mix.ranks) * math.log(gamma)
+                  + (self.G @ (2.0 * np.log(pivots))[:, :, None])[:, :, 0])
+        self.const = mix.log_weights - 0.5 * (self.d * LOG_2PI + logdet)
 
     def solve(self, l: int, v: np.ndarray) -> np.ndarray:
         """Sigma_l^{-1} v for v of shape (..., d)."""
@@ -340,13 +361,15 @@ def mixture_kernel(params, pis, sched: DiffusionSchedule, t: float) -> NoisedMix
     s, _, gamma = coefficients(sched, t)
     if not isinstance(params, list):
         params, pis = params.mixture(pis)
-        return NoisedMixture([mu for mu, _ in params.components],
-                             [U for _, U in params.components], pis, s, gamma)
-    sets = [p.mixture(pis) for p in params]
-    comps = [p.components for p, _ in sets]
-    return NoisedMixture(np.array([[mu for mu, _ in c] for c in comps]),
-                         [np.stack(Us) for Us in zip(*([U for _, U in c] for c in comps))],
-                         sets[0][1], s, gamma)
+        mix = FactoredMixture([mu for mu, _ in params.components],
+                              [U for _, U in params.components], pis)
+    else:
+        sets = [p.mixture(pis) for p in params]
+        comps = [p.components for p, _ in sets]
+        mix = FactoredMixture([[mu for mu, _ in c] for c in comps],
+                              [np.stack(Us) for Us in zip(*([U for _, U in c] for c in comps))],
+                              sets[0][1])
+    return NoisedMixture(mix, s, gamma)
 
 
 def responsibilities(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
@@ -370,9 +393,10 @@ def latent_score(params: LatentParams, pis, sched: DiffusionSchedule, t: float,
 def ambient_kernel(model, sched: DiffusionSchedule, t: float) -> NoisedMixture:
     """Kernel of the full ambient mixture over the flat (k, l) components:
     weights pi_l / K, mean directions A mu, low-rank factors A U, which a
-    `model.MoLRMoGModel` forms once (`ambient_components`)."""
+    `model.MoLRMoGModel` factors once (`ambient_mixture`), so that each call
+    only rescales it for t."""
     s, _, gamma = coefficients(sched, t)
-    return NoisedMixture(*model.ambient_components, s, gamma)
+    return NoisedMixture(model.ambient_mixture, s, gamma)
 
 
 def ambient_log_density(model, sched: DiffusionSchedule, t: float,

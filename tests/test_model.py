@@ -19,7 +19,7 @@ from molrmog.model import (
     sample_data,
 )
 from molrmog.schedule import coefficients
-from molrmog.score import LatentParams
+from molrmog.score import FactoredMixture, LatentParams
 
 
 def two_subspace_model(D=5, seed=3):
@@ -110,13 +110,18 @@ def test_build_model_matches_manual_construction():
     assert np.array_equal(mu, [2.0, 0.0]) and np.array_equal(second.U, [[0.2], [0.5]])
     # a trained iterate skips the model checks: it is plain latent parameters
     assert type(sub.unflatten(sub.flatten())) is LatentParams
-    # the ambient components are formed once, read-only, in component order
-    means, factors, weights = model.ambient_components
-    assert model.ambient_components is model.ambient_components
-    assert np.array_equal(means[1], sub.A @ second.mu)
-    assert np.array_equal(factors[0], sub.A @ sub.components[0].U)
-    assert np.array_equal(weights, [0.5, 0.5])
-    assert not any(a.flags.writeable for a in (*means, *factors, weights))
+    # the ambient mixture is factored once, read-only, in component order:
+    # one object on every read, and no array of it can be written
+    mix = model.ambient_mixture
+    assert isinstance(mix, FactoredMixture)
+    assert all(model.ambient_mixture is mix for _ in range(3))
+    assert np.array_equal(mix.means[0, 1], sub.A @ second.mu)
+    assert np.array_equal(mix.factors[0][0], sub.A @ sub.components[0].U)
+    assert np.array_equal(mix.weights, [0.5, 0.5])
+    arrays = [a for a in vars(mix).values() if isinstance(a, np.ndarray)] + list(mix.factors)
+    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        mix.gram[0, 0, 0] = 1.0
     with pytest.raises(ValidationError):
         build_model({"subspaces": []})
 

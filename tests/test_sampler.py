@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from molrmog import sampler
+from molrmog import sampler, score
 from molrmog.errors import DimensionMismatch, NaNDetected, ValidationError
 from molrmog.model import build_model
 from molrmog.sampler import (
@@ -117,12 +117,52 @@ def test_step_refinement_reduces_moment_error():
     assert errs[1] < errs[0]
 
 
-def test_nan_detection(vp_sched):
+def test_nan_detection(vp_sched, monkeypatch):
     def bad_score(x, t):
         return np.full_like(x, np.nan)
 
     with pytest.raises(NaNDetected):
         reverse_sample(bad_score, vp_sched, SamplerConfig(steps=5, n=4), dim=2)
+    # one NaN, +inf or -inf entry at step k, on either noise path, is caught
+    # at that step by the state's min and max
+    k = 3
+    for path, cpus in CPUS.items():
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        for value in (np.nan, np.inf, -np.inf):
+            calls = []
+
+            def score_fn(x, t):
+                calls.append(t)
+                out = -x
+                if len(calls) == k + 1:
+                    out[1, 0] = value  # the state's entry turns to value too
+                return out
+
+            with pytest.raises(NaNDetected, match=f"at reverse step {k}$"):
+                reverse_sample(score_fn, vp_sched, SamplerConfig(steps=6, n=4), dim=2)
+            assert len(calls) == k + 1, (path, value)
+
+
+def test_fill_scales_without_a_ufunc_buffer(monkeypatch):
+    """One `_fill` scales the C-ordered draw into the column-major buffer
+    through the transposes, so numpy's iterator allocates no 64 KB buffer:
+    the traced peak of one (5000, 4) step stays under 8 KB, and the buffer
+    holds the scaled draw."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS["inline"])
+    shape = (5000, 4)
+    noise = sampler._StepNoise(np.random.default_rng(5), [0.5, 0.25], shape)
+    noise._fill((0,))  # the first call also makes one-time allocations
+    noise._free.put(noise._ready.get())
+    tracemalloc.start()
+    try:
+        noise._fill((1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024, peak
+    rng = np.random.default_rng(5)
+    rng.standard_normal(shape)
+    assert np.array_equal(noise._ready.get(), 0.25 * rng.standard_normal(shape))
 
 
 class ScoreFailed(Exception):
@@ -201,6 +241,26 @@ def test_memory_is_bounded_in_steps(vp_sched, thread_starts):
             tracemalloc.stop()
     assert len(thread_starts) == 3
     assert peaks[2] - peaks[1] < n * dim * 8
+
+
+def test_reverse_sample_factors_the_model_once(vp_sched, monkeypatch):
+    """A 25-step reverse_sample through model_score_fn builds the
+    t-independent stage of the ambient kernel once, the model's cached
+    `ambient_mixture`; each step only rescales it for its t."""
+    built = []
+    init = score.FactoredMixture.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(score.FactoredMixture, "__init__", counted)
+    model = build_model({"D": 3, "subspaces": [{"d": 2, "A_seed": 7, "components": [
+        {"pi": 0.5, "mu": [1.0, 0.0], "U": [[0.5], [0.1]]},
+        {"pi": 0.5, "mu": [-1.0, 0.5], "U": [[0.2, 0.1], [0.4, 0.0]]}]}]})
+    reverse_sample(model_score_fn(model, vp_sched), vp_sched,
+                   SamplerConfig(steps=25, n=50, seed=1), dim=model.D)
+    assert len(built) == 1 and built[0] is model.ambient_mixture
 
 
 def test_mixture_sampling_quality():

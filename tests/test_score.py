@@ -1,12 +1,19 @@
+import copy
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from conftest import dense_gaussian_logpdf, fd_gradient, read_only_layouts
+from test_acceptance import TWO_SUBSPACE_SPEC
 from molrmog.errors import DimensionMismatch, EmptyDataset, SingularNoise
-from molrmog.model import Subspace, random_orthonormal, MoLRMoGModel
+from molrmog.model import Subspace, build_model, forward_noise, random_orthonormal, \
+    sample_data, MoLRMoGModel
+from molrmog.schedule import coefficients
 from molrmog.score import (
     _lower_solve,
+    FactoredMixture,
     LatentParams,
     NoisedMixture,
     SymmetricParams,
@@ -37,7 +44,7 @@ def test_log_density_matches_dense_oracle():
         U = rng.standard_normal((d, r))
         mu = rng.standard_normal(d)
         s, gamma = 0.7, 0.4
-        kern = NoisedMixture([mu], [U], [1.0], s, gamma)
+        kern = NoisedMixture(FactoredMixture([mu], [U], [1.0]), s, gamma)
         cov = s * s * U @ U.T + gamma * gamma * np.eye(d)
         X = rng.standard_normal((6, d))
         want = dense_gaussian_logpdf(X, s * mu, cov)
@@ -46,7 +53,7 @@ def test_log_density_matches_dense_oracle():
 
 
 def test_log_density_rank_zero_factor():
-    kern = NoisedMixture([np.zeros(2)], [np.zeros((2, 0))], [1.0], 1.0, 0.5)
+    kern = NoisedMixture(FactoredMixture([np.zeros(2)], [np.zeros((2, 0))], [1.0]), 1.0, 0.5)
     want = dense_gaussian_logpdf(np.array([0.3, -0.1]), np.zeros(2), 0.25 * np.eye(2))
     assert kern.log_density(np.array([0.3, -0.1])) == pytest.approx(want, rel=1e-12)
 
@@ -57,7 +64,7 @@ def test_single_component_solve_matches_dense_solve():
     U = rng.standard_normal((d, r))
     mu = rng.standard_normal(d)
     s, gamma = 1.3, 0.6
-    kern = NoisedMixture([mu], [U], [1.0], s, gamma)
+    kern = NoisedMixture(FactoredMixture([mu], [U], [1.0]), s, gamma)
     cov = s * s * U @ U.T + gamma * gamma * np.eye(d)
     x = rng.standard_normal(d)
     want = gamma * gamma * np.linalg.solve(cov, x - s * mu)
@@ -65,8 +72,9 @@ def test_single_component_solve_matches_dense_solve():
 
 
 def test_singular_noise_rejected():
+    mix = FactoredMixture([np.zeros(2)], [np.eye(2)], [1.0])
     with pytest.raises(SingularNoise):
-        NoisedMixture([np.zeros(2)], [np.eye(2)], [1.0], 1.0, 0.0).log_density(np.zeros(2))
+        NoisedMixture(mix, 1.0, 0.0).log_density(np.zeros(2))
 
 
 def test_flatten_unflatten_roundtrip_and_order():
@@ -229,7 +237,7 @@ def test_kernel_matches_dense_cholesky_across_ranks_and_schedules(unit_sched, vp
             near = np.concatenate([s * mu + gamma * rng.standard_normal((4, d)) for mu in means])
             X = np.vstack([near, 2.0 * rng.standard_normal((6, d))])
             want_score, want_r, want_logp = dense_mixture(pis, means, factors, s, gamma, X)
-            kern = NoisedMixture(means, factors, pis, s, gamma)
+            kern = NoisedMixture(FactoredMixture(means, factors, pis), s, gamma)
             for got_score, got_r, got_logp in (
                 (kern.score(X), kern.responsibilities(X), kern.log_density(X)),
                 (latent_score(params, pis, sched, t, X), responsibilities(params, pis, sched, t, X),
@@ -435,7 +443,7 @@ def test_kernel_ranks_zero_and_two_match_dense_cholesky(vp_sched):
             near = np.concatenate([s * mu + gamma * rng.standard_normal((4, d)) for mu in means])
             X = np.vstack([near, 2.0 * rng.standard_normal((6, d))])
             want_score, want_r, want_logp = dense_mixture(pis, means, factors, s, gamma, X)
-            kern = NoisedMixture(means, factors, pis, s, gamma)
+            kern = NoisedMixture(FactoredMixture(means, factors, pis), s, gamma)
             assert not kern.rank_one
             q, r, logp = kern.evaluate(X)
             assert kern.score(X) == pytest.approx(want_score, rel=1e-9)
@@ -446,6 +454,51 @@ def test_kernel_ranks_zero_and_two_match_dense_cholesky(vp_sched):
             for l, (mu, U) in enumerate(zip(means, factors)):
                 cov = s * s * U @ U.T + gamma * gamma * np.eye(d)
                 assert q[l] == pytest.approx(np.linalg.solve(cov, (X - s * mu).T).T, rel=1e-9)
+
+
+def test_rank_one_closed_form_keeps_the_cholesky_bits(unit_sched, vp_sched):
+    """With every factor of rank one, g2 I + s^2 Gram is diagonal, and the
+    kernel takes its Cholesky factor as the root of the diagonal and the
+    forward substitution as one multiply by the reciprocal pivots: M and const
+    equal those of the np.linalg.cholesky + _lower_solve route bit for bit, on
+    both schedule kinds from t_min to t_max, for one and for G > 1 parameter
+    sets, at d = 1 and with a zero factor."""
+    rng = np.random.default_rng(27)
+    for d, L, G in ((1, 2, 1), (1, 3, 5), (3, 4, 1), (6, 4, 8)):
+        means = 2.0 * rng.standard_normal((G, L, d))
+        factors = [rng.standard_normal((G, d, 1)) for _ in range(L - 1)] + [np.zeros((G, d, 1))]
+        pis = rng.uniform(0.2, 1.0, L)
+        mix = FactoredMixture(means, factors, pis / pis.sum())
+        general = copy.copy(mix)
+        general.rank_one = False  # the route every other rank takes
+        assert mix.rank_one
+        for sched in (unit_sched, vp_sched):
+            for t in np.linspace(sched.t_min, sched.t_max, 7):
+                s, _, gamma = coefficients(sched, float(t))
+                fast, slow = NoisedMixture(mix, s, gamma), NoisedMixture(general, s, gamma)
+                assert np.array_equal(fast.M, slow.M), (d, L, G, t)
+                assert np.array_equal(fast.const, slow.const), (d, L, G, t)
+
+
+def test_ambient_kernel_keeps_its_digests(unit_sched):
+    """Ambient score, log density and responsibilities on the bench's
+    two-subspace model at t_min, 0.5 and t_max keep the bits they had when the
+    kernel was built whole at every call (SHA-256 prefixes of the C-ordered
+    results, stored from that code, this numpy and BLAS build)."""
+    model = build_model(TWO_SUBSPACE_SPEC)
+    X = forward_noise(sample_data(model, 300, np.random.default_rng(5)).x, unit_sched, 0.5,
+                      np.random.default_rng(6))
+    stored = {
+        0.01: ["6e381ec89c0ea305", "23e1192e1f534dd4", "09f325af3dd81463"],
+        0.5: ["24378c3aabbdb1a0", "864ac0928c821f10", "3e451ce7e9c0a3cf"],
+        1.0: ["2ba9657623121382", "cd2a924cd3b70768", "b1314e318060a298"],
+    }
+    assert (unit_sched.t_min, unit_sched.t_max) == (0.01, 1.0)
+    for t, want in stored.items():
+        got = [hashlib.sha256(np.ascontiguousarray(f(model, unit_sched, t, X)).tobytes())
+               .hexdigest()[:16]
+               for f in (ambient_score, ambient_log_density, ambient_responsibilities)]
+        assert got == want, t
 
 
 def test_point_layout_keeps_the_bits_and_the_points_unwritten(vp_sched):
