@@ -26,7 +26,7 @@ hess = hessian_empirical(truth, None, sched, t, 50000, 0)
 print("closed-form curvature floor alpha =", alpha)
 print("Monte Carlo lambda_min(H)        =", hess.lambda_min)
 print("mean-block lambda_min            =", hess.lambda_min_mumu)
-print("(loss Hessian is 2H; factor carried explicitly, factor2 =", hess.factor2, ")")
+print("(loss Hessian is 2H; factor carried explicitly, factor2 = True )")
 
 # train from a small random offset
 X = sample_noised(truth, None, sched, t, 30000, 1)

@@ -11,10 +11,11 @@ Conventions fixed here and used everywhere:
     with respect to the flattened theta.  Batched forms are (n, d, p).
   * H = E[J^T J] over x from the noised mixture at theta (p x p, PSD).  The
     loss is zero at every point when theta = theta*, so its Hessian there is
-    exactly 2H; the factor is carried as a flag on reports, never folded in
-    silently.  `_gram_mean` is the one reduction that builds H, for the
-    Hessian report, the overlap analysis and the GD step size alike, and the
-    report keeps H's whole spectrum, so no caller takes it again.
+    exactly 2H.  Reports hold H itself; the GD step size doubles its
+    spectrum where it needs the loss Hessian.  `_gram_mean` is the one
+    reduction that builds H, for the Hessian report, the overlap analysis
+    and the GD step size alike, and the report keeps H's whole spectrum, so
+    no caller takes it again.
 
 There is one derivative code path, `_derivative_pass`.  It checks the batch,
 cuts it into row blocks, factors the kernel of the free mixture the parameters
@@ -42,18 +43,15 @@ from itertools import starmap
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, RankNotOne, SingleComponent
-from .model import Subspace, mixture_moments
+from .errors import DimensionMismatch, EmptyDataset, RankNotOne
 from .schedule import DiffusionSchedule, coefficients
 from .score import (
     LatentParams,
     SymmetricParams,
     _as_factor,
     _batch,
-    _lower_solve,
     latent_score,
     mixture_kernel,
-    mixture_log_density,
 )
 
 # responsibility products below this are treated as exactly zero overlap
@@ -268,7 +266,6 @@ class HessianReport:
     cross_norm: float  # spectral norm of the mu-U cross block
     alpha_formula: float | None
     corr_r: float
-    factor2: bool = True  # loss Hessian equals 2 H
 
     @property
     def lambda_min(self) -> float:
@@ -558,49 +555,3 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
         weyl_gap=float(weyl_gap),
         hessian=hess,
     )
-
-
-# ---------------------------------------------------------------------------
-# equivalent-Gaussian approximation error
-
-
-# probe grid of `equivalent_gaussian_error`: seeded random directions plus
-# the coordinate axes, each at evenly spaced radii
-PROBE_DIRS = 64
-PROBE_RADII = 16
-PROBE_SEED = 0
-
-
-def equivalent_gaussian_error(sub: Subspace, sched: DiffusionSchedule, t: float,
-                              probe_radius: float):
-    """Worst log-density gap between the noised mixture and its moment match
-    over the ball |x - mu_bar| <= probe_radius, plus the parameter spreads
-    eps (max pairwise factor distance) and delta (max pairwise mean distance).
-    """
-    comps = sub.components
-    if len(comps) < 2:
-        raise SingleComponent("equivalent-Gaussian error needs >= 2 components")
-    eps = 0.0
-    delta = 0.0
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            eps = max(eps, float(np.linalg.norm(comps[i].U - comps[j].U)))
-            delta = max(delta, float(np.linalg.norm(comps[i].mu - comps[j].mu)))
-    s, _, gamma = coefficients(sched, t)
-    eq = mixture_moments([c.mu for c in comps], [c.U for c in comps], sub.weights, s, gamma)
-    d = sub.d
-    rng = np.random.default_rng(PROBE_SEED)
-    dirs = rng.standard_normal((PROBE_DIRS, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = np.vstack([dirs, np.eye(d), -np.eye(d)])
-    radii = np.linspace(0.0, probe_radius, PROBE_RADII + 1)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d) + eq.mu_bar
-
-    log_p = mixture_log_density(sub, sub.weights, sched, t, pts)
-    # Gaussian log-density of the moment match via a dense Cholesky
-    cf = np.linalg.cholesky(eq.sigma_bar)
-    y = _lower_solve(cf, (pts - eq.mu_bar).T).T
-    log_q = -0.5 * (d * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(cf)))
-                    + np.sum(y * y, axis=1))
-    err_max = float(np.max(np.abs(log_p - log_q)))
-    return eps, delta, err_max

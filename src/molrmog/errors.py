@@ -53,10 +53,6 @@ class RankNotOne(ValidationError):
     pass
 
 
-class SingleComponent(ValidationError):
-    pass
-
-
 class NonPositiveAlpha(ValidationError):
     pass
 

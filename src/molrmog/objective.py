@@ -1,11 +1,8 @@
-"""Score-matching losses, Lipschitz constants, and the estimation-gap study.
+"""Lipschitz constants, and the estimation-gap study of the score-matching loss.
 
-The empirical loss is the mean squared score error against the known truth,
-so it vanishes identically at the true parameters: the approximation error
-of this family is exactly zero and every gap measured here is pure
-estimation error.  The denoising variant regresses against the conditional
-score of the forward kernel and differs from the score-matching loss only by
-a parameter-independent constant.
+The loss is the mean squared score error against the known truth, so it
+vanishes identically at the true parameters: the approximation error of this
+family is exactly zero and every gap measured here is pure estimation error.
 
 The estimation-gap experiment evaluates its theta grid in tiles of g grid
 points by nb rows, sized by `calculus.BLOCK_ELEMENTS` over the kernel width
@@ -27,33 +24,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .calculus import BLOCK_ELEMENTS, score_of
+from .calculus import BLOCK_ELEMENTS
 from .errors import GridEmpty, ValidationError
 from .model import MoLRMoGModel, encode, forward_noise, sample_data
 from .schedule import DiffusionSchedule, coefficients
-from .score import conditional_score, mixture_kernel
-
-
-def sm_errors(theta, truth, pis, sched: DiffusionSchedule, t: float,
-              X: np.ndarray) -> np.ndarray:
-    """Per-sample squared score gaps |s_theta(x) - s_truth(x)|^2."""
-    diff = score_of(theta, pis, sched, t, X) - score_of(truth, pis, sched, t, X)
-    return np.sum(np.atleast_2d(diff) ** 2, axis=-1)
-
-
-def empirical_loss(theta, truth, pis, sched: DiffusionSchedule, t: float,
-                   X: np.ndarray) -> float:
-    """Mean squared score error at time t over the (n, d) points X."""
-    return float(np.mean(sm_errors(theta, truth, pis, sched, t, X)))
-
-
-def dsm_loss(theta, pis, sched: DiffusionSchedule, t: float, x0, x_t) -> float:
-    """Denoising loss: mean |conditional_score(x_t, x0) - s_theta(x_t)|^2."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-    target = conditional_score(x_t, x0, sched, float(t))
-    diff = score_of(theta, pis, sched, float(t), x_t) - target
-    return float(np.mean(np.sum(diff ** 2, axis=-1)))
+from .score import mixture_kernel
 
 
 # ---------------------------------------------------------------------------

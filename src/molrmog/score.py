@@ -357,18 +357,13 @@ def from_model_subspace(sub) -> tuple[LatentParams, np.ndarray]:
 def mixture_kernel(params, pis, sched: DiffusionSchedule, t: float) -> NoisedMixture:
     """Kernel of the noised mixture params define (the tied form expands to
     its two-component equivalent); a list of parameters of one shape gives one
-    kernel of that many parameter sets, in order, sharing the weights pis."""
+    kernel of that many parameter sets, in order, sharing the weights pis, and
+    one parameter set is read as a list of one."""
     s, _, gamma = coefficients(sched, t)
-    if not isinstance(params, list):
-        params, pis = params.mixture(pis)
-        mix = FactoredMixture([mu for mu, _ in params.components],
-                              [U for _, U in params.components], pis)
-    else:
-        sets = [p.mixture(pis) for p in params]
-        comps = [p.components for p, _ in sets]
-        mix = FactoredMixture([[mu for mu, _ in c] for c in comps],
-                              [np.stack(Us) for Us in zip(*([U for _, U in c] for c in comps))],
-                              sets[0][1])
+    sets = [p.mixture(pis) for p in (params if isinstance(params, list) else [params])]
+    comps = [p.components for p, _ in sets]
+    mix = FactoredMixture([[mu for mu, _ in c] for c in comps],
+                          [[U for _, U in col] for col in zip(*comps)], sets[0][1])
     return NoisedMixture(mix, s, gamma)
 
 
@@ -415,13 +410,3 @@ def ambient_score(model, sched: DiffusionSchedule, t: float,
                   x: np.ndarray) -> np.ndarray:
     """Score of the ambient mixture sum_{k,l} (1/K) pi_l N(s A mu, s^2 (AU)(AU)^T + gamma^2 I)."""
     return ambient_kernel(model, sched, t).score(x)
-
-
-def conditional_score(x_t: np.ndarray, x0: np.ndarray, sched: DiffusionSchedule,
-                      t: float) -> np.ndarray:
-    """Score of the Gaussian transition kernel: -(x_t - s x0) / gamma^2."""
-    s, _, gamma = coefficients(sched, t)
-    _require_noise(gamma)
-    x_t = np.asarray(x_t, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    return -(x_t - s * x0) / (gamma * gamma)

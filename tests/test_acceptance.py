@@ -11,10 +11,14 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import dense_gaussian_logpdf
+from conftest import (
+    conditional_score,
+    dense_gaussian_logpdf,
+    equivalent_gaussian_error,
+    fd_gradient,
+)
 from molrmog.calculus import (
     alpha_symmetric,
-    equivalent_gaussian_error,
     exact_jacobian,
     hessian_empirical,
     mmtop_eigs,
@@ -46,7 +50,6 @@ from molrmog.score import (
     LatentParams,
     SymmetricParams,
     ambient_score,
-    conditional_score,
     latent_score,
 )
 
@@ -72,15 +75,6 @@ SAMPLER_SPEC = {
         {"pi": 0.5, "mu": [2.0, 0.0], "U": [[0.6], [0.1]]},
         {"pi": 0.5, "mu": [-2.0, 0.5], "U": [[0.2], [0.5]]}]}],
 }
-
-
-def _fd_grad(f, x, h=1e-5):
-    g = np.empty_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
 
 
 def _rel_err(analytic, fd):
@@ -113,7 +107,7 @@ def test_acceptance_01_score_correctness():
             return logsumexp(cols)
 
         err = _rel_err(latent_score(params, pis, CONST, t, x),
-                       _fd_grad(dense_logmix, x))
+                       fd_gradient(dense_logmix, x))
         max_err = max(max_err, err)
         checks += 1
 
@@ -126,7 +120,7 @@ def test_acceptance_01_score_correctness():
                               np.log(0.5) + dense_gaussian_logpdf(y, -s * mu_s, cov)])
 
         err = _rel_err(latent_score(SymmetricParams(mu=mu_s, U=U_s), None, CONST, t, x),
-                       _fd_grad(dense_sym, x))
+                       fd_gradient(dense_sym, x))
         max_err = max(max_err, err)
         checks += 1
 
@@ -143,7 +137,7 @@ def test_acceptance_01_score_correctness():
                 for pi, mu, U in zip(pis, mus, Us)]
             return logsumexp(cols)
 
-        err = _rel_err(ambient_score(model, CONST, t, xa), _fd_grad(dense_amb, xa))
+        err = _rel_err(ambient_score(model, CONST, t, xa), fd_gradient(dense_amb, xa))
         max_err = max(max_err, err)
         checks += 1
 
@@ -151,7 +145,7 @@ def test_acceptance_01_score_correctness():
         x0 = rng.standard_normal(d)
         err = _rel_err(
             conditional_score(x, x0, CONST, t),
-            _fd_grad(lambda y: dense_gaussian_logpdf(y, s * x0, gamma * gamma * np.eye(d)), x))
+            fd_gradient(lambda y: dense_gaussian_logpdf(y, s * x0, gamma * gamma * np.eye(d)), x))
         max_err = max(max_err, err)
         checks += 1
     assert max_err <= 1e-5

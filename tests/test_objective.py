@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
+from conftest import empirical_loss, sm_errors
 from molrmog import objective
 from molrmog.calculus import BLOCK_ELEMENTS
 from molrmog.errors import EmptyDataset, GridEmpty, TimeOutOfRange, ValidationError
 from molrmog.model import build_model, encode, forward_noise, sample_data
 from molrmog.objective import (
     ParameterBox,
-    dsm_loss,
-    empirical_loss,
     estimation_gap_experiment,
     flatten_theta_set,
     lipschitz_constants,
     make_theta_grid,
     estimation_gap_bound,
     scrambled_sobol,
-    sm_errors,
     unflatten_theta_set,
 )
 from molrmog.score import LatentParams, SymmetricParams, latent_score, mixture_kernel
@@ -64,38 +62,6 @@ def test_loss_zero_at_truth_and_positive_away(unit_sched):
     assert sm_errors(theta, truth, pis, unit_sched, 0.5, X[0])[0] > 0
     with pytest.raises(EmptyDataset):
         empirical_loss(theta, truth, pis, unit_sched, t, np.zeros((0, 2)))
-
-
-def test_dsm_equals_sm_up_to_constant(unit_sched):
-    """The denoising and score-matching losses differ by a theta-free shift:
-    paired differences across parameter values agree on a common dataset."""
-    model = small_model()
-    truth = model.subspaces[0]
-    pis = truth.weights
-    t = 0.5
-    rng = np.random.default_rng(2)
-    n = 60000
-    data = sample_data(model, n, rng)
-    x0 = data.x @ model.subspaces[0].A
-    x_t = forward_noise(x0, unit_sched, t, rng)
-    flat = truth.flatten()
-    rng2 = np.random.default_rng(3)
-    for _ in range(4):
-        a = truth.unflatten(flat + 0.3 * rng2.standard_normal(flat.size))
-        b = truth.unflatten(flat + 0.3 * rng2.standard_normal(flat.size))
-        d_dsm = (dsm_loss(a, pis, unit_sched, t, x0, x_t)
-                 - dsm_loss(b, pis, unit_sched, t, x0, x_t))
-        d_sm = (empirical_loss(a, truth, pis, unit_sched, t, x_t)
-                - empirical_loss(b, truth, pis, unit_sched, t, x_t))
-        # the cross term is mean-zero; allow a 4-SE Monte Carlo band
-        diff_a = np.sum((latent_score(a, pis, unit_sched, t, x_t)
-                         - latent_score(b, pis, unit_sched, t, x_t))
-                        * (latent_score(truth, pis, unit_sched, t, x_t)
-                           + (x_t - x0) / unit_sched.gamma(t) ** 2), axis=-1)
-        band = 4 * 2 * np.std(diff_a) / np.sqrt(n)
-        assert abs(d_dsm - d_sm) <= band + 1e-12
-    with pytest.raises(EmptyDataset):
-        dsm_loss(truth, pis, unit_sched, t, np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_lipschitz_constants_closed_form(unit_sched):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradient
+from conftest import empirical_loss, fd_gradient
 from molrmog.calculus import exact_jacobian, sample_noised, score_of
 from molrmog.errors import (
     DivergenceDetected,
@@ -10,7 +10,6 @@ from molrmog.errors import (
     NonPositiveAlpha,
     ValidationError,
 )
-from molrmog.objective import empirical_loss
 from molrmog.optimizer import (
     GDConfig,
     contraction_check,

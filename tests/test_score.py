@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import dense_gaussian_logpdf, fd_gradient, read_only_layouts
+from conftest import conditional_score, dense_gaussian_logpdf, fd_gradient, read_only_layouts
 from test_acceptance import TWO_SUBSPACE_SPEC
 from molrmog.errors import DimensionMismatch, EmptyDataset, SingularNoise
 from molrmog.model import Subspace, build_model, forward_noise, random_orthonormal, \
@@ -20,7 +20,6 @@ from molrmog.score import (
     ambient_log_density,
     ambient_responsibilities,
     ambient_score,
-    conditional_score,
     latent_score,
     mixture_kernel,
     mixture_log_density,

@@ -4,15 +4,14 @@ Every top-level function, class, constant and method of `src/molrmog/`,
 private ones included, must be reached from a root: `cli.DISPATCH` and
 `cli.main`, the demos, the README tour, or the bench (its code and its string
 constants, since `bench/tracing.py` rebinds functions named by strings).  A
-name no root reaches is either dead or kept only for a test; the second kind
-is listed in ALLOWLIST with the test that needs it.
+name no root reaches is dead, even when a test calls it: a reference
+implementation that only a test needs lives in `conftest.py`.
 
 The reference graph is read from the source with `ast`.  A name resolves
 through its module's top-level definitions and imports; `module.name`
 through a module alias.  A method counts as reached when its class is reached
 and reached code takes an attribute of that name (any dunder method counts
-once its class does).  Annotations are not references.  Allowlisted names are
-not followed: what only they reach must be allowlisted too.
+once its class does).  Annotations are not references.
 """
 
 import ast
@@ -27,22 +26,6 @@ SRC = ROOT / "src" / "molrmog"
 PACKAGE = "__init__"
 
 ROOTS = ("cli.DISPATCH", "cli.main")
-
-# unreached by every caller, kept as the subject or the reference of a test
-ALLOWLIST = {
-    "objective.sm_errors": "direct oracle of stacked_errors in "
-                           "test_objective.py::test_estimation_gaps_match_direct_stacked_errors",
-    "objective.empirical_loss": "the loss whose FD gradient checks loss_and_grad in "
-                                "test_optimizer.py::test_analytic_gradient_matches_fd",
-    "objective.dsm_loss": "subject of test_objective.py::test_dsm_equals_sm_up_to_constant",
-    "score.conditional_score": "the DSM target of acceptance 09 and an oracle of acceptance 01",
-    "calculus.equivalent_gaussian_error": "subject of acceptance 08",
-    "calculus.PROBE_DIRS": "probe grid of equivalent_gaussian_error (acceptance 08)",
-    "calculus.PROBE_RADII": "probe grid of equivalent_gaussian_error (acceptance 08)",
-    "calculus.PROBE_SEED": "probe grid of equivalent_gaussian_error (acceptance 08)",
-    "errors.SingleComponent": "raised only by equivalent_gaussian_error, in "
-                              "test_calculus.py::test_equivalent_gaussian_error_degenerate_and_generic",
-}
 
 
 def _nodes(tree, skip_docstrings=False):
@@ -186,14 +169,7 @@ def reached() -> frozenset:
             attrs |= more
 
 
-def test_every_library_name_is_reached_or_allowlisted():
+def test_every_library_name_is_reached():
     defs, _ = graph()
-    unreached = sorted(set(defs) - reached() - set(ALLOWLIST))
-    assert not unreached, (f"no caller reaches {', '.join(unreached)}: delete them, "
-                           "or allowlist them with the test that needs them")
-
-
-def test_allowlist_names_only_unreached_names():
-    defs, _ = graph()
-    stale = sorted(name for name in ALLOWLIST if name not in defs or name in reached())
-    assert not stale, f"allowlist entries that are reached or gone: {', '.join(stale)}"
+    unreached = sorted(set(defs) - reached())
+    assert not unreached, f"no caller reaches {', '.join(unreached)}: delete them"
