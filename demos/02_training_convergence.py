@@ -12,7 +12,7 @@ predicted bound.
 import numpy as np
 
 from molrmog.schedule import make_schedule
-from molrmog.calculus import alpha_symmetric, hessian_empirical, sample_noised
+from molrmog.calculus import alpha_formula, hessian_empirical, sample_noised
 from molrmog.optimizer import GDConfig, contraction_check, gd_train, init_near
 from molrmog.score import SymmetricParams
 
@@ -21,12 +21,11 @@ t = 1.0
 truth = SymmetricParams(mu=[4.0, 0.0], U=[[1.0], [0.0]])
 
 # curvature at the truth: closed form vs Monte Carlo
-alpha = alpha_symmetric(truth.mu, truth.U, sched, t)
+alpha = alpha_formula(truth, None, sched, t)
 hess = hessian_empirical(truth, None, sched, t, 50000, 0)
 print("closed-form curvature floor alpha =", alpha)
 print("Monte Carlo lambda_min(H)        =", hess.lambda_min)
 print("mean-block lambda_min            =", hess.lambda_min_mumu)
-print("(loss Hessian is 2H; factor carried explicitly, factor2 = True )")
 
 # train from a small random offset
 X = sample_noised(truth, None, sched, t, 30000, 1)

@@ -33,7 +33,10 @@ linear tie, J_mu = J_mu+ - J_mu- and J_U = J_U+ + J_U-, applied as block
 sums while the terms are assembled (`SymmetricParams.tie`), so it has no
 derivative code of its own.  The GD gradient sum_n J_n^T (residual)_n is the
 residual contraction of the same pieces (`residual_contraction`): it costs
-O(n d (d + r)) per component and never forms the (n, d, p) terms.
+O(n d (d + r)) per component and never forms the (n, d, p) terms.  The tie
+also gives both parameterizations one curvature floor, `alpha_formula`.  The
+one finite-difference loop, `central_differences`, serves `jacobian_fd` and
+the CLI's score check.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyDataset, RankNotOne
 from .schedule import DiffusionSchedule, coefficients
 from .score import (
-    LatentParams,
     SymmetricParams,
     _as_factor,
     _batch,
@@ -108,21 +110,24 @@ class JacobianPair:
     full: np.ndarray  # (d, p), columns in the flatten order of theta
 
 
+def central_differences(f, v: np.ndarray, h: float) -> np.ndarray:
+    """(f(v + h e_j) - f(v - h e_j)) / 2h stacked over the j of v's last axis."""
+    cols = []
+    for j in range(v.shape[-1]):
+        e = np.zeros(v.shape[-1])
+        e[j] = h
+        cols.append((f(v + e) - f(v - e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
 def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
                 h: float = 1e-5) -> JacobianPair:
     """Central finite differences of the score in every theta coordinate."""
     if not (h > 0):
         raise DimensionMismatch(f"need positive step, got {h}")
     x = np.asarray(x, dtype=float)
-    vec = theta.flatten()
-    cols = []
-    for j in range(vec.size):
-        e = np.zeros_like(vec)
-        e[j] = h
-        sp = score_of(theta.unflatten(vec + e), pis, sched, t, x)
-        sm = score_of(theta.unflatten(vec - e), pis, sched, t, x)
-        cols.append((sp - sm) / (2.0 * h))
-    return JacobianPair(np.stack(cols, axis=-1))
+    return JacobianPair(central_differences(
+        lambda vec: score_of(theta.unflatten(vec), pis, sched, t, x), theta.flatten(), h))
 
 
 def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray,
@@ -321,10 +326,7 @@ def _finish_report(params, pis, sched, t, H) -> HessianReport:
     if Hcross.size and lam_mu > 0 and lam_uu > 0:
         corr_r = cross / np.sqrt(lam_mu * lam_uu)
     try:
-        if isinstance(params, SymmetricParams):
-            alpha = alpha_symmetric(params.mu, params.U, sched, t)
-        else:
-            alpha = alpha_asymmetric(params, pis, sched, t)
+        alpha = alpha_formula(params, pis, sched, t)
     except RankNotOne:
         alpha = None
     return HessianReport(
@@ -401,19 +403,15 @@ def _rank_one_floor(mu, U, s: float, gamma: float) -> float:
     return min(s * s / (s * s + gamma * gamma) ** 2, mmtop_eigs(U.ravel(), mu).lambda_min)
 
 
-def alpha_symmetric(mu, U, sched: DiffusionSchedule, t: float) -> float:
-    """Curvature lower bound for the tied two-mode model (rank-one U)."""
+def alpha_formula(params, pis, sched: DiffusionSchedule, t: float) -> float:
+    """Curvature lower bound of rank-one components: the least, over parameter
+    components, of `_rank_one_floor` times the summed weight of the free modes
+    tied to it (pi_l for a free mixture, 1/2 + 1/2 = 1 for the tied form)."""
     s, _, gamma = coefficients(sched, t)
-    return float(_rank_one_floor(mu, U, s, gamma))
-
-
-def alpha_asymmetric(params: LatentParams, pis, sched: DiffusionSchedule, t: float) -> float:
-    """Curvature lower bound for a free mixture of rank-one components:
-    per-component mean curvature pi_l s^2/(s^2+gamma^2)^2 and factor
-    curvature pi_l times the closed-form minimum eigenvalue."""
-    s, _, gamma = coefficients(sched, t)
+    _, weights = params.mixture(pis)
+    tied = np.bincount([b for b, _ in params.tie], weights=np.asarray(weights, dtype=float))
     return float(min(w * _rank_one_floor(mu, U, s, gamma)
-                     for w, (mu, U) in zip(np.asarray(pis, dtype=float), params.components)))
+                     for w, (mu, U) in zip(tied, params.components)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import scipy
 
 from . import __version__
 from .calculus import (
+    central_differences,
     hessian_empirical,
     overlap_analysis,
     sample_noised,
@@ -197,12 +198,7 @@ def cmd_gen(cfg, seed, out: Path) -> list[str]:
 
 def _fd_score_err(score_vals, logdens_fn, X, h):
     """Max relative error of analytic scores vs central FD of log density."""
-    n, d = X.shape
-    fd = np.empty_like(X)
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        fd[:, j] = (logdens_fn(X + e) - logdens_fn(X - e)) / (2.0 * h)
+    fd = central_differences(logdens_fn, X, h)
     num = np.linalg.norm(score_vals - fd, axis=1)
     den = np.maximum(np.linalg.norm(fd, axis=1), 1e-12)
     return num / den
@@ -284,7 +280,7 @@ def cmd_hessian(cfg, seed, out: Path) -> list[str]:
     write_json(out / "hessian_summary.json", {
         "alpha_formula": rep.alpha_formula, "lambda_min_H": rep.lambda_min,
         "lambda_min_mumu": rep.lambda_min_mumu, "lambda_min_UU": rep.lambda_min_UU,
-        "cross_norm": rep.cross_norm, "corr_r": rep.corr_r, "factor2": True})
+        "cross_norm": rep.cross_norm, "corr_r": rep.corr_r})
     return ["hessian_spectrum.csv", "blocks.csv", "hessian_summary.json"]
 
 

@@ -273,11 +273,14 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
                             pop_stderr_max=pop_stderr_max)
 
 
-def estimation_gap_bound(n: int, C1: float, L: float, L_l: float, sigma2: float,
-                      p: int, delta: float = 0.05) -> float:
-    """High-probability estimation-gap bound instantiated with measured
-    constants: Rademacher term C1 L L_l sqrt(p/n) plus the deviation term
-    sigma log(2) sqrt(log(1/delta)/n)."""
+# failure probability of the high-probability estimation-gap bound
+BOUND_DELTA = 0.05
+
+
+def estimation_gap_bound(n: int, C1: float, L: float, L_l: float, sigma2: float, p: int) -> float:
+    """Estimation-gap bound that holds with probability 1 - BOUND_DELTA,
+    instantiated with measured constants: Rademacher term C1 L L_l sqrt(p/n)
+    plus the deviation term sigma log(2) sqrt(log(1/BOUND_DELTA)/n)."""
     return C1 * L * L_l * math.sqrt(p / n) + math.sqrt(sigma2) * math.log(2.0) * math.sqrt(
-        math.log(1.0 / delta) / n
+        math.log(1.0 / BOUND_DELTA) / n
     )

@@ -125,32 +125,22 @@ class _StepNoise:
 
 
 def reverse_sample(score_fn, sched: DiffusionSchedule, cfg: SamplerConfig,
-                   init: np.ndarray | None = None, dim: int | None = None) -> np.ndarray:
-    """Integrate the reverse SDE from t_max down to t_min.
-
-    init defaults to N(0, gamma(t_max)^2 I) draws (the marginal of zero-mean
-    data at the horizon); pass moment-matched draws for non-centered models.
-    A given init must hold cfg.n rows, and dim columns if dim is given.
-    """
+                   init: np.ndarray) -> np.ndarray:
+    """Integrate the reverse SDE from t_max down to t_min, starting from init,
+    an (n, D) array of cfg.n prior draws at t_max (moment-matched ones for a
+    non-centered model); the noise is default_rng(cfg.seed)'s, from its first draw."""
     rng = np.random.default_rng(cfg.seed)
-    if init is None:
-        if dim is None:
-            raise ValidationError("need dim when init is omitted")
-        y = sched.gamma(sched.t_max) * rng.standard_normal((cfg.n, dim))
-    else:
-        y = np.array(init, dtype=float, order="F")
-        if y.ndim != 2:
-            raise DimensionMismatch("init must be an (n, dim) array")
-        if y.shape[0] != cfg.n or (dim is not None and y.shape[1] != dim):
-            want = f"({cfg.n}, {'dim' if dim is None else dim})"
-            raise DimensionMismatch(f"init has shape {y.shape}, need {want}")
+    y = np.array(init, dtype=float, order="F")  # column-major state (module docstring)
+    if y.ndim != 2:
+        raise DimensionMismatch("init must be an (n, D) array")
+    if y.shape[0] != cfg.n:
+        raise DimensionMismatch(f"init has shape {y.shape}, need ({cfg.n}, D)")
     if cfg.steps == 0:
         return np.ascontiguousarray(y)
     times = np.linspace(sched.t_max, sched.t_min, cfg.steps + 1)
     dt = (sched.t_max - sched.t_min) / cfg.steps
     sqrt_dt = np.sqrt(dt)
     gs = [sched.g(float(t)) for t in times[:-1]]
-    y = np.asfortranarray(y)  # column-major state (module docstring)
     drift = np.empty(y.shape, order="F")
     with _StepNoise(rng, [g * sqrt_dt for g in gs], y.shape) as noise:
         for i, g in enumerate(gs):

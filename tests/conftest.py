@@ -59,6 +59,15 @@ def readme_tour() -> str:
     return readme.split("```python\n", 1)[1].split("```", 1)[0]
 
 
+def prior_init(sched: DiffusionSchedule, cfg, dim: int) -> np.ndarray:
+    """cfg.n draws of N(0, gamma(t_max)^2 I), the horizon marginal of
+    zero-mean data, as a reverse sampler's init.  The generator is a child
+    of cfg.seed's seed sequence, so its stream is independent of the
+    sampler's noise, which starts at default_rng(cfg.seed)'s first draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    return sched.gamma(sched.t_max) * rng.standard_normal((cfg.n, dim))
+
+
 # ---------------------------------------------------------------------------
 # reference implementations the library has no caller for
 

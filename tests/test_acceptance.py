@@ -18,7 +18,7 @@ from conftest import (
     fd_gradient,
 )
 from molrmog.calculus import (
-    alpha_symmetric,
+    alpha_formula,
     exact_jacobian,
     hessian_empirical,
     mmtop_eigs,
@@ -201,7 +201,7 @@ def test_acceptance_03_estimation_rate():
 def test_acceptance_04_strong_convexity():
     # separation 8 gamma at s = gamma = 1
     rep = hessian_empirical(SYM_TRUTH, None, CONST, 1.0, 100000, 20260823)
-    alpha = alpha_symmetric(SYM_TRUTH.mu, SYM_TRUTH.U, CONST, 1.0)
+    alpha = alpha_formula(SYM_TRUTH, None, CONST, 1.0)
     assert alpha == pytest.approx(0.25)
     assert rep.lambda_min_mumu == pytest.approx(0.25, rel=0.20)
     cross = float(np.linalg.norm(rep.H_muU))

@@ -6,8 +6,7 @@ from molrmog import calculus
 from molrmog.calculus import (
     BLOCK_ELEMENTS,
     XI_FLOOR,
-    alpha_asymmetric,
-    alpha_symmetric,
+    alpha_formula,
     exact_jacobian,
     hessian_empirical,
     hessian_from_samples,
@@ -149,31 +148,48 @@ def test_mmtop_definite_iff_not_orthogonal():
         mmtop_eigs(np.ones(1), np.ones(1))
 
 
-def test_alpha_symmetric_values_and_errors(unit_sched):
+def test_alpha_formula_tied_values(unit_sched):
     # s = gamma = 1: the mean-curvature branch gives 1/4
-    a = alpha_symmetric([4.0, 0.0], [[1.0], [0.0]], unit_sched, 1.0)
+    a = alpha_formula(SymmetricParams(mu=[4.0, 0.0], U=[[1.0], [0.0]]), None, unit_sched, 1.0)
     assert a == pytest.approx(0.25)
     # orthogonal factor and mean: the closed-form branch collapses to 0
-    assert alpha_symmetric([0.0, 4.0], [[1.0], [0.0]], unit_sched, 1.0) == 0.0
-    with pytest.raises(RankNotOne):
-        alpha_symmetric([1.0, 0.0], np.eye(2), unit_sched, 1.0)
-    # no closed form in one dimension either
-    with pytest.raises(RankNotOne, match="rank 1 at d = 1"):
-        alpha_symmetric([4.0], [[1.0]], unit_sched, 1.0)
+    orth = SymmetricParams(mu=[0.0, 4.0], U=[[1.0], [0.0]])
+    assert alpha_formula(orth, None, unit_sched, 1.0) == 0.0
 
 
-def test_alpha_asymmetric_reduces_and_weights(unit_sched):
+def test_alpha_formula_reduces_and_weights(unit_sched, vp_sched):
     params = LatentParams((
         ([4.0, 0.0], [[1.0], [0.0]]),
         ([-4.0, 0.0], [[1.0], [0.0]]),
     ))
-    a_half = alpha_asymmetric(params, [0.5, 0.5], unit_sched, 1.0)
+    a_half = alpha_formula(params, [0.5, 0.5], unit_sched, 1.0)
     assert a_half == pytest.approx(0.5 * 0.25)
     # each component's floor is scaled by its weight
-    a_w = alpha_asymmetric(params, [0.3, 0.3], unit_sched, 1.0)
+    a_w = alpha_formula(params, [0.3, 0.3], unit_sched, 1.0)
     assert a_w == pytest.approx(0.3 * 0.25)
-    with pytest.raises(RankNotOne):
-        alpha_asymmetric(LatentParams((([1.0, 0.0], np.eye(2)),)), [1.0], unit_sched, 1.0)
+    # the tied form's two modes of weight 1/2 both tie to its one component,
+    # whose weight is then exactly 1: the bare rank-one floor, bit for bit
+    tied = SymmetricParams(mu=[1.5, 0.3], U=[[0.7], [0.2]])
+    for sched in (unit_sched, vp_sched):
+        for t in (0.01, 0.3, 1.0):
+            s, _, gamma = coefficients(sched, t)
+            floor = calculus._rank_one_floor(tied.mu, tied.U, s, gamma)
+            assert alpha_formula(tied, None, sched, t) == floor
+
+
+@pytest.mark.parametrize("mu, U", [([1.0, 0.0], np.eye(2)), ([4.0], [[1.0]])],
+                         ids=["rank2", "d1"])
+@pytest.mark.parametrize("kind", ["tied", "free"])
+def test_alpha_formula_needs_rank_one_and_d2(unit_sched, mu, U, kind):
+    """No closed form off rank one or in one dimension, for either
+    parameterization: the Hessian report's alpha is then None."""
+    params, pis = ((SymmetricParams(mu=mu, U=U), None) if kind == "tied"
+                   else (LatentParams(((mu, U),)), [1.0]))
+    match = "rank 1 at d = 1" if len(mu) == 1 else "got rank 2"
+    with pytest.raises(RankNotOne, match=match):
+        alpha_formula(params, pis, unit_sched, 1.0)
+    X = sample_noised(params, pis, unit_sched, 1.0, 8, 0)
+    assert hessian_from_samples(params, pis, unit_sched, 1.0, X).alpha_formula is None
 
 
 def test_sample_noised_moments(unit_sched):

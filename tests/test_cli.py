@@ -160,7 +160,8 @@ def test_hessian_overlap_train_sample_report(cfg_path, tmp_path):
     for sub in ("hessian", "overlap", "train", "sample"):
         assert run(sub, cfg_path, out_dir=str(out)) == 0, sub
     hs = json.loads((out / "hessian_summary.json").read_text())
-    assert hs["factor2"] is True
+    assert set(hs) == {"alpha_formula", "lambda_min_H", "lambda_min_mumu", "lambda_min_UU",
+                       "cross_norm", "corr_r"}
     assert hs["alpha_formula"] == pytest.approx(0.25)
     ov = json.loads((out / "overlap_summary.json").read_text())
     assert ov["weyl_gap"] >= -1e-8
@@ -330,7 +331,7 @@ def test_rank_zero_tied_overlap_writes_finite_summary(cfg_path, tmp_path, sub):
     summary = json.loads((out / f"{sub}_summary.json").read_text())
     assert all(summary[k] is None for k in nulls)
     assert all(np.isfinite(v) for k, v in summary.items()
-               if k not in nulls + ("mode", "factor2"))
+               if k not in nulls + ("mode",))
     if sub == "hessian":
         assert [row.split(",")[0] for row in (out / "blocks.csv").read_text().split()] == [
             "block", "mumu"]

@@ -174,7 +174,7 @@ def test_gd_with_analytic_constants_satisfies_weak_bound(unit_sched):
     """Running GD with the closed-form curvature floor and the worst-case
     smoothness constant gives a tiny step and a contraction factor near 1;
     the (vacuously slow) bound must still hold on every iteration."""
-    from molrmog.calculus import alpha_symmetric
+    from molrmog.calculus import alpha_formula
     from molrmog.objective import ParameterBox, lipschitz_constants
 
     X = training_data(2000, 37, unit_sched)
@@ -182,7 +182,7 @@ def test_gd_with_analytic_constants_satisfies_weak_bound(unit_sched):
     lc = lipschitz_constants(ParameterBox(B_mu=5.0, B_U=2.0, counts=((1, 2),)),
                              unit_sched, 1.0, R=R)
     # loss Hessian carries a factor 2 over E[J^T J], so the floor does too
-    alpha_loss = 2.0 * alpha_symmetric(TRUTH.mu, TRUTH.U, unit_sched, 1.0)
+    alpha_loss = 2.0 * alpha_formula(TRUTH, None, unit_sched, 1.0)
     eta, _, rho = theoretical_step(alpha_loss, lc.L_prime)
     theta0 = init_near(TRUTH, 0.2, 41)
     trace = gd_train(theta0, TRUTH, None, unit_sched, 1.0, X,

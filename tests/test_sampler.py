@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import prior_init
 
 from molrmog import sampler, score
 from molrmog.errors import DimensionMismatch, NaNDetected, ValidationError
@@ -63,26 +64,23 @@ def test_zero_steps_returns_init(vp_sched, thread_starts):
 
 
 def test_init_validation(vp_sched, thread_starts):
-    with pytest.raises(ValidationError):
-        reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=1, n=5))
     with pytest.raises(DimensionMismatch):
         reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=1, n=5),
                        init=np.zeros(5))
-    # a given init must agree with cfg.n and with dim, before any draw or thread
-    for n, dim in ((10, None), (10, 3), (7, 4)):
-        with pytest.raises(DimensionMismatch, match=r"\(7, 3\)"):
-            reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=5, n=n),
-                           init=np.zeros((7, 3)), dim=dim)
+    # init must agree with cfg.n, before any draw or thread
+    with pytest.raises(DimensionMismatch, match=r"\(7, 3\)"):
+        reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=5, n=10),
+                       init=np.zeros((7, 3)))
     assert thread_starts == []
     out = reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=0, n=7),
-                         init=np.ones((7, 3)), dim=3)
+                         init=np.ones((7, 3)))
     assert np.array_equal(out, np.ones((7, 3)))
 
 
 def test_reproducible_for_fixed_seed(vp_sched):
     cfg = SamplerConfig(steps=50, n=200, seed=42)
-    a = reverse_sample(lambda x, t: -x, vp_sched, cfg, dim=2)
-    b = reverse_sample(lambda x, t: -x, vp_sched, cfg, dim=2)
+    a = reverse_sample(lambda x, t: -x, vp_sched, cfg, init=prior_init(vp_sched, cfg, 2))
+    b = reverse_sample(lambda x, t: -x, vp_sched, cfg, init=prior_init(vp_sched, cfg, 2))
     assert np.array_equal(a, b)
 
 
@@ -93,7 +91,7 @@ def test_single_gaussian_closure():
     var0 = 0.5
     score = centered_gaussian_score(sched, var0)
     cfg = SamplerConfig(steps=400, n=60000, seed=1)
-    y = reverse_sample(score, sched, cfg, dim=2)
+    y = reverse_sample(score, sched, cfg, init=prior_init(sched, cfg, 2))
     v_target = sched.s(0.01) ** 2 * var0 + sched.gamma(0.01) ** 2
     assert np.mean(y, axis=0) == pytest.approx([0.0, 0.0], abs=0.02)
     assert np.var(y, axis=0) == pytest.approx([v_target, v_target], rel=0.05)
@@ -110,8 +108,8 @@ def test_step_refinement_reduces_moment_error():
     for steps in (25, 400):
         trial = []
         for seed in range(4):
-            y = reverse_sample(score, sched, SamplerConfig(steps=steps, n=20000, seed=seed),
-                               dim=1)
+            cfg = SamplerConfig(steps=steps, n=20000, seed=seed)
+            y = reverse_sample(score, sched, cfg, init=prior_init(sched, cfg, 1))
             trial.append(abs(np.var(y) - v_target))
         errs.append(np.mean(trial))
     assert errs[1] < errs[0]
@@ -122,7 +120,8 @@ def test_nan_detection(vp_sched, monkeypatch):
         return np.full_like(x, np.nan)
 
     with pytest.raises(NaNDetected):
-        reverse_sample(bad_score, vp_sched, SamplerConfig(steps=5, n=4), dim=2)
+        cfg = SamplerConfig(steps=5, n=4)
+        reverse_sample(bad_score, vp_sched, cfg, init=prior_init(vp_sched, cfg, 2))
     # one NaN, +inf or -inf entry at step k, on either noise path, is caught
     # at that step by the state's min and max
     k = 3
@@ -139,7 +138,8 @@ def test_nan_detection(vp_sched, monkeypatch):
                 return out
 
             with pytest.raises(NaNDetected, match=f"at reverse step {k}$"):
-                reverse_sample(score_fn, vp_sched, SamplerConfig(steps=6, n=4), dim=2)
+                cfg = SamplerConfig(steps=6, n=4)
+                reverse_sample(score_fn, vp_sched, cfg, init=prior_init(vp_sched, cfg, 2))
             assert len(calls) == k + 1, (path, value)
 
 
@@ -189,8 +189,9 @@ def test_failing_step_leaves_no_thread(vp_sched, monkeypatch, failure, path):
         return -x
 
     expected = ScoreFailed if failure != "nan" else NaNDetected
+    cfg = SamplerConfig(steps=20, n=50, seed=1)
     with pytest.raises(expected, match=f"step {k}"):
-        reverse_sample(score_fn, vp_sched, SamplerConfig(steps=20, n=50, seed=1), dim=2)
+        reverse_sample(score_fn, vp_sched, cfg, init=prior_init(vp_sched, cfg, 2))
     assert len(during) == k + 1
     assert during[0] == before + (path == "threaded")
     assert threading.active_count() == before
@@ -233,9 +234,11 @@ def test_memory_is_bounded_in_steps(vp_sched, thread_starts):
     n, dim = 5000, 4
     peaks = []
     for steps in (4, 4, 400):  # the first call also makes one-time allocations
+        cfg = SamplerConfig(steps=steps, n=n)
+        init = prior_init(vp_sched, cfg, dim)
         tracemalloc.start()
         try:
-            reverse_sample(lambda x, t: -x, vp_sched, SamplerConfig(steps=steps, n=n), dim=dim)
+            reverse_sample(lambda x, t: -x, vp_sched, cfg, init=init)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -258,8 +261,9 @@ def test_reverse_sample_factors_the_model_once(vp_sched, monkeypatch):
     model = build_model({"D": 3, "subspaces": [{"d": 2, "A_seed": 7, "components": [
         {"pi": 0.5, "mu": [1.0, 0.0], "U": [[0.5], [0.1]]},
         {"pi": 0.5, "mu": [-1.0, 0.5], "U": [[0.2, 0.1], [0.4, 0.0]]}]}]})
-    reverse_sample(model_score_fn(model, vp_sched), vp_sched,
-                   SamplerConfig(steps=25, n=50, seed=1), dim=model.D)
+    cfg = SamplerConfig(steps=25, n=50, seed=1)
+    reverse_sample(model_score_fn(model, vp_sched), vp_sched, cfg,
+                   init=prior_init(vp_sched, cfg, model.D))
     assert len(built) == 1 and built[0] is model.ambient_mixture
 
 
@@ -277,7 +281,7 @@ def test_mixture_sampling_quality():
     })
     sched = make_schedule("vp", 8.0, 0.01, 1.0)
     cfg = SamplerConfig(steps=300, n=20000, seed=3)
-    y = reverse_sample(model_score_fn(model, sched), sched, cfg, dim=4)
+    y = reverse_sample(model_score_fn(model, sched), sched, cfg, init=prior_init(sched, cfg, 4))
     rep = sample_quality(y, model, sched, sched.t_min)
     assert len(rep.rows) == 2
     assert sum(r.weight_emp for r in rep.rows) == pytest.approx(1.0, abs=1e-12)
