@@ -24,25 +24,28 @@ the responsibilities and each component's pieces of the Jacobian.
 `_jacobian_blocks` assembles those, block by block, into the Jacobian split
 into a "self-cluster" part (term A: component responsibilities frozen) and a
 responsibility-derivative part (term B, proportional to the pairwise overlaps
-r_i r_j and exponentially suppressed as the modes separate); `jacobian_terms`
-(one block), the Hessian and the overlap analysis read it.  Term A alone is
-the simplified Jacobian; A + B matches finite differences to first-principles
-accuracy.  The tied two-mode form is the free mixture (mu, -mu, U, U) with
-weights (1/2, 1/2); its terms are the free ones pulled back through that
-linear tie, J_mu = J_mu+ - J_mu- and J_U = J_U+ + J_U-, applied as block
-sums while the terms are assembled (`SymmetricParams.tie`), so it has no
-derivative code of its own.  The GD gradient sum_n J_n^T (residual)_n is the
-residual contraction of the same pieces (`residual_contraction`): it costs
-O(n d (d + r)) per component and never forms the (n, d, p) terms.  The tie
-also gives both parameterizations one curvature floor, `alpha_formula`.  The
-one finite-difference loop, `central_differences`, serves `jacobian_fd` and
-the CLI's score check.
+r_i r_j and exponentially suppressed as the modes separate), laid out (d, p,
+rows) in two buffers allocated once per call; `jacobian_terms` (one block),
+the Hessian and the overlap analysis read it, and `_gram_mean` reduces each
+block as it lies.  Term A alone is the simplified Jacobian; A + B matches
+finite differences to first-principles accuracy.  The tied two-mode form is
+the free mixture (mu, -mu, U, U) with weights (1/2, 1/2); its terms are the
+free ones pulled back through that linear tie, J_mu = J_mu+ - J_mu- and J_U
+= J_U+ + J_U-, applied as block sums while the terms are assembled
+(`SymmetricParams.tie`), so it has no derivative code of its own.  The GD
+gradient sum_n J_n^T (residual)_n is the residual contraction of the same
+pieces (`residual_contraction`), which reads B's responsibility factor only
+through one pairwise scalar per point and component (`_cross` gives both), so
+it builds no (d, rows) array per component, costs O(n d (d + r)) per
+component and never forms the (n, d, p) terms.  The tie also gives both
+parameterizations one curvature floor, `alpha_formula`.  The one
+finite-difference loop, `central_differences`, serves `jacobian_fd` and the
+CLI's score check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
 
 import numpy as np
 
@@ -134,15 +137,16 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
                      width: int | None):
     """Kernel passes over the row blocks of X that `_row_blocks(X, width)`
     cuts, with the kernel of the free mixture params define factored once for
-    all of them: yields (s, score, r, pieces) per block.
+    all of them: yields (s, score, qs, w, pieces) per block.
 
     score is the (d, rows) score with the points on the last axis, the
-    transpose of the one `NoisedMixture.score` gives, and r the (rows, L)
-    responsibilities of the free mixture.  pieces yields, per component, (sign, mu_cols, U_cols, q, rm,
-    Sinv, c, V, qU): the mean sign and the column slices of the block it is
-    tied to; q = Sigma^{-1} (x - s mu) and c = -r (q + score), both (d, rows);
-    its (rows,) responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1} U and
-    qU = U^T q, zero-width for a rank-0 factor.
+    transpose of the one `NoisedMixture.score` gives, a fresh array the
+    consumer may overwrite; qs the (L, d, rows) q_l = Sigma_l^{-1} (x - s mu_l)
+    and w the (L, rows) responsibilities of the free mixture.  pieces yields,
+    per component, (sign, mu_cols, U_cols, q, rm, Sinv, V, qU): the mean sign
+    and the column slices of the block it is tied to; its q and (rows,)
+    responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1} U and qU = U^T q,
+    zero-width for a rank-0 factor.
     """
     Xb, _ = _batch(X, params.d)
     free, weights = params.mixture(pis)
@@ -155,24 +159,26 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
         V = kern.solve(m, U.T).T  # Sigma_m^{-1} U_m, (d, r)
         fixed.append((sign, *cols[b], kern.solve(m, np.eye(free.d)), V, U))
 
-    def pieces(qs, w, tmp):
-        for m, (sign, mu_cols, U_cols, Sinv, V, U) in enumerate(fixed):
-            q, rm = qs[m], w[m]
-            # q_m + score summed pairwise as sum_l r_l (q_m - q_l): it keeps
-            # its relative accuracy where r_m r_l is far below 1
-            c = np.zeros_like(q)
-            for l, ql in enumerate(qs):
-                if l != m:
-                    c += np.multiply(np.subtract(q, ql, out=tmp), w[l], out=tmp)
-            c *= -rm
-            yield sign, mu_cols, U_cols, q, rm, Sinv, c, V, U.T @ q
+    def pieces(qs, w):
+        for (sign, mu_cols, U_cols, Sinv, V, U), q, rm in zip(fixed, qs, w):
+            yield sign, mu_cols, U_cols, q, rm, Sinv, V, U.T @ q
 
     for rows in _row_blocks(Xb, width):
         xt, work, z, _ = kern._pass(rows, residuals=True)
-        score, L = kern._score(xt, work), len(free.components)
-        # M^T z, free once the score is taken, is the pieces' scratch (x^T
-        # may be a view of the caller's X)
-        yield s, score, z[:L, 0].T, pieces(work[:L, 0], z[:L, 0], work[-1, 0])
+        qs, w = work[:-1, 0], z[:len(fixed), 0]
+        yield s, kern._score(xt, work), qs, w, pieces(qs, w)
+
+
+def _cross(v: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """-w_m sum_{l != m} w_l (v_m - v_l) = -w_m (v_m - sum_l w_l v_l) for v (L,
+    ..., rows) and weights w (L, rows) summing to 1; summed pairwise, it keeps
+    its relative accuracy where w_m w_l is far below 1."""
+    out, tmp = np.zeros_like(v[m]), np.empty_like(v[m])
+    for l, vl in enumerate(v):
+        if l != m:
+            out += np.multiply(np.subtract(v[m], vl, out=tmp), w[l], out=tmp)
+    out *= -w[m]
+    return out
 
 
 def _jacobian_blocks(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray,
@@ -182,22 +188,28 @@ def _jacobian_blocks(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
     r is the (rows, L) responsibilities of the free mixture.  For its
     component m with q_m = Sigma_m^{-1} (x - s mu_m) the theta_m columns of
     the Jacobian are the self term A = r_m d(-q_m)/d(theta_m) and the cross
-    term B = -r_m (q_m + score) g_m^T, g_m the gradient of log N_m in
-    theta_m.  Both are (rows, d, p) in params' own parameterization: each
-    component's columns are added into the block it is tied to, with the mean
-    columns signed.  `_terms` builds them; the generator keeps no reference
-    to them, so a consumer that drops B holds one (rows, d, p) array.
+    term B = c_m g_m^T with c_m = -r_m (q_m + score), g_m the gradient of
+    log N_m in theta_m.  Both are (d, p, rows), the points last, in params'
+    own parameterization: each component's columns are added into the block
+    it is tied to, with the mean columns signed.  They are written by `_terms`
+    into two buffers allocated once per call for the first, largest, block,
+    so the next block overwrites them.
     """
-    return ((r, *_terms(s, score, pieces, params.dim))
-            for s, score, r, pieces in _derivative_pass(params, pis, sched, t, X, width))
+    d, p, bufs = params.d, params.dim, None
+    for s, _, qs, w, pieces in _derivative_pass(params, pis, sched, t, X, width):
+        size = d * p * w.shape[1]
+        bufs = bufs or (np.empty(size), np.empty(size))
+        A, B = (b[:size].reshape(d, p, -1) for b in bufs)
+        A[...] = B[...] = 0.0
+        _terms(s, qs, w, pieces, A, B)
+        yield w.T, A, B
 
 
-def _terms(s: float, score: np.ndarray, pieces, p: int):
-    """A and B of one block, built (d, p, rows) for long inner loops, as (rows, d, p) views."""
-    d, n = score.shape
-    A = np.zeros((d, p, n))
-    B = np.zeros_like(A)
-    for sign, mu_cols, U_cols, q, rm, Sinv, c, V, qU in pieces:
+def _terms(s: float, qs: np.ndarray, w: np.ndarray, pieces, A: np.ndarray, B: np.ndarray):
+    """Add every component's A and B into the zeroed (d, p, rows) A and B of one block."""
+    d, _, n = A.shape
+    for m, (sign, mu_cols, U_cols, q, rm, Sinv, V, qU) in enumerate(pieces):
+        c = _cross(qs, w, m)
         A[:, mu_cols] += Sinv[:, :, None] * ((sign * s) * rm)
         B[:, mu_cols] += c[:, None, :] * ((sign * s) * q)
         k = V.size
@@ -207,12 +219,12 @@ def _terms(s: float, score: np.ndarray, pieces, p: int):
         A[:, U_cols] += (dq * ((s * s) * rm)).reshape(d, k, n)
         g_U = (s * s) * (qU[:, None, :] * q[None, :, :] - V.T[:, :, None])
         B[:, U_cols] += c[:, None, :] * g_U.reshape(k, n)
-    return A.transpose(2, 0, 1), B.transpose(2, 0, 1)
 
 
 def jacobian_terms(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray):
     """One kernel pass over X: (r, A, B) of `_jacobian_blocks` in one block, A and B (n, d, p)."""
-    return next(_jacobian_blocks(params, pis, sched, t, X, None))
+    r, A, B = next(_jacobian_blocks(params, pis, sched, t, X, None))
+    return r, A.transpose(2, 0, 1), B.transpose(2, 0, 1)
 
 
 def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
@@ -222,11 +234,13 @@ def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
     Jacobian J = A + B.
 
     The contraction runs on the same per-component pieces as
-    `jacobian_terms` and forms nothing of shape (n, d, p).  With R the (d, n)
-    residual, R_m its columns weighted by r_m and e = sum_i R * c, component m adds
-    sign s (Sigma^{-1} sum_n R_m + q e) to its mean columns and
-    s^2 (qU (Sigma^{-1} R_m)^T + (V^T R_m + qU e) q^T - V^T sum_n e) to its
-    factor columns, c-major like A's U block: O(n d (d + r)) per component.
+    `jacobian_terms` and forms nothing of shape (n, d, p), nor any (d, n)
+    array per component.  R is the (d, n) residual, p_l = R . q_l per point
+    and e_m = R . c_m = -r_m sum_{l != m} r_l (p_m - p_l), the pairwise form
+    of c_m itself.  Component m adds sign s (Sigma^{-1} R r_m + q e) to its
+    mean columns and s^2 (((qU r_m) R^T) Sigma^{-1} + ((V^T R) r_m + qU e) q^T
+    - V^T sum_n e) to its factor columns, c-major like A's U block, each
+    weighted sum a GEMM against r_m or e: O(n d (d + r)) per component.
     Both sums run over row blocks sized by `BLOCK_ELEMENTS`, with one kernel
     factored for all of them, so a call's temporaries stay that small
     whatever n is; the sums are the single-block ones up to rounding.
@@ -236,15 +250,14 @@ def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
     width = d * L + d + L
     passes = _derivative_pass(params, pis, sched, t, X, width)
     sq, g = 0.0, np.zeros(params.dim)
-    for (s, score, _, pieces), T in zip(passes, _row_blocks(target, width)):
-        resid = score.T - T
-        sq += np.sum(np.sum(resid ** 2, axis=-1))
-        R = resid.T
-        for sign, mu_cols, U_cols, q, rm, Sinv, c, V, qU in pieces:
-            Rm = R * rm
-            e = np.einsum("in,in->n", R, c)
-            g[mu_cols] += (sign * s) * (Sinv.T @ Rm.sum(axis=1) + q @ e)
-            G = qU @ (Sinv.T @ Rm).T + (V.T @ Rm + qU * e) @ q.T - V.T * e.sum()
+    for (s, score, qs, w, pieces), T in zip(passes, _row_blocks(target, width)):
+        R = np.subtract(score, T.T, out=score)
+        sq += np.sum(np.sum(R ** 2, axis=0))
+        P = np.einsum("in,lin->ln", R, qs)
+        for m, (sign, mu_cols, U_cols, q, rm, Sinv, V, qU) in enumerate(pieces):
+            e = _cross(P, w, m)
+            g[mu_cols] += (sign * s) * (Sinv.T @ (R @ rm) + q @ e)
+            G = ((qU * rm) @ R.T) @ Sinv + ((V.T @ R) * rm + qU * e) @ q.T - V.T * e.sum()
             g[U_cols] += (s * s) * G.ravel()
     return float(sq), g
 
@@ -295,23 +308,24 @@ def _mu_U_slices(params) -> tuple[slice, slice]:
 
 
 def _gram_mean(J_blocks, p: int) -> np.ndarray:
-    """H, the mean of the per-sample products J_n^T J_n over (rows, d, p) blocks:
-    one GEMM per block on its (rows d, p) reshape, merged as a running mean."""
+    """H, the mean of the per-sample products J_n^T J_n over blocks J in their
+    (d, p, rows) layout: each block's sum is sum_i J_i J_i^T over the (p,
+    rows) slices J_i of its score coordinates, one GEMM each on the block as
+    it lies, merged as a running mean."""
     n, H = 0, np.zeros((p, p))
     for J in J_blocks:
-        k = J.shape[0]
-        flat = J.reshape(-1, p)
-        H += (flat.T @ flat / k - H) * (k / (n + k))
+        k = J.shape[-1]
+        G = sum(Ji @ Ji.T for Ji in J)
+        H += (G / k - H) * (k / (n + k))
         n += k
     return 0.5 * (H + H.T)
 
 
 def hessian_from_samples(params, pis, sched: DiffusionSchedule, t: float,
                          X: np.ndarray) -> HessianReport:
-    """Assemble H = mean_x J(x)^T J(x), J the exact Jacobian, over the samples;
-    `starmap`, unlike a generator expression, holds no block's B once it is in A."""
-    blocks = starmap(lambda _, A, B: np.add(A, B, out=A),
-                     _jacobian_blocks(params, pis, sched, t, X, params.d * params.dim))
+    """Assemble H = mean_x J(x)^T J(x), J the exact Jacobian, over the samples."""
+    blocks = (np.add(A, B, out=A)
+              for _, A, B in _jacobian_blocks(params, pis, sched, t, X, params.d * params.dim))
     return _finish_report(params, pis, sched, t, _gram_mean(blocks, params.dim))
 
 
@@ -492,7 +506,7 @@ def overlap_analysis(params, pis, sched: DiffusionSchedule, t: float,
             pairs = r[:, first] * r[:, second]
             xi = pairs.sum(axis=1)
             mask = xi > XI_FLOOR
-            ratios = [np.max(np.linalg.norm(B[:, :, sl], axis=(1, 2))[mask] / xi[mask],
+            ratios = [np.max(np.linalg.norm(B[:, sl], axis=(0, 1))[mask] / xi[mask],
                              initial=0.0) for sl in _mu_U_slices(params)]
             stats.append((np.max(pairs, initial=0.0), pairs.sum(axis=0), ratios))
             yield np.add(A, B, out=A)

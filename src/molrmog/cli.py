@@ -1,7 +1,8 @@
 """Experiment driver: JSON config in, CSV/JSON artifacts plus a manifest out.
 
 Subcommands: gen, score-check, estimation, hessian, overlap, train, sample,
-report.  Exit codes: 0 success, 2 validation/config error, 3 numerical
+report.  Exit codes: 0 success, 2 validation/config error or an allocation
+the machine refuses (status "out-of-memory" in the manifest), 3 numerical
 failure (divergence, non-finite states, or a floating-point overflow,
 invalid operation or division by zero).  Every run writes manifest.json
 listing the config hash, seed, library versions, wall time, and artifacts.
@@ -469,6 +470,11 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
             manifest["status"] = "numerical-failure"
             manifest["error"] = f"{type(exc).__name__}: {exc}"
             code = 3
+        except MemoryError as exc:
+            manifest["artifacts"] = []
+            manifest["status"] = "out-of-memory"
+            manifest["error"] = f"MemoryError: {exc}"
+            code = 2
         manifest["wall_time_s"] = time.time() - start
         write_json(out / "manifest.json", manifest)
         if code != 0:

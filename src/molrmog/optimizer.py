@@ -123,6 +123,10 @@ def gd_train(theta0, truth, pis, sched: DiffusionSchedule, t: float,
     """Deterministic full-batch GD; trace records distance contraction."""
     X = _batch(data, truth.d)[0]
     alpha_hat, L_hat = estimate_local_constants(truth, pis, sched, t, X)
+    floor = truth.dim * np.finfo(float).eps * L_hat
+    if not alpha_hat > floor:
+        raise NonPositiveAlpha(f"alpha_hat = {alpha_hat:.3g} is not above p eps L_hat = "
+                               f"{floor:.3g}, the eigenvalue solver's backward-error scale")
     eta, kappa, rho = theoretical_step(alpha_hat, L_hat)
     if cfg.eta is not None:
         # the contraction factor of a fixed step on the same alpha and L'

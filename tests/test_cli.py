@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from molrmog.cli import (
+    DISPATCH,
     _num,
     apply_override,
     config_hash,
@@ -287,6 +288,36 @@ def test_train_on_too_few_points_names_train_n(cfg_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: train.n = 1: ") and err.count("\n") == 1
     assert "singular" in err
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_training_point_is_singular_at_every_seed(cfg_path, tmp_path, capsys, seed):
+    """The loss Hessian of one point has rank d < p at every seed: its least
+    eigenvalue is rounding noise of either sign, and counts as singular up to
+    p eps times the largest, which the one-line message states."""
+    code = run("train", cfg_path, overrides=["train.n=1"], seed=seed, out_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1, err
+    assert err.startswith("error: train.n = 1: ") and "singular" in err
+    assert "p eps L_hat = " in err
+    assert not (tmp_path / "train_summary.json").exists()
+
+
+def test_memory_error_exits_2_with_one_line(cfg_path, tmp_path, capsys, monkeypatch):
+    """An allocation the machine refuses, raised by a stand-in subcommand
+    and never by allocating, exits 2 with one line and an out-of-memory
+    manifest that lists no artifact."""
+    def refuse(cfg, seed, out):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000, 4) and data type float64")
+
+    monkeypatch.setitem(DISPATCH, "gen", refuse)
+    assert run("gen", cfg_path, out_dir=str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "MemoryError: Unable to allocate 7.28 TiB for an array with shape " \
+                  "(1000000000000, 4) and data type float64\n"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "out-of-memory" and manifest["artifacts"] == []
 
 
 @pytest.mark.parametrize("sub", ["hessian", "overlap", "train"])

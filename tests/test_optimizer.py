@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import empirical_loss, fd_gradient
-from molrmog.calculus import exact_jacobian, sample_noised, score_of
+from molrmog.calculus import BLOCK_ELEMENTS, exact_jacobian, sample_noised, score_of
 from molrmog.errors import (
     DivergenceDetected,
     EmptyDataset,
@@ -53,13 +53,27 @@ def test_gradient_zero_at_truth(unit_sched):
 
 
 def _contraction_cases(rng):
-    """The tied form and free mixtures whose factors have rank 0 and rank d."""
+    """The tied form and free mixtures whose factors have rank 0, rank d, and
+    ranks 0, 1 and 2 in one mixture."""
     yield TRUTH, None
     d, L = 3, 3
     pis = np.array([0.2, 0.3, 0.5])
-    for r in (0, d):
+    for ranks in ((0,) * L, (d,) * L, (0, 1, 2)):
         yield LatentParams(tuple((2.0 * rng.standard_normal(d), 0.5 * rng.standard_normal((d, r)))
-                                 for _ in range(L))), pis
+                                 for r in ranks)), pis
+
+
+def _contraction_and_oracle(truth, pis, sched, n, rng):
+    """loss_and_grad at a perturbed theta on n draws, and its oracle: the mean
+    squared residual and the contraction with the full (n, d, p) exact
+    Jacobian."""
+    X = sample_noised(truth, pis, sched, 1.0, n, 59)
+    theta = truth.unflatten(truth.flatten() + 0.3 * rng.standard_normal(truth.dim))
+    resid = score_of(theta, pis, sched, 1.0, X) - score_of(truth, pis, sched, 1.0, X)
+    J = exact_jacobian(theta, pis, sched, 1.0, X)
+    want = 2.0 * np.einsum("nd,ndp->p", resid, J) / n
+    return (loss_and_grad(theta, truth, pis, sched, 1.0, X),
+            (float(np.mean(np.sum(resid ** 2, axis=-1))), want))
 
 
 def test_gradient_equals_jacobian_contraction(unit_sched):
@@ -67,13 +81,22 @@ def test_gradient_equals_jacobian_contraction(unit_sched):
     exact Jacobian."""
     rng = np.random.default_rng(53)
     for truth, pis in _contraction_cases(rng):
-        X = sample_noised(truth, pis, unit_sched, 1.0, 400, 59)
-        theta = truth.unflatten(truth.flatten() + 0.3 * rng.standard_normal(truth.dim))
-        resid = score_of(theta, pis, unit_sched, 1.0, X) - score_of(truth, pis, unit_sched, 1.0, X)
-        J = exact_jacobian(theta, pis, unit_sched, 1.0, X)
-        want = 2.0 * np.einsum("nd,ndp->p", resid, J) / X.shape[0]
-        loss, grad = loss_and_grad(theta, truth, pis, unit_sched, 1.0, X)
-        assert loss == float(np.mean(np.sum(resid ** 2, axis=-1)))
+        (loss, grad), (want_loss, want) = _contraction_and_oracle(truth, pis, unit_sched, 400, rng)
+        assert loss == want_loss
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want)), truth.dim
+
+
+def test_gradient_equals_jacobian_contraction_across_row_blocks(unit_sched):
+    """The same oracle on n spanning four row blocks of the contraction, the
+    last one partial: the block sums agree with the one-block oracle to
+    rounding, the loss summed block by block too."""
+    rng = np.random.default_rng(67)
+    for truth, pis in _contraction_cases(rng):
+        L = len(truth.mixture(pis)[0].components)
+        rows = BLOCK_ELEMENTS // (truth.d * L + truth.d + L)
+        n = 3 * rows + rows // 3
+        (loss, grad), (want_loss, want) = _contraction_and_oracle(truth, pis, unit_sched, n, rng)
+        assert loss == pytest.approx(want_loss, rel=1e-13)
         assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want)), truth.dim
 
 
