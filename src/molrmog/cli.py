@@ -5,29 +5,29 @@ report.  Exit codes: 0 success, 2 validation/config error or an allocation
 the machine refuses (status "out-of-memory" in the manifest), 3 numerical
 failure (divergence, non-finite states, or a floating-point overflow,
 invalid operation or division by zero).  Every run writes manifest.json
-listing the config hash, seed, library versions, wall time, and artifacts.
+listing the config hash, seed, versions, wall time, and artifacts.
 All CSVs are UTF-8 with \n line endings and round-trip-exact floats.
+
+Each subcommand runs in its own process, so this module imports at top level
+only the standard library, `errors` and `schedule`; a subcommand and each
+helper it calls import the library names they use in their own body.  `gen`
+loads `model` and `score`, `sample` adds `sampler`, only `estimation` loads
+`objective` and through it scipy, and `report` reads JSON without numpy
+(unless it reads the seed from the config).  The manifest lists numpy and
+scipy among the versions only when the run loaded them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-import scipy
-
 from . import __version__
-from .calculus import (
-    central_differences,
-    hessian_empirical,
-    overlap_analysis,
-    sample_noised,
-)
 from .errors import (
     ConfigParseError,
     NoArtifactsFound,
@@ -36,21 +36,7 @@ from .errors import (
     UnknownSubcommand,
     ValidationError,
 )
-from .model import as_numbers, build_model, forward_noise, mixture_moments, sample_data
-from .objective import (
-    estimation_gap_experiment,
-    make_theta_grid,
-)
-from .optimizer import GDConfig, contraction_check, gd_train, init_near
-from .sampler import SamplerConfig, model_score_fn, reverse_sample, sample_quality
 from .schedule import DEFAULT_T_MAX, DEFAULT_T_MIN, make_schedule
-from .score import (
-    SymmetricParams,
-    ambient_log_density,
-    ambient_score,
-    latent_score,
-    mixture_log_density,
-)
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -92,16 +78,23 @@ def config_hash(cfg: dict) -> str:
 
 
 def fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
+    # numpy's float64 is a Python float; its other floats exist only once
+    # numpy is loaded
+    np = sys.modules.get("numpy")
+    if isinstance(v, float) or np is not None and isinstance(v, np.floating):
         return repr(float(v))
     return str(v)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """An array's rows come from its `tolist()`, whose Python numbers print
+    by repr as `fmt` prints them; any other rows go through `fmt` cell by cell."""
+    if hasattr(rows, "tolist"):
+        lines = [",".join(map(repr, row)) for row in rows.tolist()]
+    else:
+        lines = [",".join(map(fmt, row)) for row in rows]
+    path.write_text("\n".join([",".join(header)] + lines) + "\n", encoding="utf-8",
+                    newline="\n")
 
 
 def write_json(path: Path, obj) -> None:
@@ -148,6 +141,8 @@ def _schedule_from(cfg: dict):
 
 
 def _model_from(cfg: dict):
+    from .model import build_model
+
     if "model" not in cfg:
         raise ConfigParseError("config has no model block")
     return build_model(cfg["model"])
@@ -156,6 +151,9 @@ def _model_from(cfg: dict):
 def _num(block: dict, key: str, default, kind=float):
     """block[key] (default when absent) through `as_numbers`: a finite number
     of the given kind, or a list of them when the default is a list."""
+    import numpy as np
+    from .model import as_numbers
+
     value = block.get(key, default)
     try:
         out = as_numbers(value, integer=kind is int)
@@ -168,6 +166,9 @@ def _num(block: dict, key: str, default, kind=float):
 
 def _params_from(cfg_block: dict, model):
     """Trainable parameters: a tied two-mode block or a model subspace."""
+    from .model import as_numbers
+    from .score import SymmetricParams
+
     if "symmetric" in cfg_block and "subspace" in cfg_block:
         raise ConfigParseError("give either symmetric or subspace, not both")
     if "symmetric" in cfg_block:
@@ -188,17 +189,23 @@ def _params_from(cfg_block: dict, model):
 
 
 def cmd_gen(cfg, seed, out: Path) -> list[str]:
+    import numpy as np
+    from .model import sample_data
+
     model = _model_from(cfg)
     n = _num(_block(cfg, "gen"), "n", 1000, int)
     data = sample_data(model, n, np.random.default_rng(seed))
     header = ["k", "l"] + [f"x_{i}" for i in range(model.D)]
-    rows = ([int(k), int(l)] + list(x) for k, l, x in zip(data.k, data.l, data.x))
+    rows = ([k, l] + x for k, l, x in zip(data.k.tolist(), data.l.tolist(), data.x.tolist()))
     write_csv(out / "dataset.csv", header, rows)
     return ["dataset.csv"]
 
 
 def _fd_score_err(score_vals, logdens_fn, X, h):
     """Max relative error of analytic scores vs central FD of log density."""
+    import numpy as np
+    from .calculus import central_differences
+
     fd = central_differences(logdens_fn, X, h)
     num = np.linalg.norm(score_vals - fd, axis=1)
     den = np.maximum(np.linalg.norm(fd, axis=1), 1e-12)
@@ -206,6 +213,11 @@ def _fd_score_err(score_vals, logdens_fn, X, h):
 
 
 def cmd_score_check(cfg, seed, out: Path) -> list[str]:
+    import numpy as np
+    from .calculus import sample_noised
+    from .model import forward_noise, sample_data
+    from .score import ambient_log_density, ambient_score, latent_score, mixture_log_density
+
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = _block(cfg, "score_check")
@@ -242,6 +254,9 @@ def cmd_score_check(cfg, seed, out: Path) -> list[str]:
 
 
 def cmd_estimation(cfg, seed, out: Path) -> list[str]:
+    import numpy as np
+    from .objective import estimation_gap_experiment, make_theta_grid
+
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = _block(cfg, "estimation")
@@ -262,6 +277,9 @@ def cmd_estimation(cfg, seed, out: Path) -> list[str]:
 
 
 def cmd_hessian(cfg, seed, out: Path) -> list[str]:
+    import numpy as np
+    from .calculus import hessian_empirical
+
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = _block(cfg, "hessian")
@@ -286,6 +304,9 @@ def cmd_hessian(cfg, seed, out: Path) -> list[str]:
 
 
 def cmd_overlap(cfg, seed, out: Path) -> list[str]:
+    import numpy as np
+    from .calculus import overlap_analysis, sample_noised
+
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = _block(cfg, "overlap")
@@ -306,6 +327,10 @@ def cmd_overlap(cfg, seed, out: Path) -> list[str]:
 
 
 def cmd_train(cfg, seed, out: Path) -> list[str]:
+    import numpy as np
+    from .calculus import sample_noised
+    from .optimizer import GDConfig, contraction_check, gd_train, init_near
+
     model = _model_from(cfg)
     sched = _schedule_from(cfg)
     block = _block(cfg, "train")
@@ -339,6 +364,9 @@ def cmd_train(cfg, seed, out: Path) -> list[str]:
 
 def _ambient_moment_init(model, sched, n, rng):
     """Draws from the Gaussian matching the ambient mixture at t_max."""
+    import numpy as np
+    from .model import mixture_moments
+
     mix = model.ambient_mixture
     eq = mixture_moments(mix.means[0], [U[0] for U in mix.factors], mix.weights,
                          sched.s(sched.t_max), sched.gamma(sched.t_max))
@@ -347,6 +375,9 @@ def _ambient_moment_init(model, sched, n, rng):
 
 
 def cmd_sample(cfg, seed, out: Path) -> list[str]:
+    import numpy as np
+    from .sampler import SamplerConfig, model_score_fn, reverse_sample, sample_quality
+
     model = _model_from(cfg)
     block = _block(cfg, "sampler")
     # a variance-preserving horizon makes the Gaussian prior exact; allow the
@@ -424,10 +455,20 @@ DISPATCH = {
 SUBCOMMANDS = tuple(DISPATCH)
 
 
+def _versions() -> dict[str, str]:
+    """python's and molrmog's versions, and numpy's and scipy's when this
+    process loaded them."""
+    versions = {"python": sys.version.split()[0], "molrmog": __version__}
+    for name in ("numpy", "scipy"):
+        if name in sys.modules:
+            versions[name] = sys.modules[name].__version__
+    return versions
+
+
 def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
         out_dir=None) -> int:
     """Programmatic entry point mirroring the command line; returns exit code."""
-    start = time.time()
+    start = time.perf_counter()
     try:
         if subcommand not in DISPATCH:
             raise UnknownSubcommand(f"unknown subcommand {subcommand!r}")
@@ -451,16 +492,16 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
             "subcommand": subcommand,
             "config_hash": config_hash(cfg),
             "seed": seed,
-            "versions": {
-                "python": sys.version.split()[0],
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "molrmog": __version__,
-            },
         }
-        try:
+        if subcommand == "report":  # computes nothing, so needs no numpy
+            errstate = contextlib.nullcontext()
+        else:
+            import numpy as np
+
             # an overflow or invalid operation is a numerical failure, not a NaN
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
+            errstate = np.errstate(over="raise", invalid="raise", divide="raise")
+        try:
+            with errstate:
                 artifacts = DISPATCH[subcommand](cfg, seed, out)
             manifest["artifacts"] = artifacts
             manifest["status"] = "ok"
@@ -475,7 +516,8 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
             manifest["status"] = "out-of-memory"
             manifest["error"] = f"MemoryError: {exc}"
             code = 2
-        manifest["wall_time_s"] = time.time() - start
+        manifest["versions"] = _versions()
+        manifest["wall_time_s"] = time.perf_counter() - start
         write_json(out / "manifest.json", manifest)
         if code != 0:
             print(manifest["error"], file=sys.stderr)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -123,7 +124,6 @@ def test_gen_writes_artifacts_and_manifest(cfg_path, tmp_path):
     assert man["subcommand"] == "gen"
     assert man["seed"] == 11
     assert man["artifacts"] == ["dataset.csv"]
-    assert set(man["versions"]) == {"python", "numpy", "scipy", "molrmog"}
     assert man["wall_time_s"] >= 0
     header = (out / "dataset.csv").read_text().splitlines()[0]
     assert header == "k,l,x_0,x_1,x_2"
@@ -187,9 +187,9 @@ def test_hessian_blocks_csv_lambda_min(cfg_path, tmp_path):
 
 
 def test_import_loads_no_scipy_submodules():
-    """Start-up loads scipy's top level only; each submodule is imported by
-    the function that uses it.  Nor does it load logging or
-    concurrent.futures, which every CLI process would pay for."""
+    """Start-up loads no scipy submodule; the package and the CLI import
+    scipy only through `objective`, which `estimation` loads.  Nor does it
+    load logging or concurrent.futures, which every CLI process would pay for."""
     code = ("import sys, molrmog, molrmog.cli; "
             "print(','.join(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
             "if m in sys.modules)); "
@@ -203,18 +203,39 @@ def test_import_loads_no_scipy_submodules():
     assert others_loaded == ""
 
 
+# SHA-256 prefixes of the artifacts the eight subcommands write on
+# configs/example.json at PIPELINE_SIZES, recorded before the CLI imported its
+# library modules per subcommand (numpy 2.4.6 with OpenBLAS 0.3.31, x86-64)
+PIPELINE_SIZES = ["estimation.trials=2", "estimation.n_mc=16384", "sampler.n=5000",
+                  "sampler.steps=100"]
+PIPELINE_SHA256 = {
+    "blocks.csv": "e23fdff6bb56a4b5",
+    "dataset.csv": "74593409efa1c724",
+    "estimation.csv": "bee9c72a19d4cdc6",
+    "estimation_summary.json": "33ae63beddb2c763",
+    "hessian_spectrum.csv": "1933784b2022b94a",
+    "hessian_summary.json": "6b8e92f23b315594",
+    "overlap_summary.json": "12ad0c9e2413f372",
+    "quality.json": "2d45190b9605263a",
+    "report.md": "aa04a30056949a29",
+    "samples.csv": "53e6fa9bddb862da",
+    "score_check_summary.json": "11fb6155f8289db0",
+    "score_fd_errors.csv": "85fab4538ec8fa38",
+    "trace.csv": "939cedfee8edc7bf",
+    "train_summary.json": "39ee2b3e63a6cfda",
+}
+
+
 def test_subcommands_load_no_scipy_submodules(tmp_path):
-    """All eight subcommands on configs/example.json, at small sizes, in one
-    fresh interpreter: none of them loads a scipy submodule, logging or
-    concurrent.futures."""
+    """All eight subcommands on configs/example.json, at the bench pipeline's
+    reduced sizes, in one fresh interpreter: none of them loads a scipy
+    submodule, logging or concurrent.futures, and every artifact but the
+    manifest keeps its recorded bytes."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     config = os.path.join(root, "configs", "example.json")
-    sizes = ["estimation.trials=1", "estimation.n_mc=2048", "estimation.grid=4",
-             "estimation.n_schedule=[128,256]", "sampler.n=500", "sampler.steps=10",
-             "train.n=2000", "hessian.n_mc=2000", "overlap.n_mc=2000"]
     code = ("import sys\n"
             "from molrmog.cli import SUBCOMMANDS, run\n"
-            f"print([run(sub, {config!r}, {sizes!r}, out_dir={str(tmp_path)!r}) "
+            f"print([run(sub, {config!r}, {PIPELINE_SIZES!r}, out_dir={str(tmp_path)!r}) "
             "for sub in SUBCOMMANDS])\n"
             "print(','.join(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
             "if m in sys.modules))\n"
@@ -227,6 +248,39 @@ def test_subcommands_load_no_scipy_submodules(tmp_path):
     assert codes == str([0] * 8)
     assert loaded == ""
     assert others_loaded == ""
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in tmp_path.iterdir() if p.name != "manifest.json"}
+    assert written == PIPELINE_SHA256
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    """gen, sample and report, each in a fresh interpreter: report loads no
+    numpy and no model, gen no derivative, experiment or sampler module and
+    no scipy, and each manifest's versions name exactly python, molrmog and
+    those of numpy and scipy that the process loaded."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    config = os.path.join(root, "configs", "example.json")
+    code = ("import json, sys\n"
+            "from molrmog.cli import main\n"
+            "print(json.dumps([main(sys.argv[1:]), sorted(sys.modules)]))")
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # report reads the seed from --seed: reading it from the config loads numpy
+    args = ["--config", config, "--out", str(tmp_path), "--seed", "3",
+            "--set", "gen.n=50", "--set", "sampler.n=500", "--set", "sampler.steps=10"]
+    never = {"gen": {"molrmog.calculus", "molrmog.objective", "molrmog.optimizer",
+                     "molrmog.sampler", "scipy"},
+             "sample": {"molrmog.calculus", "molrmog.objective", "molrmog.optimizer", "scipy"},
+             "report": {"numpy", "molrmog.model"}}
+    for sub, absent in never.items():
+        res = subprocess.run([sys.executable, "-c", code, sub] + args, env=env,
+                             capture_output=True, text=True, check=True)
+        exit_code, modules = json.loads(res.stdout)
+        loaded = set(modules)
+        assert exit_code == 0, sub
+        assert loaded & absent == set(), sub
+        versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+        assert set(versions) == {"python", "molrmog"} | ({"numpy", "scipy"} & loaded), sub
 
 
 def test_override_changes_behavior(cfg_path, tmp_path):
@@ -253,6 +307,7 @@ def test_numerical_failure_exit_3_with_manifest(cfg_path, tmp_path):
     assert man["status"] == "numerical-failure"
     assert "DivergenceDetected" in man["error"]
     assert man["artifacts"] == []
+    assert {"python", "molrmog", "numpy"} <= set(man["versions"])
 
 
 def test_explicit_step_writes_finite_summary(cfg_path, tmp_path):
@@ -318,6 +373,7 @@ def test_memory_error_exits_2_with_one_line(cfg_path, tmp_path, capsys, monkeypa
                   "(1000000000000, 4) and data type float64\n"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "out-of-memory" and manifest["artifacts"] == []
+    assert {"python", "molrmog"} <= set(manifest["versions"])
 
 
 @pytest.mark.parametrize("sub", ["hessian", "overlap", "train"])

@@ -41,7 +41,7 @@ def scipy_submodule_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_scipy_submodule_import(module):
-    """The top-level `import scipy` (for its version and install path) is the
+    """`objective.py`'s top-level `import scipy` (for its install path) is the
     only scipy import in the library."""
     assert scipy_submodule_imports((SRC / module).read_text(encoding="utf-8")) == []
 
