@@ -1,11 +1,12 @@
 """Experiment driver: JSON config in, CSV/JSON artifacts plus a manifest out.
 
 Subcommands: gen, score-check, estimation, hessian, overlap, train, sample,
-report.  Exit codes: 0 success, 2 validation/config error or an allocation
-the machine refuses (status "out-of-memory" in the manifest), 3 numerical
-failure (divergence, non-finite states, or a floating-point overflow,
-invalid operation or division by zero).  Every run writes manifest.json
-listing the config hash, seed, versions, wall time, and artifacts.
+report.  Exit codes: 0 success, 2 validation/config error, a file the run
+cannot read or write, or an allocation the machine refuses (status
+"out-of-memory" in the manifest), 3 numerical failure (divergence,
+non-finite states, or a floating-point overflow, invalid operation or
+division by zero).  Every run writes manifest.json listing the config hash,
+seed, versions, wall time, and artifacts.
 All CSVs are UTF-8 with \n line endings and round-trip-exact floats.
 
 Each subcommand runs in its own process, so this module imports at top level
@@ -78,12 +79,8 @@ def config_hash(cfg: dict) -> str:
 
 
 def fmt(v) -> str:
-    # numpy's float64 is a Python float; its other floats exist only once
-    # numpy is loaded
-    np = sys.modules.get("numpy")
-    if isinstance(v, float) or np is not None and isinstance(v, np.floating):
-        return repr(float(v))
-    return str(v)
+    # a numpy float64 is a float whose own repr names its type
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -484,10 +481,7 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
         if not isinstance(out, (str, Path)):
             raise ConfigParseError(f"out_dir must be a path string, got {out!r}")
         out = Path(out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigParseError(f"cannot create output directory: {exc}") from None
+        out.mkdir(parents=True, exist_ok=True)
         manifest = {
             "subcommand": subcommand,
             "config_hash": config_hash(cfg),
@@ -525,9 +519,9 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except OSError as exc:  # e.g. an artifact or manifest path that is a directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

@@ -15,20 +15,16 @@ column-major (n, D) arrays, so the exact score it usually calls
 column-major view of its (D, n) result, which the g^2 multiply reads
 contiguously.  The final state is returned as a C-ordered copy.
 
-The Gaussian draws do not depend on the state, only their order does.  With
-a second CPU, a worker thread therefore draws and scales step i + 1's noise
-into one of two buffers while the main thread computes step i's score; the
-generator's fill and the scaling release the interpreter lock.  The buffers,
-and a failed draw's exception, pass between the threads on two queues.  The
-draws keep their serial order, so every sample keeps its bits.  The worker
-calls no molrmog function, and it is stopped and joined on every exit.
+Each step draws its Gaussian noise after its score, from one generator in
+step order.  The generator fills a C-ordered buffer, since
+`standard_normal(out=...)` fills in memory order and a column-major out
+would put each draw on another entry; the scaling then writes it into the
+column-major g^2 score buffer through the transposes, so numpy's iterator
+needs no buffer of its own.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,78 +48,6 @@ class SamplerConfig:
             raise ValidationError("need at least one sample")
 
 
-def _two_cpus() -> bool:
-    """True when this process may run on at least two CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
-class _StepNoise:
-    """The scaled noise scales[i] * xi_i of every step i, drawn from rng in
-    step order.
-
-    A step may use `scratch` until it calls `add_to`.  Buffers go round two
-    queues: `_fill` takes one from `free` and puts it on `ready` filled, or
-    puts there the exception its draw raised; `add_to` raises that exception
-    or adds the buffer to the state and puts it back on `free`.  On one CPU
-    `add_to` fills `scratch` itself.  Otherwise a worker thread, started on
-    entry, fills two other buffers, and a None on `free` stops it on exit.
-    The buffers are column-major like the state; the generator fills a
-    C-ordered one, since `standard_normal(out=...)` fills in memory order
-    and a column-major out would put each draw on another entry, and the
-    scaling copies it over.
-    """
-
-    def __init__(self, rng: np.random.Generator, scales: list, shape: tuple):
-        self._rng = rng
-        self._scales = scales
-        self._drawn = np.empty(shape)
-        self.scratch = np.empty(shape, order="F")
-        self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
-        self._worker = None
-        if _two_cpus():
-            for _ in range(2):
-                self._free.put(np.empty(shape, order="F"))
-            self._worker = threading.Thread(target=self._fill, args=(range(len(scales)),),
-                                            daemon=True, name="molrmog-sampler-noise")
-        else:
-            self._free.put(self.scratch)
-
-    def _fill(self, steps) -> None:
-        try:
-            for i in steps:
-                out = self._free.get()
-                if out is None:
-                    return
-                self._rng.standard_normal(out=self._drawn)
-                # through the transposes, so numpy's iterator needs no buffer
-                np.multiply(self._drawn.T, self._scales[i], out=out.T)
-                self._ready.put(out)
-        except Exception as exc:  # raised by add_to at that step
-            self._ready.put(exc)
-
-    def add_to(self, y: np.ndarray, i: int) -> None:
-        """y += the scaled noise of step i; steps come in order."""
-        if self._worker is None:
-            self._fill((i,))
-        noise = self._ready.get()
-        if isinstance(noise, Exception):
-            raise noise
-        y += noise
-        self._free.put(noise)
-
-    def __enter__(self):
-        if self._worker is not None:
-            self._worker.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._worker is not None:
-            self._free.put(None)
-            self._worker.join()
-
-
 def reverse_sample(score_fn, sched: DiffusionSchedule, cfg: SamplerConfig,
                    init: np.ndarray) -> np.ndarray:
     """Integrate the reverse SDE from t_max down to t_min, starting from init,
@@ -140,22 +64,25 @@ def reverse_sample(score_fn, sched: DiffusionSchedule, cfg: SamplerConfig,
     times = np.linspace(sched.t_max, sched.t_min, cfg.steps + 1)
     dt = (sched.t_max - sched.t_min) / cfg.steps
     sqrt_dt = np.sqrt(dt)
-    gs = [sched.g(float(t)) for t in times[:-1]]
     drift = np.empty(y.shape, order="F")
-    with _StepNoise(rng, [g * sqrt_dt for g in gs], y.shape) as noise:
-        for i, g in enumerate(gs):
-            t = float(times[i])
-            # y - dt (f y - g^2 score) + g sqrt(dt) xi in the out-of-place
-            # loop's operation order, into a fresh state (module docstring)
-            np.multiply(sched.f(t), y, out=drift)
-            np.multiply(g * g, score_fn(y, t), out=noise.scratch)
-            drift -= noise.scratch
-            drift *= dt
-            y = y - drift
-            noise.add_to(y, i)
-            # a NaN passes through both reductions; no (n, D) mask
-            if not (np.isfinite(y.min()) and np.isfinite(y.max())):
-                raise NaNDetected(f"non-finite state at reverse step {i}")
+    scratch = np.empty(y.shape, order="F")
+    drawn = np.empty(y.shape)
+    for i in range(cfg.steps):
+        t = float(times[i])
+        g = sched.g(t)
+        # y - dt (f y - g^2 score) + g sqrt(dt) xi in the out-of-place
+        # loop's operation order, into a fresh state (module docstring)
+        np.multiply(sched.f(t), y, out=drift)
+        np.multiply(g * g, score_fn(y, t), out=scratch)
+        drift -= scratch
+        drift *= dt
+        y = y - drift
+        rng.standard_normal(out=drawn)
+        np.multiply(drawn.T, g * sqrt_dt, out=scratch.T)
+        y += scratch
+        # a NaN passes through both reductions; no (n, D) mask
+        if not (np.isfinite(y.min()) and np.isfinite(y.max())):
+            raise NaNDetected(f"non-finite state at reverse step {i}")
     return np.ascontiguousarray(y)
 
 

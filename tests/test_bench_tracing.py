@@ -2,7 +2,6 @@
 renaming one of them breaks only traced bench runs; this keeps them bound."""
 
 import importlib.util
-import os
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +51,9 @@ def test_tracer_wraps_every_traced_name_and_restores_it(unit_sched):
         assert (target[attr] if isinstance(target, dict) else getattr(target, attr)) is orig
 
 
-def test_sampler_worker_makes_no_traced_call(unit_sched, monkeypatch):
-    """The sampler's noise thread calls no molrmog function: with the worker
-    forced on, one reverse step makes exactly one traced ambient score and
-    one counted coefficient call, and every span closes on the main stack."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_sampler_step_makes_one_traced_score_call(unit_sched):
+    """One reverse step makes exactly one traced ambient score and one
+    counted coefficient call, and every span closes on the main stack."""
     sub = {"d": 2, "A_seed": 7, "components": [
         {"pi": 0.5, "mu": [1.0, 0.0], "U": [[0.5], [0.1]]},
         {"pi": 0.5, "mu": [-1.0, 0.5], "U": [[0.2], [0.4]]}]}

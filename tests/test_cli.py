@@ -283,6 +283,28 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
         assert set(versions) == {"python", "molrmog"} | ({"numpy", "scipy"} & loaded), sub
 
 
+def test_blas_thread_count_keeps_every_bit(tmp_path):
+    """sample and train on configs/example.json, in fresh interpreters with
+    OpenBLAS on one thread and on two: samples.csv, quality.json and
+    trace.csv are byte-identical."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    config = os.path.join(root, "configs", "example.json")
+    src = os.path.join(root, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / threads
+        for sub in ("sample", "train"):
+            subprocess.run([sys.executable, "-m", "molrmog.cli", sub, "--config", config,
+                            "--out", str(out), "--set", "sampler.n=5000",
+                            "--set", "sampler.steps=100", "--set", "train.n=5000"],
+                           env=env, capture_output=True, check=True)
+        written.append({name: (out / name).read_bytes()
+                        for name in ("samples.csv", "quality.json", "trace.csv")})
+    assert written[0] == written[1]
+
+
 def test_override_changes_behavior(cfg_path, tmp_path):
     out = tmp_path / "out"
     code = run("gen", cfg_path, overrides=["gen.n=7"], out_dir=str(out))
@@ -623,6 +645,18 @@ def test_uncreatable_out_dir_exits_2(cfg_path, tmp_path, capsys):
     blocker.write_text("", encoding="utf-8")
     assert main(["gen", "--config", cfg_path, "--out", str(blocker / "x")]) == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("name", ["dataset.csv", "manifest.json"])
+def test_unwritable_output_exits_2(cfg_path, tmp_path, capsys, name):
+    """An artifact or manifest path that is a directory exits 2 with one line
+    naming it, not a traceback."""
+    (tmp_path / name).mkdir()
+    assert main(["gen", "--config", cfg_path, "--out", str(tmp_path),
+                 "--set", "gen.n=10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(tmp_path / name) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("subspace", [5, "first"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import prior_init
 
-from molrmog import sampler, score
+from molrmog import score
 from molrmog.errors import DimensionMismatch, NaNDetected, ValidationError
 from molrmog.model import build_model
 from molrmog.sampler import (
@@ -18,14 +18,11 @@ from molrmog.sampler import (
 )
 from molrmog.schedule import make_schedule
 
-# os.sched_getaffinity results that select each noise path of reverse_sample
-CPUS = {"threaded": {0, 1}, "inline": {0}}
-
-
 @pytest.fixture
 def thread_starts(monkeypatch):
-    """Select the worker-thread path and list every thread started."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS["threaded"])
+    """List every thread started, with the process reporting two CPUs, so
+    that a sampler choosing a thread by CPU count would start one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     started = []
     start = threading.Thread.start
 
@@ -115,67 +112,80 @@ def test_step_refinement_reduces_moment_error():
     assert errs[1] < errs[0]
 
 
-def test_nan_detection(vp_sched, monkeypatch):
+def test_nan_detection(vp_sched):
     def bad_score(x, t):
         return np.full_like(x, np.nan)
 
     with pytest.raises(NaNDetected):
         cfg = SamplerConfig(steps=5, n=4)
         reverse_sample(bad_score, vp_sched, cfg, init=prior_init(vp_sched, cfg, 2))
-    # one NaN, +inf or -inf entry at step k, on either noise path, is caught
-    # at that step by the state's min and max
+    # one NaN, +inf or -inf entry at step k is caught at that step by the
+    # state's min and max
     k = 3
-    for path, cpus in CPUS.items():
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        for value in (np.nan, np.inf, -np.inf):
-            calls = []
+    for value in (np.nan, np.inf, -np.inf):
+        calls = []
 
-            def score_fn(x, t):
-                calls.append(t)
-                out = -x
-                if len(calls) == k + 1:
-                    out[1, 0] = value  # the state's entry turns to value too
-                return out
+        def score_fn(x, t):
+            calls.append(t)
+            out = -x
+            if len(calls) == k + 1:
+                out[1, 0] = value  # the state's entry turns to value too
+            return out
 
-            with pytest.raises(NaNDetected, match=f"at reverse step {k}$"):
-                cfg = SamplerConfig(steps=6, n=4)
-                reverse_sample(score_fn, vp_sched, cfg, init=prior_init(vp_sched, cfg, 2))
-            assert len(calls) == k + 1, (path, value)
+        with pytest.raises(NaNDetected, match=f"at reverse step {k}$"):
+            cfg = SamplerConfig(steps=6, n=4)
+            reverse_sample(score_fn, vp_sched, cfg, init=prior_init(vp_sched, cfg, 2))
+        assert len(calls) == k + 1, value
 
 
-def test_fill_scales_without_a_ufunc_buffer(monkeypatch):
-    """One `_fill` scales the C-ordered draw into the column-major buffer
+def test_fill_scales_without_a_ufunc_buffer(vp_sched, monkeypatch):
+    """Each step scales its C-ordered draw into the column-major noise buffer
     through the transposes, so numpy's iterator allocates no 64 KB buffer:
-    the traced peak of one (5000, 4) step stays under 8 KB, and the buffer
-    holds the scaled draw."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS["inline"])
-    shape = (5000, 4)
-    noise = sampler._StepNoise(np.random.default_rng(5), [0.5, 0.25], shape)
-    noise._fill((0,))  # the first call also makes one-time allocations
-    noise._free.put(noise._ready.get())
+    from a step's draw to the next step's score, a (5000, 4) call's traced
+    peak rises less than 8 KB above the arrays it holds at the draw."""
+    rises = []
+    after_draw = []
+
+    class PeakAfterDraw:
+        def __init__(self, seed):
+            self._rng = np.random.Generator(np.random.PCG64(seed))
+
+        def standard_normal(self, *args, **kwargs):
+            drawn = self._rng.standard_normal(*args, **kwargs)
+            after_draw.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return drawn
+
+    def score_fn(x, t):
+        if after_draw:
+            rises.append(tracemalloc.get_traced_memory()[1] - after_draw[-1])
+        return x
+
+    cfg = SamplerConfig(steps=4, n=5000, seed=5)
+    init = prior_init(vp_sched, cfg, 4)
+    monkeypatch.setattr(np.random, "default_rng", PeakAfterDraw)
+    reverse_sample(score_fn, vp_sched, cfg, init=init)  # one-time allocations
+    rises.clear()
+    after_draw.clear()
     tracemalloc.start()
     try:
-        noise._fill((1,))
-        peak = tracemalloc.get_traced_memory()[1]
+        reverse_sample(score_fn, vp_sched, cfg, init=init)
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 1024, peak
-    rng = np.random.default_rng(5)
-    rng.standard_normal(shape)
-    assert np.array_equal(noise._ready.get(), 0.25 * rng.standard_normal(shape))
+    assert len(rises) == cfg.steps - 1
+    assert max(rises) < 8 * 1024, rises
 
 
 class ScoreFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("path", sorted(CPUS))
-@pytest.mark.parametrize("failure", ["score_raises", "nan", "score_raises_at_0"])
-def test_failing_step_leaves_no_thread(vp_sched, monkeypatch, failure, path):
+@pytest.mark.parametrize("failure", ["score_raises", "nan", "score_raises_at_0"],
+                         ids=lambda failure: f"{failure}-inline")  # the inline noise draw
+def test_failing_step_leaves_no_thread(vp_sched, thread_starts, failure):
     """A score that raises at step k, or turns the state non-finite there,
-    ends the call with its own exception and leaves no worker behind; at
-    step 0 the worker is still filling the steps ahead."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS[path])
+    ends the call with its own exception, at step 0 too, and no thread runs
+    beside any step."""
     before = threading.active_count()
     during = []
     k = 0 if failure == "score_raises_at_0" else 3
@@ -193,44 +203,15 @@ def test_failing_step_leaves_no_thread(vp_sched, monkeypatch, failure, path):
     with pytest.raises(expected, match=f"step {k}"):
         reverse_sample(score_fn, vp_sched, cfg, init=prior_init(vp_sched, cfg, 2))
     assert len(during) == k + 1
-    assert during[0] == before + (path == "threaded")
+    assert during == [before] * (k + 1)
     assert threading.active_count() == before
-
-
-def test_worker_failure_reaches_the_caller():
-    """An exception on the worker thread is raised by the step that waits
-    for its noise, after the steps drawn before it, whether the failing draw
-    comes first, in the middle or last; the worker is joined either way."""
-    def consume(scales, outcome, workers):
-        noise = sampler._StepNoise(np.random.default_rng(0), scales, (4, 2))
-        workers.append(noise._worker)
-        y = np.zeros((4, 2))
-        try:
-            with noise:
-                for i in range(4):
-                    noise.add_to(y, i)
-                    outcome.append(i)
-        except TypeError as exc:
-            outcome.append(exc)
-
-    for scales in ([1.0, 2.0, "x", 3.0], ["x", 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, "x"]):
-        outcome, workers = [], []
-        consumer = threading.Thread(target=consume, args=(scales, outcome, workers))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(os, "sched_getaffinity", lambda pid: CPUS["threaded"])
-            consumer.start()
-            consumer.join(timeout=30)
-        assert not consumer.is_alive()
-        failed = scales.index("x")
-        assert outcome[:failed] == list(range(failed))
-        assert isinstance(outcome[failed], TypeError) and len(outcome) == failed + 1
-        assert workers[0] is not None and not workers[0].is_alive()
+    assert thread_starts == []
 
 
 def test_memory_is_bounded_in_steps(vp_sched, thread_starts):
-    """The worker's buffers are reused, not kept per step: the traced peak
-    of a 400-step call exceeds that of a 4-step call by less than one (n, D)
-    buffer (the time and scale lists are the O(steps) part)."""
+    """The step buffers are reused, not kept per step, and no thread is
+    started: the traced peak of a 400-step call exceeds that of a 4-step
+    call by less than one (n, D) buffer (the time grid is the O(steps) part)."""
     n, dim = 5000, 4
     peaks = []
     for steps in (4, 4, 400):  # the first call also makes one-time allocations
@@ -242,7 +223,7 @@ def test_memory_is_bounded_in_steps(vp_sched, thread_starts):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert len(thread_starts) == 3
+    assert thread_starts == []
     assert peaks[2] - peaks[1] < n * dim * 8
 
 
@@ -343,22 +324,18 @@ def out_of_place_reverse_sample(score_fn, sched, cfg, init):
 
 
 def _bit_identity_cases():
-    """Every score kind on both noise paths at 1, 2 and 30 steps; the
-    30-step threaded cases keep the ids they had as the only cases."""
+    """Every score kind at 1, 2 and 30 steps; the short cases' ids name the
+    inline noise draw."""
     for steps in (30, 1, 2):
-        for path in ("threaded", "inline"):
-            for kind in ("exact", "view_of_input", "cached"):
-                plain = steps == 30 and path == "threaded"
-                yield pytest.param(kind, steps, CPUS[path],
-                                   id=kind if plain else f"{kind}-{path}-steps{steps}")
+        for kind in ("exact", "view_of_input", "cached"):
+            yield pytest.param(kind, steps,
+                               id=kind if steps == 30 else f"{kind}-inline-steps{steps}")
 
 
-@pytest.mark.parametrize("kind,steps,cpus", _bit_identity_cases())
-def test_reverse_sample_bit_identical_to_out_of_place_loop(kind, steps, cpus, monkeypatch):
-    """The in-place step reproduces the out-of-place loop bit for bit, on
-    the worker-thread and the inline noise path, and never writes into an
-    array it handed to, or got from, score_fn."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+@pytest.mark.parametrize("kind,steps", _bit_identity_cases())
+def test_reverse_sample_bit_identical_to_out_of_place_loop(kind, steps):
+    """The in-place step reproduces the out-of-place loop bit for bit, and
+    never writes into an array it handed to, or got from, score_fn."""
     model = build_model(TWO_SUBSPACES)
     sched = make_schedule("vp", 8.0, 0.01, 1.0)
     cfg = SamplerConfig(steps=steps, n=300, seed=5)
@@ -388,9 +365,9 @@ def test_reverse_sample_bit_identical_to_out_of_place_loop(kind, steps, cpus, mo
 
 
 def test_concurrent_samplers_keep_their_draw_order():
-    """Three reverse_sample calls at once, each with its own worker (more
-    threads than this machine's cores), under a 1 us switch interval: each
-    still reproduces the serial loop bit for bit."""
+    """Three reverse_sample calls at once on their own threads (more threads
+    than this machine's cores), under a 1 us switch interval: each still
+    reproduces the serial loop bit for bit."""
     sched = make_schedule("vp", 8.0, 0.01, 1.0)
     cfgs = [SamplerConfig(steps=300, n=3, seed=seed) for seed in range(3)]
     init = np.random.default_rng(6).standard_normal((3, 2))
@@ -402,36 +379,30 @@ def test_concurrent_samplers_keep_their_draw_order():
 
     interval = sys.getswitchinterval()
     runners = [threading.Thread(target=run, args=(j,)) for j in range(len(cfgs))]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: CPUS["threaded"])
-        sys.setswitchinterval(1e-6)
-        try:
-            for r in runners:
-                r.start()
-            for r in runners:
-                r.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in runners:
+            r.start()
+        for r in runners:
+            r.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(r.is_alive() for r in runners)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
-def test_reverse_sample_returns_c_order_whatever_the_path_and_init_layout(monkeypatch):
+def test_reverse_sample_returns_c_order_whatever_the_path_and_init_layout():
     """The state is column-major inside reverse_sample; what it returns is a
-    C-ordered array with the same bits on the worker-thread and the inline
-    noise path, from a C-ordered or a column-major init, at zero steps too."""
+    C-ordered array with the same bits from a C-ordered or a column-major
+    init, at zero steps too."""
     model = build_model(TWO_SUBSPACES)
     sched = make_schedule("vp", 8.0, 0.01, 1.0)
     init = np.random.default_rng(8).standard_normal((200, model.D))
     for steps in (0, 20):
         cfg = SamplerConfig(steps=steps, n=len(init), seed=9)
-        got = []
-        for cpus in CPUS.values():
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            for order in "CF":
-                got.append(reverse_sample(model_score_fn(model, sched), sched, cfg,
-                                          init=np.array(init, order=order)))
+        got = [reverse_sample(model_score_fn(model, sched), sched, cfg,
+                              init=np.array(init, order=order)) for order in "CF"]
         assert all(y.flags.c_contiguous for y in got)
         assert all(np.array_equal(y, got[0]) for y in got[1:])
         assert steps or np.array_equal(got[0], init)
