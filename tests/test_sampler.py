@@ -324,21 +324,22 @@ def out_of_place_reverse_sample(score_fn, sched, cfg, init):
 
 
 def _bit_identity_cases():
-    """Every score kind at 1, 2 and 30 steps; the short cases' ids name the
-    inline noise draw."""
+    """Every score kind at 1, 2 and 30 steps under sampler seed 5, and at 30
+    steps under a second sampler seed (the ids without a step count)."""
     for steps in (30, 1, 2):
         for kind in ("exact", "view_of_input", "cached"):
-            yield pytest.param(kind, steps,
-                               id=kind if steps == 30 else f"{kind}-inline-steps{steps}")
+            yield pytest.param(kind, steps, 5, id=f"{kind}-inline-steps{steps}")
+    for kind in ("exact", "view_of_input", "cached"):
+        yield pytest.param(kind, 30, 11, id=kind)
 
 
-@pytest.mark.parametrize("kind,steps", _bit_identity_cases())
-def test_reverse_sample_bit_identical_to_out_of_place_loop(kind, steps):
+@pytest.mark.parametrize("kind,steps,seed", _bit_identity_cases())
+def test_reverse_sample_bit_identical_to_out_of_place_loop(kind, steps, seed):
     """The in-place step reproduces the out-of-place loop bit for bit, and
     never writes into an array it handed to, or got from, score_fn."""
     model = build_model(TWO_SUBSPACES)
     sched = make_schedule("vp", 8.0, 0.01, 1.0)
-    cfg = SamplerConfig(steps=steps, n=300, seed=5)
+    cfg = SamplerConfig(steps=steps, n=300, seed=seed)
     init = np.random.default_rng(6).standard_normal((cfg.n, model.D))
     cached = np.random.default_rng(7).standard_normal((cfg.n, model.D))
     fn = {"exact": model_score_fn(model, sched),
