@@ -19,8 +19,9 @@ Conventions fixed here and used everywhere:
 
 There is one derivative code path, `_derivative_pass`.  It checks the batch,
 cuts it into row blocks, factors the kernel of the free mixture the parameters
-define once and makes one kernel pass over each block, which yields the score,
-the responsibilities and each component's pieces of the Jacobian.
+define once and makes one kernel pass over each block, which yields the
+responsibilities and each component's pieces of the Jacobian, and the score
+on demand, which only the residual contraction builds.
 `_jacobian_blocks` assembles those, block by block, into the Jacobian split
 into a "self-cluster" part (term A: component responsibilities frozen) and a
 responsibility-derivative part (term B, proportional to the pairwise overlaps
@@ -46,12 +47,14 @@ CLI's score check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset, RankNotOne
 from .schedule import DiffusionSchedule, coefficients
 from .score import (
+    BLOCK_ELEMENTS,
     SymmetricParams,
     _as_factor,
     _batch,
@@ -61,11 +64,6 @@ from .score import (
 
 # responsibility products below this are treated as exactly zero overlap
 XI_FLOOR = 1e-300
-
-# numbers per temporary of a row-blocked reduction: a block of Jacobians
-# (rows d p) or of what one kernel pass allocates (rows (d L + d + L)), so
-# memory is bounded in n and p
-BLOCK_ELEMENTS = 1 << 16
 
 
 def _row_blocks(X: np.ndarray, width: int | None):
@@ -139,14 +137,15 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
     cuts, with the kernel of the free mixture params define factored once for
     all of them: yields (s, score, qs, w, pieces) per block.
 
-    score is the (d, rows) score with the points on the last axis, the
+    score() builds the (d, rows) score with the points on the last axis, the
     transpose of the one `NoisedMixture.score` gives, a fresh array the
-    consumer may overwrite; qs the (L, d, rows) q_l = Sigma_l^{-1} (x - s mu_l)
-    and w the (L, rows) responsibilities of the free mixture.  pieces yields,
-    per component, (sign, mu_cols, U_cols, q, rm, Sinv, V, qU): the mean sign
-    and the column slices of the block it is tied to; its q and (rows,)
-    responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1} U and qU = U^T q,
-    zero-width for a rank-0 factor.
+    consumer may overwrite; only the residual contraction calls it, so the
+    other consumers allocate no score.  qs is the (L, d, rows) q_l =
+    Sigma_l^{-1} (x - s mu_l) and w the (L, rows) responsibilities of the free
+    mixture.  pieces yields, per component, (sign, mu_cols, U_cols, q, rm,
+    Sinv, V, qU): the mean sign and the column slices of the block it is tied
+    to; its q and (rows,) responsibilities rm; Sinv = Sigma^{-1}; V = Sigma^{-1}
+    U and qU = U^T q, zero-width for a rank-0 factor.
     """
     Xb, _ = _batch(X, params.d)
     free, weights = params.mixture(pis)
@@ -166,7 +165,7 @@ def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndar
     for rows in _row_blocks(Xb, width):
         xt, work, z, _ = kern._pass(rows, residuals=True)
         qs, w = work[:-1, 0], z[:len(fixed), 0]
-        yield s, kern._score(xt, work), qs, w, pieces(qs, w)
+        yield s, partial(kern._score, xt, work), qs, w, pieces(qs, w)
 
 
 def _cross(v: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
@@ -251,7 +250,8 @@ def residual_contraction(params, pis, sched: DiffusionSchedule, t: float,
     passes = _derivative_pass(params, pis, sched, t, X, width)
     sq, g = 0.0, np.zeros(params.dim)
     for (s, score, qs, w, pieces), T in zip(passes, _row_blocks(target, width)):
-        R = np.subtract(score, T.T, out=score)
+        R = score()
+        R -= T.T
         sq += np.sum(np.sum(R ** 2, axis=0))
         P = np.einsum("in,lin->ln", R, qs)
         for m, (sign, mu_cols, U_cols, q, rm, Sinv, V, qU) in enumerate(pieces):

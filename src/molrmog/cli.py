@@ -5,17 +5,22 @@ report.  Exit codes: 0 success, 2 validation/config error, a file the run
 cannot read or write, or an allocation the machine refuses (status
 "out-of-memory" in the manifest), 3 numerical failure (divergence,
 non-finite states, or a floating-point overflow, invalid operation or
-division by zero).  Every run writes manifest.json listing the config hash,
-seed, versions, wall time, and artifacts.
+division by zero).  Before it allocates anything, each subcommand checks its
+size key (`gen.n`, `sampler.n`, `estimation.n_mc`, `hessian.n_mc`,
+`overlap.n_mc`, `train.n`) against the machine's physical memory, and
+refuses one whose largest arrays alone would not fit, as an allocation the
+machine refuses, naming the key.  Every run writes manifest.json listing the
+config hash, seed, versions, wall time, and artifacts.
 All CSVs are UTF-8 with \n line endings and round-trip-exact floats.
 
 Each subcommand runs in its own process, so this module imports at top level
-only the standard library, `errors` and `schedule`; a subcommand and each
-helper it calls import the library names they use in their own body.  `gen`
-loads `model` and `score`, `sample` adds `sampler`, only `estimation` loads
-`objective` and through it scipy, and `report` reads JSON without numpy
-(unless it reads the seed from the config).  The manifest lists numpy and
-scipy among the versions only when the run loaded them.
+only the standard library and `errors`; a subcommand and each helper it calls
+import the library names they use in their own body.  `gen` loads `model`,
+`score` and `schedule`, `sample` adds `sampler`, only `estimation` loads
+`objective` and through it scipy, but not `calculus`, and `report` reads
+JSON without numpy or `schedule` (unless it reads the seed from the config).
+The manifest lists numpy and scipy among the versions only when the run
+loaded them.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -37,7 +43,6 @@ from .errors import (
     UnknownSubcommand,
     ValidationError,
 )
-from .schedule import DEFAULT_T_MAX, DEFAULT_T_MIN, make_schedule
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -126,6 +131,8 @@ def _block(cfg: dict, key: str) -> dict:
 
 
 def _schedule_from(cfg: dict):
+    from .schedule import DEFAULT_T_MAX, DEFAULT_T_MIN, make_schedule
+
     block = _block(cfg, "schedule")
     kind = block.get("kind", "constant_drift")
     rate, other = ("g0", "beta") if kind == "constant_drift" else ("beta", "g0")
@@ -161,6 +168,22 @@ def _num(block: dict, key: str, default, kind=float):
     return out.tolist()
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, from the standard library's `os.sysconf`."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(key: str, n: int, per_row: int) -> None:
+    """Refuse, before any allocation, a size key n whose largest arrays alone,
+    n rows of per_row 8-byte numbers, need more bytes than physical memory: a
+    MemoryError naming the key, which `run` reports in one line with exit 2.
+    The estimate is a lower bound, so a size that fits is never refused."""
+    need, have = 8 * n * per_row, _physical_memory()
+    if need > have:
+        raise MemoryError(f"{key} = {n} needs at least {need / 2 ** 30:.4g} GiB, more than "
+                          f"the {have / 2 ** 30:.4g} GiB of physical memory")
+
+
 def _params_from(cfg_block: dict, model):
     """Trainable parameters: a tied two-mode block or a model subspace."""
     from .model import as_numbers
@@ -191,6 +214,8 @@ def cmd_gen(cfg, seed, out: Path) -> list[str]:
 
     model = _model_from(cfg)
     n = _num(_block(cfg, "gen"), "n", 1000, int)
+    # the points and their subspace, component and draw labels
+    _require_memory("gen.n", n, model.D + 3)
     data = sample_data(model, n, np.random.default_rng(seed))
     header = ["k", "l"] + [f"x_{i}" for i in range(model.D)]
     rows = ([k, l] + x for k, l, x in zip(data.k.tolist(), data.l.tolist(), data.x.tolist()))
@@ -260,6 +285,8 @@ def cmd_estimation(cfg, seed, out: Path) -> list[str]:
     t = _num(block, "t", 0.5)
     trials = _num(block, "trials", 20, int)
     n_mc = _num(block, "n_mc", 1_000_000, int)
+    # the population's clean points and labels, its noise draws and noised points
+    _require_memory("estimation.n_mc", n_mc, 3 * model.D + 3)
     grid = make_theta_grid(model.subspaces, _num(block, "half_width", 0.25),
                            _num(block, "grid", 64, int), seed)
     report = estimation_gap_experiment(
@@ -282,8 +309,10 @@ def cmd_hessian(cfg, seed, out: Path) -> list[str]:
     block = _block(cfg, "hessian")
     t = _num(block, "t", 0.5)
     params, pis = _params_from(block, model)
-    rep = hessian_empirical(params, pis, sched, t, _num(block, "n_mc", 20000, int),
-                            np.random.default_rng(seed))
+    n_mc = _num(block, "n_mc", 20000, int)
+    # the latent draws and their labels
+    _require_memory("hessian.n_mc", n_mc, params.d + 1)
+    rep = hessian_empirical(params, pis, sched, t, n_mc, np.random.default_rng(seed))
     write_csv(out / "hessian_spectrum.csv", ["index", "eigenvalue"],
               [(i, float(v)) for i, v in enumerate(rep.spectrum)])
     # the muU cross block is not symmetric, so it has no lambda_min; a rank-0
@@ -309,8 +338,10 @@ def cmd_overlap(cfg, seed, out: Path) -> list[str]:
     block = _block(cfg, "overlap")
     t = _num(block, "t", 0.5)
     params, pis = _params_from(block, model)
-    X = sample_noised(params, pis, sched, t, _num(block, "n_mc", 20000, int),
-                      np.random.default_rng(seed))
+    n_mc = _num(block, "n_mc", 20000, int)
+    # the latent draws and their labels
+    _require_memory("overlap.n_mc", n_mc, params.d + 1)
+    X = sample_noised(params, pis, sched, t, n_mc, np.random.default_rng(seed))
     rep = overlap_analysis(params, pis, sched, t, X,
                            mode=block.get("mode", "two_mode_sup"))
     write_json(out / "overlap_summary.json", {
@@ -335,6 +366,8 @@ def cmd_train(cfg, seed, out: Path) -> list[str]:
     truth, pis = _params_from(block, model)
     rng = np.random.default_rng(seed)
     n = _num(block, "n", 10000, int)
+    # the latent draws, their labels and the true score at them
+    _require_memory("train.n", n, 2 * truth.d + 1)
     X = sample_noised(truth, pis, sched, t, n, rng)
     theta0 = init_near(truth, _num(block, "init_radius", 0.1), rng)
     eta = block.get("eta")
@@ -382,6 +415,8 @@ def cmd_sample(cfg, seed, out: Path) -> list[str]:
     sched = _schedule_from(block if "schedule" in block else cfg)
     scfg = SamplerConfig(steps=_num(block, "steps", 500, int),
                          n=_num(block, "n", 10000, int), seed=seed)
+    # the initial draws, the state and its next value, drift, scratch and noise
+    _require_memory("sampler.n", scfg.n, 6 * model.D)
     rng = np.random.default_rng(seed + 1)
     init = _ambient_moment_init(model, sched, scfg.n, rng)
     samples = reverse_sample(model_score_fn(model, sched), sched, scfg, init=init)

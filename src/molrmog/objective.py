@@ -5,14 +5,16 @@ vanishes identically at the true parameters: the approximation error of this
 family is exactly zero and every gap measured here is pure estimation error.
 
 The estimation-gap experiment evaluates its theta grid in tiles of g grid
-points by nb rows, sized by `calculus.BLOCK_ELEMENTS` over the kernel width
+points by nb rows, sized by `score.BLOCK_ELEMENTS` over the kernel width
 L + R, through one kernel of all grid points per subspace
 (`score.mixture_kernel` on a list).  The score is (M^T z - x^T) / gamma^2, so
 against the target x^T + gamma^2 s*^T of the true score s* the per-sample
 loss is |M^T z - target|^2 / gamma^4, formed in the kernel pass's own scratch
-by `stacked_errors`.  Block means, and the population's variances, merge by
-the pairwise update of Chan, Golub & LeVeque (1983), so memory is bounded in
-the population size.
+by `stacked_errors`: per subspace the residual squared in place, its squares
+added over the coordinates in order and divided in place, the first
+subspace's array the running sum.  Block means, and the population's
+variances, merge by the pairwise update of Chan, Golub & LeVeque (1983), so
+memory is bounded in the population size.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .calculus import BLOCK_ELEMENTS
 from .errors import GridEmpty, ValidationError
 from .model import MoLRMoGModel, encode, forward_noise, sample_data
 from .schedule import DiffusionSchedule, coefficients
-from .score import mixture_kernel
+from .score import BLOCK_ELEMENTS, _over_rows, mixture_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +173,22 @@ def stacked_errors(kernels, Zs, targets, sets: slice = slice(None)) -> np.ndarra
     block encoded in subspace k, and targets[k] = Zs[k]^T + gamma^2 s*^T
     (d, rows) for the true score s* there.  The score is (M^T z - x^T) /
     gamma^2 (`score.NoisedMixture`), so the gap is |M^T z - target|^2 /
-    gamma^4, formed in the pass's own M^T z scratch with the points on the
-    last axis."""
-    ell = 0.0
+    gamma^4: the residual is formed and squared in the pass's own M^T z
+    scratch with the points on the last axis, its squares added over the
+    coordinates in order into one (g, rows) array and divided in place, and
+    the first subspace's array becomes the sum over subspaces."""
+    ell = None
     for kern, Z, target in zip(kernels, Zs, targets):
         mz = kern._pass(Z, sets=sets)[1][-1]
         mz -= target
         np.square(mz, out=mz)
-        ell += mz.sum(axis=1) / (kern.g2 * kern.g2)
+        gap = _over_rows(np.add, mz.transpose(1, 0, 2), np.empty(mz.shape[::2]))
+        gap /= kern.g2 * kern.g2
         del mz  # one pass's scratch alive at a time
+        if ell is None:
+            ell = gap
+        else:
+            ell += gap
     return ell
 
 
@@ -194,7 +202,7 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
     over the finite grid, and the rate is the fitted log-log slope.
 
     Each dataset's losses come in tiles of g grid points by nb rows, one
-    `stacked_errors` call each, sized by `calculus.BLOCK_ELEMENTS` over the
+    `stacked_errors` call each, sized by `score.BLOCK_ELEMENTS` over the
     kernel width L + R: nb = min(n, BLOCK_ELEMENTS // (L + R)) and g =
     BLOCK_ELEMENTS // ((L + R) nb).  A small dataset takes the whole grid in
     one call, and the population one grid point per row block, so memory is

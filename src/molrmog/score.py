@@ -24,8 +24,17 @@ gamma^2 by one GEMM against M = [s mu_1 ... s mu_L; W_1; ...; W_L]; only
 gamma^2.  The pass works on x^T with the points last, which it reads in
 place when x is column-major (the estimation encodings, the sampler's state)
 and copies otherwise, and never writes; when every factor has rank one,
-|a_l|^2 is one squared row, and the pass sums no rows per component.  The
-kernel has a leading parameter-set axis: `mixture_kernel` on a list of G
+|a_l|^2 is one squared row, the pass sums no rows per component and weights
+every a_l row by one multiply.  Beyond its one buffer a pass allocates only
+the per-point max and normalizer (and, when the factor rows outnumber the
+coordinates, their squares).  |rho_l|^2 is rho_l squared in place, once a_l
+(and q_l) have read it, and its rows added in order; the squared factor rows
+go into the rho plane, free once the component loop is done; the max and the
+normalizer are taken row by row over the components with `np.maximum` and
+`np.add`.  Each makes the operations, in the same order, that an einsum or
+an axis-0 reduction would, without its set-up or a result of its own.
+`BLOCK_ELEMENTS` bounds what one pass allocates, for the row-blocked callers.
+The kernel has a leading parameter-set axis: `mixture_kernel` on a list of G
 parameters of one shape factors all G at once (one batched Cholesky and
 forward substitution, in closed form when every rank is one), and one pass
 evaluates any slice of the sets, each with the bits its own one-set kernel
@@ -61,6 +70,12 @@ from .schedule import DiffusionSchedule, coefficients
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# numbers per temporary of a row-blocked reduction: what one kernel pass
+# allocates (an estimation tile counts L + R per set and row, a derivative
+# pass d L + d + L per row) or a block of Jacobians (d p per row), so memory
+# is bounded in n and p
+BLOCK_ELEMENTS = 1 << 16
+
 
 def _as_factor(U) -> np.ndarray:
     """U as a float array, a vector read as a single factor column."""
@@ -71,6 +86,20 @@ def _as_factor(U) -> np.ndarray:
 def _require_noise(gamma: float) -> None:
     if not (gamma > 0):
         raise SingularNoise(f"gamma must be positive, got {gamma}")
+
+
+def _over_rows(ufunc, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(rows, axis=0) into out: the first row, then ufunc with
+    each next row in order, the operations that reduction (and, for np.add
+    over squares, an einsum sum of products over that axis) makes, without
+    its set-up cost or a fresh result."""
+    if len(rows) == 1:
+        np.copyto(out, rows[0])
+        return out
+    ufunc(rows[0], rows[1], out=out)
+    for row in rows[2:]:
+        ufunc(out, row, out=out)
+    return out
 
 
 def _batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
@@ -153,7 +182,7 @@ class NoisedMixture:
         g, n) is the weights (L, g, n) over every r_l a_l, the sets inside
         each row so that an operation on a whole row runs over g n contiguous
         numbers; work and z share one allocation (fewer page faults); the log
-        density is top + log(total), both (g, n)."""
+        density is top + log(total), both (g, n) and one allocation."""
         L, d, n = len(self.rows), self.d, len(x)
         k = L if residuals else 0
         centers, M = self.centers[sets], self.M[sets]
@@ -174,22 +203,32 @@ class NoisedMixture:
                     np.dot(W[i].T, a[:, i], out=q[i])
                 np.subtract(rho, q, out=q)
                 q /= self.g2
-            np.einsum("gin,gin->gn", rho, rho, out=logj[l])
+            # |rho|^2: read by nothing after this, rho is squared in place
+            np.square(rho, out=rho)
+            _over_rows(np.add, rho.transpose(1, 0, 2), logj[l])
         # the exact norms, never the expanded |x|^2 - 2 c.x + |c|^2, whose
-        # rounding error grows with |x|^2 / gamma^2
+        # rounding error grows with |x|^2 / gamma^2; the squared factor rows
+        # go into the rho plane, free until the GEMM, when they fit there
+        R = width - L
+        sq = rho.reshape(-1)[:R * g * n].reshape(R, g, n) if R <= d else np.empty((R, g, n))
+        np.square(z[L:], out=sq)
         if self.rank_one:
-            logj -= np.square(z[L:])
+            logj -= sq
         else:
-            logj -= (self.G @ np.square(z[L:]).reshape(width - L, g * n)).reshape(L, g, n)
+            logj -= (self.G @ sq.reshape(R, g * n)).reshape(L, g, n)
         logj *= -0.5 / self.g2
         logj += self.const[sets].T[:, :, None]
-        top = logj.max(axis=0)
+        top, total = np.empty((2, g, n))
+        _over_rows(np.maximum, logj, top)
         logj -= top
         w = np.exp(logj, out=logj)
-        total = w.sum(axis=0)
+        _over_rows(np.add, w, total)
         w /= total
-        for wl, a in zip(w, a_rows):
-            a *= wl
+        if self.rank_one:
+            z[L:] *= w
+        else:
+            for wl, a in zip(w, a_rows):
+                a *= wl
         # the score's GEMM (module docstring) into the scratch rho
         np.matmul(M.transpose(0, 2, 1), z.transpose(1, 0, 2), out=rho)
         return xt, work, z, (top, total)

@@ -4,7 +4,6 @@ from conftest import dense_gaussian_logpdf, equivalent_gaussian_error, read_only
 
 from molrmog import calculus
 from molrmog.calculus import (
-    BLOCK_ELEMENTS,
     XI_FLOOR,
     alpha_formula,
     exact_jacobian,
@@ -26,6 +25,7 @@ from molrmog.errors import (
 from molrmog.model import Subspace, random_orthonormal
 from molrmog.schedule import coefficients
 from molrmog.score import (
+    BLOCK_ELEMENTS,
     LatentParams,
     SymmetricParams,
     mixture_kernel,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from molrmog import cli
 from molrmog.cli import (
     DISPATCH,
     _num,
@@ -254,10 +255,12 @@ def test_subcommands_load_no_scipy_submodules(tmp_path):
 
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path):
-    """gen, sample and report, each in a fresh interpreter: report loads no
-    numpy and no model, gen no derivative, experiment or sampler module and
-    no scipy, and each manifest's versions name exactly python, molrmog and
-    those of numpy and scipy that the process loaded."""
+    """gen, sample, estimation and report, each in a fresh interpreter: report
+    loads no numpy, no model and no schedule, gen no derivative, experiment or
+    sampler module and no scipy, estimation (at the benchmark's smoke sizes)
+    no derivative, training or sampler module, and each manifest's versions
+    name exactly python, molrmog and those of numpy and scipy that the
+    process loaded."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     config = os.path.join(root, "configs", "example.json")
     code = ("import json, sys\n"
@@ -267,11 +270,14 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     # report reads the seed from --seed: reading it from the config loads numpy
     args = ["--config", config, "--out", str(tmp_path), "--seed", "3",
-            "--set", "gen.n=50", "--set", "sampler.n=500", "--set", "sampler.steps=10"]
+            "--set", "gen.n=50", "--set", "sampler.n=500", "--set", "sampler.steps=10",
+            "--set", "estimation.trials=1", "--set", "estimation.n_mc=2048",
+            "--set", "estimation.grid=4", "--set", "estimation.n_schedule=[128,256]"]
     never = {"gen": {"molrmog.calculus", "molrmog.objective", "molrmog.optimizer",
                      "molrmog.sampler", "scipy"},
              "sample": {"molrmog.calculus", "molrmog.objective", "molrmog.optimizer", "scipy"},
-             "report": {"numpy", "molrmog.model"}}
+             "estimation": {"molrmog.calculus", "molrmog.optimizer", "molrmog.sampler"},
+             "report": {"numpy", "molrmog.model", "molrmog.schedule", "dataclasses"}}
     for sub, absent in never.items():
         res = subprocess.run([sys.executable, "-c", code, sub] + args, env=env,
                              capture_output=True, text=True, check=True)
@@ -281,6 +287,52 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
         assert loaded & absent == set(), sub
         versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
         assert set(versions) == {"python", "molrmog"} | ({"numpy", "scipy"} & loaded), sub
+
+
+SIZE_KEYS = {"gen.n": "gen", "sampler.n": "sample", "estimation.n_mc": "estimation",
+             "hessian.n_mc": "hessian", "overlap.n_mc": "overlap", "train.n": "train"}
+
+
+@pytest.mark.parametrize("key, sub", SIZE_KEYS.items())
+def test_oversize_request_exits_2_before_allocating(cfg_path, tmp_path, capsys, key, sub):
+    """A size key at 1e12 is refused from its estimated bytes before anything
+    is allocated: exit 2, one stderr line naming the key, an out-of-memory
+    manifest, and a tracemalloc peak under 1 MB over the whole run."""
+    import tracemalloc
+
+    # what the subcommands import, numpy's lazily loaded submodules too,
+    # loaded before the trace starts
+    import molrmog.objective, molrmog.optimizer, molrmog.sampler  # noqa: E401, F401
+    import numpy.linalg, numpy.random  # noqa: E401, F401
+
+    tracemalloc.start()
+    try:
+        code = run(sub, cfg_path, overrides=[f"{key}=1000000000000"], out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1, err
+    assert err.startswith(f"MemoryError: {key} = 1000000000000 needs at least "), err
+    assert "GiB of physical memory" in err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "out-of-memory" and manifest["artifacts"] == []
+    assert peak < 1 << 20, peak
+
+
+def test_ordinary_size_is_refused_by_smaller_physical_memory(cfg_path, tmp_path, capsys,
+                                                             monkeypatch):
+    """gen.n = 200 at D = 3 needs at least 8 * 200 * 6 = 9600 bytes: it runs
+    with the real physical memory and with 9600 bytes, and 9599 bytes
+    refuse it."""
+    assert run("gen", cfg_path, out_dir=str(tmp_path / "fits")) == 0
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 9599)
+    assert run("gen", cfg_path, out_dir=str(tmp_path / "refused")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("MemoryError: gen.n = 200 needs at least ") and err.count("\n") == 1
+    assert not (tmp_path / "refused" / "dataset.csv").exists()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 9600)
+    assert run("gen", cfg_path, out_dir=str(tmp_path / "exact")) == 0
 
 
 def test_blas_thread_count_keeps_every_bit(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import empirical_loss, sm_errors
 from molrmog import objective
-from molrmog.calculus import BLOCK_ELEMENTS
+from molrmog.score import BLOCK_ELEMENTS
 from molrmog.errors import EmptyDataset, GridEmpty, TimeOutOfRange, ValidationError
 from molrmog.model import build_model, encode, forward_noise, sample_data
 from molrmog.objective import (

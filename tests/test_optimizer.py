@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import empirical_loss, fd_gradient
-from molrmog.calculus import BLOCK_ELEMENTS, exact_jacobian, sample_noised, score_of
+from molrmog.calculus import exact_jacobian, sample_noised, score_of
 from molrmog.errors import (
     DivergenceDetected,
     EmptyDataset,
@@ -19,7 +19,7 @@ from molrmog.optimizer import (
     loss_and_grad,
     theoretical_step,
 )
-from molrmog.score import LatentParams, SymmetricParams
+from molrmog.score import BLOCK_ELEMENTS, LatentParams, SymmetricParams
 
 
 TRUTH = SymmetricParams(mu=[4.0, 0.0], U=[[1.0], [0.0]])

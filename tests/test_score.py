@@ -7,10 +7,12 @@ from scipy.special import logsumexp
 
 from conftest import conditional_score, dense_gaussian_logpdf, fd_gradient, read_only_layouts
 from test_acceptance import TWO_SUBSPACE_SPEC
+from test_objective import MIXED_SPEC
 from molrmog.errors import DimensionMismatch, EmptyDataset, SingularNoise
-from molrmog.model import Subspace, build_model, forward_noise, random_orthonormal, \
+from molrmog.model import Subspace, build_model, encode, forward_noise, random_orthonormal, \
     sample_data, MoLRMoGModel
-from molrmog.schedule import coefficients
+from molrmog.objective import make_theta_grid, stacked_errors
+from molrmog.schedule import coefficients, make_schedule
 from molrmog.score import (
     _lower_solve,
     FactoredMixture,
@@ -373,16 +375,50 @@ def test_lower_solve_matches_scipy_triangular_solve():
     assert _lower_solve(np.zeros((0, 0)), np.zeros((0, 4))).shape == (0, 4)
 
 
+def _kernel_outputs(kern, X):
+    """Score, evaluate's (q, r, logp) and log density of kern at X, raveled."""
+    q, r, logp = kern.evaluate(X)
+    got = {"score": kern.score(X), "q": q, "r": r, "logp": logp,
+           "log_density": kern.log_density(X)}
+    return {name: np.ravel(a).tolist() for name, a in got.items()}
+
+
+def _tile_digests(spec):
+    """SHA-256 prefixes of an estimation trial tile on the model spec: per
+    subspace, the pass over 300 rows of the sets 2 to 5 of a kernel of 8 grid
+    points (its M^T z, z, top and total), then the `stacked_errors` of that
+    tile summed over the subspaces."""
+    unit = make_schedule("constant_drift", 1.0, 0.01, 1.0)
+    model = build_model(spec)
+    grid = make_theta_grid(model.subspaces, half_width=0.25, count=8, seed=3)
+    X = forward_noise(sample_data(model, 300, np.random.default_rng(7)).x, unit, 0.5,
+                      np.random.default_rng(8))
+    kernels = [mixture_kernel([th[k] for th in grid], sub.weights, unit, 0.5)
+               for k, sub in enumerate(model.subspaces)]
+    truths = [mixture_kernel(sub, sub.weights, unit, 0.5) for sub in model.subspaces]
+    Zs = [np.asfortranarray(encode(sub, X)) for sub in model.subspaces]
+    sets, out = slice(2, 6), []
+    for kern, Z in zip(kernels, Zs):
+        _, work, z, (top, total) = kern._pass(Z, sets=sets)
+        out += [work[-1], z, top, total]
+    targets = [Z.T + truth.g2 * truth.score(Z).T for truth, Z in zip(truths, Zs)]
+    out.append(stacked_errors(kernels, Zs, targets, sets))
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16] for a in out]
+
+
 def test_one_set_kernel_keeps_its_bits(vp_sched):
     """A one-set kernel gives the score, evaluate and log-density bits it gave
     before the kernel took a parameter-set axis (values stored from that
-    code, rank-one and rank-two components, this numpy and BLAS build)."""
+    code, rank-one and rank-two components, this numpy and BLAS build).  So
+    do, with values stored from the kernel pass before it squared the factor
+    rows into its own scratch and took the max and the normalizer row by row:
+    a kernel with more factor rows than coordinates (d = 2, ranks 1 and 2),
+    and an estimation tile on a model mixing rank-one and rank-two subspaces."""
     params = LatentParams((
         (np.array([1.0, -0.5, 0.25]), np.array([[0.6], [0.1], [-0.3]])),
         (np.array([-1.0, 0.5, 0.0]), np.array([[0.2, 0.4], [0.5, -0.1], [0.0, 0.3]]))))
     X = np.array([[0.4, -0.2, 0.9], [-0.7, 0.3, -0.1]])
     kern = mixture_kernel(params, np.array([0.3, 0.7]), vp_sched, 0.4)
-    q, r, logp = kern.evaluate(X)
     stored = {
         "score": [-0.49368225721004905, 0.1695739978122181, -1.270557995792369,
                   0.1591530098528942, -0.027130517632443174, 0.20208467476855183],
@@ -394,22 +430,44 @@ def test_one_set_kernel_keeps_its_bits(vp_sched):
         "logp": [-3.2035311575166383, -2.364430942776515],
         "log_density": [-3.2035311575166383, -2.364430942776515],
     }
-    got = {"score": kern.score(X), "q": q, "r": r, "logp": logp,
-           "log_density": kern.log_density(X)}
-    for name, want in stored.items():
-        assert np.ravel(got[name]).tolist() == want, name
+    assert _kernel_outputs(kern, X) == stored
+
+    params = LatentParams((
+        (np.array([0.9, -0.4]), np.array([[0.5], [-0.2]])),
+        (np.array([-0.6, 0.7]), np.array([[0.3, -0.1], [0.2, 0.6]]))))
+    X = np.array([[0.3, -0.8], [-0.5, 0.6]])
+    kern = mixture_kernel(params, np.array([0.45, 0.55]), vp_sched, 0.4)
+    assert not kern.rank_one and kern.M.shape[1] - len(kern.rows) > kern.d
+    stored = {
+        "score": [0.08265227904325607, 1.1738141322989692, 0.4039366103652504,
+                -0.38785258339384493],
+        "q": [-0.523639133189155, -0.9767102345151363, -1.5690139964803578, 1.4026832293907263,
+            1.1789580114359952, -1.737704650575922, -0.1642164651294723, 0.17904641073326252],
+        "r": [0.7409916635077007, 0.25900833649229926, 0.17064391122986786, 0.829356088770132],
+        "logp": [-2.1853453783229706, -1.8521773465421953],
+        "log_density": [-2.1853453783229706, -1.8521773465421953],
+    }
+    assert _kernel_outputs(kern, X) == stored
+
+    assert _tile_digests(MIXED_SPEC) == [
+        "86bc591ed13064bd", "a681e9eb6faafff8", "51250bd173899388", "613a0a234eb66ded",
+        "dea70c62b8531151", "9c9eb0540442a098", "8c416fd356e46daf", "5485c6b2a1b42da3",
+        "bfb2c9bb64816098"]
 
 
 def test_all_rank_one_kernel_keeps_its_bits(vp_sched):
     """A kernel whose factors all have rank one skips the pass's GEMM against
     the component-sum matrix and gives the bits it gave with it: the tied
     form at d = 3 (values stored from the GEMM code, this numpy and BLAS
-    build)."""
+    build).  So do, with values stored from the kernel pass before it squared
+    the factor rows into its own scratch and took the max and the normalizer
+    row by row: three rank-one components at d = 2, more factor rows than
+    coordinates, and an estimation tile on the benchmark's two-subspace
+    model."""
     params = SymmetricParams(np.array([0.8, -0.3, 0.5]), np.array([[0.4], [-0.2], [0.7]]))
     X = np.array([[0.6, -0.1, 0.2], [-0.9, 0.4, -0.3]])
     kern = mixture_kernel(params, None, vp_sched, 0.4)
     assert kern.rank_one
-    q, r, logp = kern.evaluate(X)
     stored = {
         "score": [-0.5392448413761635, -0.032008887347460546, 0.04583539004130521,
                   0.8218853328565108, -0.4075489852648873, -0.09041593022719711],
@@ -421,10 +479,33 @@ def test_all_rank_one_kernel_keeps_its_bits(vp_sched):
         "logp": [-2.5202523213595818, -2.7713218964946646],
         "log_density": [-2.5202523213595818, -2.7713218964946646],
     }
-    got = {"score": kern.score(X), "q": q, "r": r, "logp": logp,
-           "log_density": kern.log_density(X)}
-    for name, want in stored.items():
-        assert np.ravel(got[name]).tolist() == want, name
+    assert _kernel_outputs(kern, X) == stored
+
+    params = LatentParams((
+        (np.array([1.2, -0.3]), np.array([[0.4], [0.3]])),
+        (np.array([-0.8, 0.9]), np.array([[-0.2], [0.6]])),
+        (np.array([0.1, -1.1]), np.array([[0.5], [-0.1]]))))
+    X = np.array([[0.2, 0.7], [-1.0, -0.4]])
+    kern = mixture_kernel(params, np.array([0.2, 0.5, 0.3]), vp_sched, 0.4)
+    assert kern.rank_one and kern.M.shape[1] - len(kern.rows) > kern.d
+    stored = {
+        "score": [-0.7888208017787539, -0.7368290879964046, 1.283220281156629,
+                0.6599032284097246],
+        "q": [-1.1116081588350128, 1.6258095753419624, -2.892016871437108,
+            -0.07269020329282787, 1.317080842255149, 0.23543140163093887, -0.955918870040166,
+            -1.4806106997887587, 0.2886823918253512, 2.6007393707807727, -1.590982313088565,
+            0.54327757573599],
+        "r": [0.1700825502896363, 0.717915704411688, 0.11200174529867583, 0.04669474112232773,
+            0.5802782507150839, 0.3730270081625884],
+        "logp": [-2.240471483484088, -2.495778486425308],
+        "log_density": [-2.240471483484088, -2.495778486425308],
+    }
+    assert _kernel_outputs(kern, X) == stored
+
+    assert _tile_digests(TWO_SUBSPACE_SPEC) == [
+        "9acb29bcf7a9ffab", "776121e0a001ea5f", "38d59720a8681cc0", "6752c4b34a810a81",
+        "78d65f688c4a220a", "2717659745f390f9", "3c3b2ec52ddbca16", "2ae608d85de4b439",
+        "a89bb7dc096fc3cc"]
 
 
 def test_kernel_ranks_zero_and_two_match_dense_cholesky(vp_sched):
