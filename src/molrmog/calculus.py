@@ -40,8 +40,9 @@ through one pairwise scalar per point and component (`_cross` gives both), so
 it builds no (d, rows) array per component, costs O(n d (d + r)) per
 component and never forms the (n, d, p) terms.  The tie also gives both
 parameterizations one curvature floor, `alpha_formula`.  The one
-finite-difference loop, `central_differences`, serves `jacobian_fd` and the
-CLI's score check.
+finite-difference loop, `central_differences`, serves `jacobian_fd`, at the
+fixed step `FD_STEP`, and the CLI's score check, at the config's
+`score_check.h`.
 """
 
 from __future__ import annotations
@@ -121,14 +122,15 @@ def central_differences(f, v: np.ndarray, h: float) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray,
-                h: float = 1e-5) -> JacobianPair:
-    """Central finite differences of the score in every theta coordinate."""
-    if not (h > 0):
-        raise DimensionMismatch(f"need positive step, got {h}")
+# the central-difference step of `jacobian_fd`
+FD_STEP = 1e-5
+
+
+def jacobian_fd(theta, pis, sched: DiffusionSchedule, t: float, x: np.ndarray) -> JacobianPair:
+    """Central finite differences of the score in every theta coordinate, step FD_STEP."""
     x = np.asarray(x, dtype=float)
     return JacobianPair(central_differences(
-        lambda vec: score_of(theta.unflatten(vec), pis, sched, t, x), theta.flatten(), h))
+        lambda vec: score_of(theta.unflatten(vec), pis, sched, t, x), theta.flatten(), FD_STEP))
 
 
 def _derivative_pass(params, pis, sched: DiffusionSchedule, t: float, X: np.ndarray,
@@ -379,15 +381,12 @@ def mmtop_eigs(a: np.ndarray, b: np.ndarray) -> MMTopEigs:
 
     The bulk eigenvalue (a^T b)^2 has multiplicity n - 2; the two edge
     eigenvalues live in span{a, b}.  M M^T is positive definite iff a^T b
-    is nonzero.
+    is nonzero.  a and b have one length n >= 2, which the one caller,
+    `_rank_one_floor`, checks.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"length mismatch {a.shape} vs {b.shape}")
     n = a.size
-    if n < 2:
-        raise DimensionMismatch("need vectors of length >= 2")
     c = float(a @ b)
     na2 = float(a @ a)
     nb2 = float(b @ b)

@@ -4,14 +4,14 @@ Subcommands: gen, score-check, estimation, hessian, overlap, train, sample,
 report.  Exit codes: 0 success, 2 validation/config error, a file the run
 cannot read or write, or an allocation the machine refuses (status
 "out-of-memory" in the manifest), 3 numerical failure (divergence,
-non-finite states, or a floating-point overflow, invalid operation or
-division by zero).  Before it allocates anything, each subcommand checks its
-size key (`gen.n`, `sampler.n`, `estimation.n_mc`, `hessian.n_mc`,
-`overlap.n_mc`, `train.n`) against the machine's physical memory, and
-refuses one whose largest arrays alone would not fit, as an allocation the
-machine refuses, naming the key.  Every run writes manifest.json listing the
-config hash, seed, versions, wall time, and artifacts.
-All CSVs are UTF-8 with \n line endings and round-trip-exact floats.
+non-finite states, a floating-point overflow, invalid operation or division
+by zero, or a NaN or infinity bound for a JSON artifact).  Before it
+allocates anything, each subcommand checks its size key (`gen.n`,
+`sampler.n`, `estimation.n_mc`, `hessian.n_mc`, `overlap.n_mc`, `train.n`)
+against the machine's physical memory, and refuses one whose largest arrays
+alone would not fit, as an allocation the machine refuses, naming the key.
+Every run writes manifest.json listing the config hash, seed, versions, wall
+time, and artifacts.  All CSVs are UTF-8 with \n line endings and round-trip-exact floats.
 
 Each subcommand runs in its own process, so this module imports at top level
 only the standard library and `errors`; a subcommand and each helper it calls
@@ -100,7 +100,13 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """obj as strict JSON: a NaN or an infinity, which JSON cannot hold, is a
+    numerical failure, and a quantity that does not exist is written as null."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 # the keys of each config block; one nested under a known name has its table
@@ -364,6 +370,15 @@ def cmd_train(cfg, seed, out: Path) -> list[str]:
     block = _block(cfg, "train")
     t = _num(block, "t", 0.5)
     truth, pis = _params_from(block, model)
+    # U and U Q give one score for every orthogonal Q, so a factor of rank two
+    # or more leaves the loss Hessian at the truth singular at any n
+    rank = max(U.shape[1] for _, U in truth.components)
+    if rank >= 2:
+        where = ("train.symmetric" if "symmetric" in block
+                 else f"train.subspace = {_num(block, 'subspace', 0, int)}")
+        raise NonPositiveAlpha(f"{where}: a rank-{rank} factor U gives the score of U Q for "
+                               f"every orthogonal Q, so the loss Hessian at the truth is "
+                               f"singular at any train.n")
     rng = np.random.default_rng(seed)
     n = _num(block, "n", 10000, int)
     # the latent draws, their labels and the true score at them
@@ -551,10 +566,7 @@ def run(subcommand: str, config_path: str | None, overrides=(), seed=None,
         if code != 0:
             print(manifest["error"], file=sys.stderr)
         return code
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # e.g. an artifact or manifest path that is a directory
+    except (ValidationError, OSError) as exc:  # OSError: e.g. an artifact path that is a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,10 +25,6 @@ class TimeOutOfRange(ValidationError):
     pass
 
 
-class SingularNoise(ValidationError):
-    pass
-
-
 class NonOrthonormalBasis(ValidationError):
     pass
 
@@ -54,10 +50,6 @@ class RankNotOne(ValidationError):
 
 
 class NonPositiveAlpha(ValidationError):
-    pass
-
-
-class LSmallerThanAlpha(ValidationError):
     pass
 
 

@@ -207,10 +207,9 @@ def estimation_gap_experiment(model: MoLRMoGModel, theta_grid, n_schedule,
     BLOCK_ELEMENTS // ((L + R) nb).  A small dataset takes the whole grid in
     one call, and the population one grid point per row block, so memory is
     bounded in n_mc.  The per-block means, and the population's variances,
-    merge by the pairwise update of Chan, Golub & LeVeque (1983).
+    merge by the pairwise update of Chan, Golub & LeVeque (1983).  theta_grid
+    is a nonempty list, as `make_theta_grid` builds it.
     """
-    if not theta_grid:
-        raise GridEmpty("theta grid is empty")
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
     n_schedule = sorted(int(n) for n in n_schedule)

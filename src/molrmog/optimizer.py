@@ -7,9 +7,12 @@ theoretical step 2/(alpha + L') yields the contraction factor
 rho = (kappa - 1)/(kappa + 1) with kappa = L'/alpha; traces record the
 per-iteration distance ratios against that bound.  alpha and L' are the
 extreme eigenvalues of the loss Hessian at the truth, exactly 2 E_n[J^T J].
-The gradient (2/n) sum_n J_n^T (residual)_n is the residual contraction of
-the one derivative path (`calculus.residual_contraction`), so a GD step never
-forms the (n, d, p) Jacobian terms.
+`gd_train` owns that step rule: it refuses alpha at or below p eps L', the
+eigenvalue solver's backward-error scale, and then both are positive and
+ordered.  The gradient (2/n) sum_n J_n^T (residual)_n is the residual
+contraction of the one derivative path (`calculus.residual_contraction`), so
+a GD step never forms the (n, d, p) Jacobian terms; `gd_train` checks the
+batch and takes the truth's score on it once, and `loss_and_grad` reads both.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import hessian_from_samples, residual_contraction, score_of
-from .errors import (
-    DivergenceDetected,
-    LSmallerThanAlpha,
-    NaNDetected,
-    NonPositiveAlpha,
-    ValidationError,
-)
+from .errors import DivergenceDetected, NaNDetected, NonPositiveAlpha, ValidationError
 from .schedule import DiffusionSchedule
 from .score import _batch
 
@@ -68,18 +65,15 @@ class TrainTrace:
         return self.rows[-1].dist
 
 
-def loss_and_grad(theta, truth, pis, sched: DiffusionSchedule, t: float,
-                  data: np.ndarray, truth_score=None) -> tuple[float, np.ndarray]:
-    """Empirical loss and its analytic gradient (2/n) sum J^T residual.
+def loss_and_grad(theta, pis, sched: DiffusionSchedule, t: float, X: np.ndarray,
+                  truth_score: np.ndarray) -> tuple[float, np.ndarray]:
+    """Empirical loss on the (n, d) points X and its analytic gradient
+    (2/n) sum J^T residual, against the truth's score truth_score on X.
 
     The squared residual and its contraction with the Jacobian are summed
     over row blocks of kernel passes, without forming the (n, d, p) Jacobian
-    or any other array that grows with n.  truth_score, the truth's score on
-    data, is computed here when omitted.
+    or any other array that grows with n.
     """
-    X = _batch(data, truth.d)[0]
-    if truth_score is None:
-        truth_score = score_of(truth, pis, sched, t, X)
     sq, g = residual_contraction(theta, pis, sched, t, X, truth_score)
     return sq / X.shape[0], 2.0 * g / X.shape[0]
 
@@ -95,18 +89,6 @@ def init_near(truth, radius: float, rng):
     u = rng.standard_normal(vec.size)
     u /= np.linalg.norm(u)
     return truth.unflatten(vec + radius * u)
-
-
-def theoretical_step(alpha: float, L_prime: float) -> tuple[float, float, float]:
-    """(eta, kappa, rho) for strongly convex/smooth GD."""
-    if not (alpha > 0):
-        raise NonPositiveAlpha(f"need alpha > 0, got {alpha}")
-    if L_prime < alpha:
-        raise LSmallerThanAlpha(f"need L' >= alpha, got L'={L_prime} < alpha={alpha}")
-    eta = 2.0 / (alpha + L_prime)
-    kappa = L_prime / alpha
-    rho = (kappa - 1.0) / (kappa + 1.0)
-    return eta, kappa, rho
 
 
 def estimate_local_constants(truth, pis, sched: DiffusionSchedule, t: float,
@@ -127,7 +109,9 @@ def gd_train(theta0, truth, pis, sched: DiffusionSchedule, t: float,
     if not alpha_hat > floor:
         raise NonPositiveAlpha(f"alpha_hat = {alpha_hat:.3g} is not above p eps L_hat = "
                                f"{floor:.3g}, the eigenvalue solver's backward-error scale")
-    eta, kappa, rho = theoretical_step(alpha_hat, L_hat)
+    eta = 2.0 / (alpha_hat + L_hat)
+    kappa = L_hat / alpha_hat
+    rho = (kappa - 1.0) / (kappa + 1.0)
     if cfg.eta is not None:
         # the contraction factor of a fixed step on the same alpha and L'
         eta = cfg.eta
@@ -142,7 +126,7 @@ def gd_train(theta0, truth, pis, sched: DiffusionSchedule, t: float,
     converged = False
     for m in range(cfg.m_max + 1):
         theta = truth.unflatten(vec)
-        loss, grad = loss_and_grad(theta, truth, pis, sched, t, X, s_true)
+        loss, grad = loss_and_grad(theta, pis, sched, t, X, s_true)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise NaNDetected(f"non-finite loss or gradient at iteration {m}")
         dist = float(np.linalg.norm(vec - truth_vec))

@@ -92,8 +92,8 @@ class ComponentQuality:
     l: int
     weight_true: float
     weight_emp: float
-    mean_err: float
-    cov_err: float
+    mean_err: float | None  # None with fewer than two samples assigned
+    cov_err: float | None
 
 
 @dataclass
@@ -105,8 +105,9 @@ class QualityReport:
         return max(abs(r.weight_emp - r.weight_true) for r in self.rows)
 
     @property
-    def max_mean_err(self) -> float:
-        return max(r.mean_err for r in self.rows)
+    def max_mean_err(self) -> float | None:
+        """The largest mean error of the components that have one."""
+        return max((r.mean_err for r in self.rows if r.mean_err is not None), default=None)
 
 
 def sample_quality(samples: np.ndarray, model: MoLRMoGModel,
@@ -115,7 +116,8 @@ def sample_quality(samples: np.ndarray, model: MoLRMoGModel,
 
     Samples are assigned to components by argmax posterior at t_min and
     compared against the noised component moments s A mu and
-    s^2 (AU)(AU)^T + gamma^2 I.
+    s^2 (AU)(AU)^T + gamma^2 I.  A component assigned fewer than two samples
+    has no sample covariance, and both its errors are None.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != model.D:
@@ -132,12 +134,10 @@ def sample_quality(samples: np.ndarray, model: MoLRMoGModel,
         weight_emp = pts.shape[0] / samples.shape[0]
         mean_true = s * mean
         cov_true = (s * s) * W @ W.T + (gamma * gamma) * np.eye(model.D)
+        mean_err = cov_err = None
         if pts.shape[0] >= 2:
             mean_err = float(np.linalg.norm(pts.mean(axis=0) - mean_true))
             cov_err = float(np.linalg.norm(np.cov(pts.T, bias=True) - cov_true))
-        else:
-            mean_err = float("nan")
-            cov_err = float("nan")
         rows.append(ComponentQuality(k=k, l=l, weight_true=w, weight_emp=weight_emp,
                                      mean_err=mean_err, cov_err=cov_err))
     return QualityReport(rows=rows)

@@ -16,7 +16,9 @@ Two presets are provided, both with exact closed forms:
 
 The early-stopping time t_min must be strictly positive so gamma(t) never
 vanishes on the working interval, and `make_schedule` refuses a rate whose
-gamma(t)^2 underflows to 0 at t_min or overflows at t_max.
+gamma(t)^2 underflows to 0 at t_min or overflows at t_max.  That is the one
+check of the noise level: every score kernel takes gamma from `coefficients`,
+which refuses a t outside [t_min, t_max].
 """
 
 from __future__ import annotations

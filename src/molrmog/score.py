@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset, SingularNoise
+from .errors import DimensionMismatch, EmptyDataset
 from .schedule import DiffusionSchedule, coefficients
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -81,11 +81,6 @@ def _as_factor(U) -> np.ndarray:
     """U as a float array, a vector read as a single factor column."""
     U = np.asarray(U, dtype=float)
     return U[:, None] if U.ndim == 1 else U
-
-
-def _require_noise(gamma: float) -> None:
-    if not (gamma > 0):
-        raise SingularNoise(f"gamma must be positive, got {gamma}")
 
 
 def _over_rows(ufunc, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -146,10 +141,11 @@ class NoisedMixture:
     log-determinant factored (see the module docstring).
 
     The kernel keeps the mixture's leading parameter-set axis.  The per-point
-    methods read the first set; `_pass` reads any slice of them."""
+    methods read the first set; `_pass` reads any slice of them.  gamma comes
+    from `schedule.coefficients`, whose schedule holds gamma^2 > 0 on its
+    interval (`schedule.make_schedule`)."""
 
     def __init__(self, mix: FactoredMixture, s: float, gamma: float):
-        _require_noise(gamma)
         self.d, self.rows, self.G, self.rank_one = mix.d, mix.rows, mix.G, mix.rank_one
         self.centers = s * mix.means  # (G, L, d)
         self.g2 = gamma * gamma

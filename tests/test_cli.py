@@ -22,7 +22,7 @@ from molrmog.cli import (
     run,
     write_csv,
 )
-from molrmog.errors import ConfigParseError
+from molrmog.errors import ConfigParseError, NumericalError
 
 
 MINI_CFG = {
@@ -252,6 +252,8 @@ def test_subcommands_load_no_scipy_submodules(tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
                for p in tmp_path.iterdir() if p.name != "manifest.json"}
     assert written == PIPELINE_SHA256
+    for path in tmp_path.glob("*.json"):
+        strict_json(path)
 
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path):
@@ -373,6 +375,34 @@ def test_validation_errors_exit_2(cfg_path, tmp_path):
                out_dir=str(tmp_path)) == 2
 
 
+def strict_json(path):
+    """path's JSON, refusing the NaN and Infinity that no JSON standard holds."""
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def test_write_json_refuses_a_nan(tmp_path):
+    """A NaN or an infinity in a summary is a numerical failure naming the file."""
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(NumericalError, match="summary.json"):
+            cli.write_json(tmp_path / "summary.json", {"x": [1.0, value]})
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_sample_with_one_point_writes_null_errors(tmp_path):
+    """A component assigned fewer than two samples has no mean or covariance
+    error: quality.json writes null and parses as strict JSON."""
+    out = tmp_path / "out"
+    assert run("sample", EXAMPLE_CFG, overrides=["sampler.n=1", "sampler.steps=3"],
+               out_dir=str(out)) == 0
+    rows = strict_json(out / "quality.json")["components"]
+    assert len(rows) == 2
+    assert all(r["mean_err"] is None and r["cov_err"] is None for r in rows)
+    strict_json(out / "manifest.json")
+
+
 def test_numerical_failure_exit_3_with_manifest(cfg_path, tmp_path):
     out = tmp_path / "out"
     code = run("train", cfg_path, overrides=["train.eta=50.0"], out_dir=str(out))
@@ -417,6 +447,25 @@ def test_train_on_too_few_points_names_train_n(cfg_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: train.n = 1: ") and err.count("\n") == 1
     assert "singular" in err
+
+
+@pytest.mark.parametrize("block, where", [
+    ({"symmetric": {"mu": [4.0, 0.0], "U": [[1.0, 0.3], [0.0, 1.0]]}}, "train.symmetric"),
+    ({"subspace": 0}, "train.subspace = 0")])
+def test_train_on_a_rank_two_factor_names_the_block(tmp_path, capsys, block, where):
+    """A factor of rank two or more leaves the loss Hessian singular at any n,
+    since U and U Q give one score: the one-line refusal names the block and
+    the rank, not train.n, and comes before any data is drawn (a train.n the
+    machine could not hold is not reached)."""
+    cfg = json.loads(json.dumps(MINI_CFG))
+    cfg["model"]["subspaces"][0]["components"][1]["U"] = [[0.2, 0.0], [0.4, 0.3]]
+    cfg["train"] = {"t": 1.0, "n": 10 ** 12, **block}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run("train", str(p), out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: a rank-2 factor") and err.count("\n") == 1, err
+    assert "singular at any train.n" in err
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -799,3 +848,50 @@ def test_mutated_example_config_keeps_exit_contract(case):
     assert "Traceback" not in err.getvalue()
     if kind in REPLACEMENTS and path[0] in READS[sub] + ("seed",):
         assert code == 2, err.getvalue()
+
+
+# the benchmark pipeline's smoke sizes
+SMOKE_SIZES = ["estimation.trials=1", "estimation.n_mc=2048", "estimation.grid=4",
+               "estimation.n_schedule=[128,256]", "sampler.n=500", "sampler.steps=10",
+               "train.n=2000", "hessian.n_mc=2000", "overlap.n_mc=2000"]
+
+
+def test_general_rank_model_runs_every_subcommand(tmp_path, capsys, monkeypatch):
+    """configs/example.json with a second subspace holding a rank-two factor,
+    which the hessian and train blocks point at, and a rank-two tied form for
+    overlap, through all eight subcommands at the smoke sizes: the kernel's
+    general-rank path (forward substitution, the component-sum GEMM and the
+    per-component weighting) runs; train is refused for its rank, the seven
+    others exit 0, and a rerun writes the same bytes, manifest aside."""
+    from molrmog import score
+
+    cfg = load_config(EXAMPLE_CFG)
+    cfg["model"]["subspaces"].append({"d": 2, "A_seed": 11, "components": [
+        {"pi": 0.4, "mu": [1.0, -1.0], "U": [[0.5], [0.2]]},
+        {"pi": 0.6, "mu": [-1.0, 1.0], "U": [[0.3, 0.0], [0.1, 0.4]]}]})
+    for name in ("hessian", "train"):
+        del cfg[name]["symmetric"]
+        cfg[name]["subspace"] = 1
+    cfg["overlap"]["symmetric"] = {"mu": [2.0, 0.0], "U": [[1.0, 0.0], [0.0, 0.5]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    solves = []
+    lower_solve = score._lower_solve
+    monkeypatch.setattr(score, "_lower_solve", lambda *a: solves.append(1) or lower_solve(*a))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        codes = {sub: run(sub, str(path), SMOKE_SIZES, out_dir=str(out))
+                 for sub in cli.SUBCOMMANDS}
+        assert codes == {sub: 2 if sub == "train" else 0 for sub in cli.SUBCOMMANDS}
+        err = capsys.readouterr().err
+        assert err == ("error: train.subspace = 1: a rank-2 factor U gives the score of U Q "
+                       "for every orthogonal Q, so the loss Hessian at the truth is "
+                       "singular at any train.n\n")
+    assert solves
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+    assert "train_summary.json" not in names and "hessian_summary.json" in names
+    assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        if name.endswith(".json"):
+            strict_json(outs[0] / name)

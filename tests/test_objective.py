@@ -147,8 +147,6 @@ def test_estimation_gap_shrinks_with_n(unit_sched):
     assert gaps[1] < gaps[0]
     assert rep.slope < 0
     assert rep.C1 > 0 and rep.sigma2 > 0 and rep.p == truth.dim
-    with pytest.raises(GridEmpty):
-        estimation_gap_experiment(model, [], [64], 1, unit_sched, 0.25, 0, 100)
 
 
 def test_estimation_population_must_exceed_every_n(unit_sched):

@@ -3,13 +3,7 @@ import pytest
 
 from conftest import empirical_loss, fd_gradient
 from molrmog.calculus import exact_jacobian, sample_noised, score_of
-from molrmog.errors import (
-    DivergenceDetected,
-    EmptyDataset,
-    LSmallerThanAlpha,
-    NonPositiveAlpha,
-    ValidationError,
-)
+from molrmog.errors import DivergenceDetected, EmptyDataset, ValidationError
 from molrmog.optimizer import (
     GDConfig,
     contraction_check,
@@ -17,7 +11,6 @@ from molrmog.optimizer import (
     gd_train,
     init_near,
     loss_and_grad,
-    theoretical_step,
 )
 from molrmog.score import BLOCK_ELEMENTS, LatentParams, SymmetricParams
 
@@ -36,7 +29,8 @@ def test_analytic_gradient_matches_fd(unit_sched):
     for _ in range(3):
         vec = flat + 0.3 * rng.standard_normal(flat.size)
         theta = TRUTH.unflatten(vec)
-        _, grad = loss_and_grad(theta, TRUTH, None, unit_sched, 1.0, X)
+        _, grad = loss_and_grad(theta, None, unit_sched, 1.0, X,
+                                score_of(TRUTH, None, unit_sched, 1.0, X))
         want = fd_gradient(
             lambda v: empirical_loss(TRUTH.unflatten(v), TRUTH, None, unit_sched, 1.0, X),
             vec,
@@ -46,10 +40,11 @@ def test_analytic_gradient_matches_fd(unit_sched):
 
 def test_gradient_zero_at_truth(unit_sched):
     X = training_data(500, 3, unit_sched)
-    g = loss_and_grad(TRUTH, TRUTH, None, unit_sched, 1.0, X)[1]
+    g = loss_and_grad(TRUTH, None, unit_sched, 1.0, X,
+                      score_of(TRUTH, None, unit_sched, 1.0, X))[1]
     assert np.max(np.abs(g)) < 1e-14
     with pytest.raises(EmptyDataset):
-        loss_and_grad(TRUTH, TRUTH, None, unit_sched, 1.0, np.zeros((0, 2)))[1]
+        loss_and_grad(TRUTH, None, unit_sched, 1.0, np.zeros((0, 2)), np.zeros((0, 2)))[1]
 
 
 def _contraction_cases(rng):
@@ -69,10 +64,11 @@ def _contraction_and_oracle(truth, pis, sched, n, rng):
     Jacobian."""
     X = sample_noised(truth, pis, sched, 1.0, n, 59)
     theta = truth.unflatten(truth.flatten() + 0.3 * rng.standard_normal(truth.dim))
-    resid = score_of(theta, pis, sched, 1.0, X) - score_of(truth, pis, sched, 1.0, X)
+    target = score_of(truth, pis, sched, 1.0, X)
+    resid = score_of(theta, pis, sched, 1.0, X) - target
     J = exact_jacobian(theta, pis, sched, 1.0, X)
     want = 2.0 * np.einsum("nd,ndp->p", resid, J) / n
-    return (loss_and_grad(theta, truth, pis, sched, 1.0, X),
+    return (loss_and_grad(theta, pis, sched, 1.0, X, target),
             (float(np.mean(np.sum(resid ** 2, axis=-1))), want))
 
 
@@ -115,7 +111,7 @@ def test_gradient_memory_bounded(unit_sched):
     assert truth.dim == 64
     tracemalloc.start()
     try:
-        loss_and_grad(theta, truth, pis, unit_sched, 1.0, X)
+        loss_and_grad(theta, pis, unit_sched, 1.0, X, score_of(truth, pis, unit_sched, 1.0, X))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -132,15 +128,18 @@ def test_init_near_radius_and_determinism():
         init_near(TRUTH, -1.0, 5)
 
 
-def test_theoretical_step_values_and_errors():
-    eta, kappa, rho = theoretical_step(1.0, 3.0)
-    assert eta == pytest.approx(0.5)
-    assert kappa == pytest.approx(3.0)
-    assert rho == pytest.approx(0.5)
-    with pytest.raises(NonPositiveAlpha):
-        theoretical_step(0.0, 1.0)
-    with pytest.raises(LSmallerThanAlpha):
-        theoretical_step(2.0, 1.0)
+def test_gd_step_is_the_closed_form_of_its_constants(unit_sched):
+    """The trace's step, condition number and contraction factor are
+    2/(alpha + L'), L'/alpha and (kappa - 1)/(kappa + 1) of the estimated
+    local constants."""
+    X = training_data(2000, 43, unit_sched)
+    alpha_hat, L_hat = estimate_local_constants(TRUTH, None, unit_sched, 1.0, X)
+    trace = gd_train(init_near(TRUTH, 0.2, 45), TRUTH, None, unit_sched, 1.0, X,
+                     GDConfig(m_max=0))
+    kappa = L_hat / alpha_hat
+    assert trace.eta == 2.0 / (alpha_hat + L_hat)
+    assert trace.kappa == kappa
+    assert trace.rho_bound == (kappa - 1.0) / (kappa + 1.0)
 
 
 def test_estimated_constants_bracket_loss_curvature(unit_sched):
@@ -156,12 +155,13 @@ def _fd_loss_hessian_evals(truth, pis, sched, t, X, h=1e-4):
     """Eigenvalues of the loss Hessian at the truth from central differences
     of the analytic gradient."""
     vec = truth.flatten()
+    target = score_of(truth, pis, sched, t, X)
     cols = []
     for j in range(vec.size):
         e = np.zeros(vec.size)
         e[j] = h
-        gp = loss_and_grad(truth.unflatten(vec + e), truth, pis, sched, t, X)[1]
-        gm = loss_and_grad(truth.unflatten(vec - e), truth, pis, sched, t, X)[1]
+        gp = loss_and_grad(truth.unflatten(vec + e), pis, sched, t, X, target)[1]
+        gm = loss_and_grad(truth.unflatten(vec - e), pis, sched, t, X, target)[1]
         cols.append((gp - gm) / (2.0 * h))
     H = np.stack(cols, axis=1)
     return np.linalg.eigvalsh(0.5 * (H + H.T))
@@ -206,7 +206,9 @@ def test_gd_with_analytic_constants_satisfies_weak_bound(unit_sched):
                              unit_sched, 1.0, R=R)
     # loss Hessian carries a factor 2 over E[J^T J], so the floor does too
     alpha_loss = 2.0 * alpha_formula(TRUTH, None, unit_sched, 1.0)
-    eta, _, rho = theoretical_step(alpha_loss, lc.L_prime)
+    eta = 2.0 / (alpha_loss + lc.L_prime)
+    kappa = lc.L_prime / alpha_loss
+    rho = (kappa - 1.0) / (kappa + 1.0)
     theta0 = init_near(TRUTH, 0.2, 41)
     trace = gd_train(theta0, TRUTH, None, unit_sched, 1.0, X,
                      GDConfig(eta=eta, m_max=50))

@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 from conftest import conditional_score, dense_gaussian_logpdf, fd_gradient, read_only_layouts
 from test_acceptance import TWO_SUBSPACE_SPEC
 from test_objective import MIXED_SPEC
-from molrmog.errors import DimensionMismatch, EmptyDataset, SingularNoise
+from molrmog.errors import DimensionMismatch, EmptyDataset
 from molrmog.model import Subspace, build_model, encode, forward_noise, random_orthonormal, \
     sample_data, MoLRMoGModel
 from molrmog.objective import make_theta_grid, stacked_errors
@@ -70,12 +70,6 @@ def test_single_component_solve_matches_dense_solve():
     x = rng.standard_normal(d)
     want = gamma * gamma * np.linalg.solve(cov, x - s * mu)
     assert gamma * gamma * kern.solve(0, x - s * mu) == pytest.approx(want, rel=1e-12)
-
-
-def test_singular_noise_rejected():
-    mix = FactoredMixture([np.zeros(2)], [np.eye(2)], [1.0])
-    with pytest.raises(SingularNoise):
-        NoisedMixture(mix, 1.0, 0.0).log_density(np.zeros(2))
 
 
 def test_flatten_unflatten_roundtrip_and_order():
